@@ -159,7 +159,14 @@ def _load_runs(run_paths, qrels_path) -> list[Run]:
     runs = []
     for path in run_paths:
         with open(path) as handle:
-            runs.append(join(parse_run(handle), qrels))
+            run = join(parse_run(handle), qrels)
+        for topic in run.topics:
+            if topic.total_relevant < 1:
+                raise ValidationError(
+                    f"run {run.run_tag!r} topic {topic.topic_id!r} has no "
+                    "relevant documents in the qrels; recall is undefined"
+                )
+        runs.append(run)
     return runs
 
 
@@ -233,19 +240,20 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     runs = _load_runs(run_paths, qrels_path)
     if len(runs) < 15:
         raise click.UsageError("stratification needs at least 15 runs")
-    top, middle, bottom = stratify_runs(runs)
+    scored = [(run, mean_aurc(run)) for run in runs]
+    top, middle, bottom = stratify_runs(scored)
 
     records: list[dict] = []
-    for run in sorted(runs, key=lambda r: r.run_tag):
+    for run, score in sorted(scored, key=lambda pair: pair[0].run_tag):
         records.append(
             {
                 "record": "run_aurc",
                 "run": run.run_tag,
-                "mean_aurc": round(mean_aurc(run), 10),
+                "mean_aurc": round(score, 10),
             }
         )
-    top_scores = sorted(mean_aurc(r) for r in top)
-    bottom_scores = sorted(mean_aurc(r) for r in bottom)
+    top_scores = sorted(score for _, score in top)
+    bottom_scores = sorted(score for _, score in bottom)
     bands = [
         {
             "record": "sanity_band",
@@ -271,7 +279,7 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     tables = []
     for group_name, group in (("top", top), ("middle", middle), ("bottom", bottom)):
         group_records, aggregates = _evaluate_records(
-            list(group), method_list, params, seed
+            [run for run, _ in group], method_list, params, seed
         )
         for record in group_records:
             record["group"] = group_name
@@ -319,10 +327,10 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
     actual = [(0, 0.0)]
     predicted = [(0, 0.0)]
     cum = 0.0
-    for rank in range(1, topic.size + 1):
+    for rank, found in enumerate(topic.cumrel[1:].tolist(), start=1):
         cum += lambda_at(model, rank)
         predicted.append((rank, cum))
-        actual.append((rank, float(topic._cumrel[rank])))
+        actual.append((rank, float(found)))
     with (out / f"gain_{topic_id}.csv").open("w", newline="\n") as handle:
         handle.write("rank,relevant_found,rate_estimate\n")
         for (rank, a), (_, p) in zip(actual, predicted):

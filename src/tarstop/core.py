@@ -4,44 +4,88 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from tarstop.errors import ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topic:
-    """One ranked document list with binary relevance labels.
+    """One ranked document list with binary relevance labels, stored by column.
 
-    ``docs`` holds ``(doc_id, relevant)`` pairs in ranked order; the document
-    at list index ``i`` sits at rank ``i + 1``.
+    ``doc_ids[i]`` sits at rank ``i + 1`` and ``relevant[i]`` is its label.
+    ``cumrel[r]`` counts the relevant documents at ranks 1..r, so it has
+    ``size + 1`` entries and starts at 0.  Both arrays are read-only.
+
+    Two topics are equal when their ids, document order and labels are
+    equal; the hash covers the id and the document order.
     """
 
     topic_id: str
-    docs: tuple[tuple[str, bool], ...]
-    # Cumulative relevant counts, index r = count over ranks 1..r.
-    _cumrel: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    doc_ids: tuple[str, ...]
+    relevant: np.ndarray
+    cumrel: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.docs) < 1:
+        doc_ids = tuple(self.doc_ids)
+        if not doc_ids:
             raise ValidationError(f"topic {self.topic_id!r} has no documents")
-        seen = set()
-        for doc_id, _ in self.docs:
-            if doc_id in seen:
-                raise ValidationError(
-                    f"topic {self.topic_id!r} has duplicate doc_id {doc_id!r}"
-                )
-            seen.add(doc_id)
-        cum = [0]
-        for _, rel in self.docs:
-            cum.append(cum[-1] + (1 if rel else 0))
-        object.__setattr__(self, "_cumrel", tuple(cum))
+        if len(set(doc_ids)) != len(doc_ids):
+            seen = set()
+            for doc_id in doc_ids:
+                if doc_id in seen:
+                    raise ValidationError(
+                        f"topic {self.topic_id!r} has duplicate doc_id {doc_id!r}"
+                    )
+                seen.add(doc_id)
+        object.__setattr__(self, "doc_ids", doc_ids)
+        self._set_relevant(self.relevant)
+
+    def _set_relevant(self, relevant) -> None:
+        relevant = np.array(relevant, dtype=bool)
+        if relevant.shape != (len(self.doc_ids),):
+            raise ValidationError(
+                f"topic {self.topic_id!r} has {len(self.doc_ids)} documents "
+                f"but relevance labels of shape {relevant.shape}"
+            )
+        cumrel = np.zeros(len(relevant) + 1, dtype=np.int32)
+        np.cumsum(relevant, dtype=np.int32, out=cumrel[1:])
+        relevant.flags.writeable = False
+        cumrel.flags.writeable = False
+        object.__setattr__(self, "relevant", relevant)
+        object.__setattr__(self, "cumrel", cumrel)
+
+    def with_relevant(self, relevant) -> Topic:
+        """The same ranked documents with new labels.
+
+        The document ids were validated when this topic was built, so they
+        are shared, not checked or copied again.
+        """
+        topic = object.__new__(Topic)
+        object.__setattr__(topic, "topic_id", self.topic_id)
+        object.__setattr__(topic, "doc_ids", self.doc_ids)
+        topic._set_relevant(relevant)
+        return topic
+
+    def __eq__(self, other):
+        if not isinstance(other, Topic):
+            return NotImplemented
+        return (
+            self.topic_id == other.topic_id
+            and self.doc_ids == other.doc_ids
+            and np.array_equal(self.relevant, other.relevant)
+        )
+
+    def __hash__(self):
+        return hash((self.topic_id, self.doc_ids))
 
     @property
     def size(self) -> int:
-        return len(self.docs)
+        return len(self.doc_ids)
 
     @property
     def total_relevant(self) -> int:
-        return self._cumrel[-1]
+        return int(self.cumrel[-1])
 
 
 @dataclass(frozen=True)
@@ -119,4 +163,4 @@ def rel_at(topic: Topic, rank: int) -> int:
     """Count of relevant documents at ranks 1..rank (0 for the empty prefix)."""
     if not 0 <= rank <= topic.size:
         raise ValueError(f"rank {rank} out of range 0..{topic.size}")
-    return topic._cumrel[rank]
+    return int(topic.cumrel[rank])

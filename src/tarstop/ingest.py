@@ -7,14 +7,20 @@ Run files carry 6 whitespace-separated columns
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
+
+import numpy as np
 
 from tarstop.core import Run, Topic
 from tarstop.errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
+
+# Ranks are held as int64.
+_MAX_RANK = np.iinfo(np.int64).max
 
 # Sanity statistics of the CLEF 2017 e-Health Task 2 test collection.
 CLEF2017_STATS = {
@@ -30,29 +36,63 @@ CLEF2017_STATS = {
 }
 
 
-@dataclass(frozen=True)
-class RunFileRecord:
-    topic_id: str
-    flag: str  # ignored iteration/feedback column ("NF", "Q0", ...)
-    doc_id: str
-    rank: int
-    score: float
-    run_tag: str
+def _line_of(row: int, blank_lines: list[int]) -> int:
+    """1-based line number of the given 0-based non-blank row."""
+    line_no = row + 1
+    for blank in blank_lines:  # ascending
+        if blank > line_no:
+            break
+        line_no += 1
+    return line_no
 
 
-def _parse_run_line(line: str, line_no: int) -> RunFileRecord:
-    parts = line.split()
-    if len(parts) != 6:
-        raise ParseError(f"expected 6 fields, got {len(parts)}: {line!r}", line_no)
-    topic_id, flag, doc_id, rank_s, score_s, run_tag = parts
-    try:
-        rank = int(rank_s)
-        score = float(score_s)
-    except ValueError as exc:
-        raise ParseError(f"bad rank/score: {exc}", line_no) from exc
-    if rank < 1:
-        raise ParseError(f"rank must be >= 1, got {rank}", line_no)
-    return RunFileRecord(topic_id, flag, doc_id, rank, score, run_tag)
+def _check_numbers(
+    rank_col: list[str], score_col: list[str], blank_lines: list[int]
+) -> None:
+    """Raise a ParseError naming the first row whose rank or score is bad."""
+    for row, (rank_s, score_s) in enumerate(zip(rank_col, score_col)):
+        try:
+            rank = int(rank_s)
+            float(score_s)
+        except ValueError as exc:
+            raise ParseError(
+                f"bad rank/score: {exc}", _line_of(row, blank_lines)
+            ) from exc
+        if rank < 1:
+            raise ParseError(
+                f"rank must be >= 1, got {rank}", _line_of(row, blank_lines)
+            )
+        if rank > _MAX_RANK:
+            raise ParseError(f"rank too large: {rank}", _line_of(row, blank_lines))
+
+
+def _doc_order(doc_ids: list[str]) -> np.ndarray:
+    """Position of each doc_id in Python string order."""
+    by_id = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+    order = np.empty(len(doc_ids), dtype=np.int64)
+    order[by_id] = np.arange(len(doc_ids))
+    return order
+
+
+def _ranked_topic(
+    run_tag: str,
+    topic_id: str,
+    doc_ids: list[str],
+    ranks: np.ndarray,
+    scores: np.ndarray,
+) -> Topic:
+    """An unlabeled Topic in (rank, -score, doc_id) order."""
+    if np.any(ranks[1:] <= ranks[:-1]):
+        order = np.lexsort((_doc_order(doc_ids), -scores, ranks))
+        ranks = ranks[order]
+        doc_ids = [doc_ids[i] for i in order.tolist()]
+    if not np.array_equal(ranks, np.arange(1, len(ranks) + 1)):
+        logger.warning(
+            "run %s topic %s: non-contiguous ranks repaired by re-ranking",
+            run_tag,
+            topic_id,
+        )
+    return Topic(topic_id, tuple(doc_ids), np.zeros(len(doc_ids), dtype=bool))
 
 
 def parse_run(lines: Iterable[str] | TextIO) -> Run:
@@ -60,38 +100,75 @@ def parse_run(lines: Iterable[str] | TextIO) -> Run:
 
     Documents are ordered by ascending rank (ties broken by descending score
     then doc_id); non-contiguous ranks are repaired by re-ranking in sorted
-    order, with a warning.
+    order, with a warning.  Topics keep the order of their first line.
+
+    Lines are split into columns in one pass, and ranks and scores are
+    converted column by column; the first bad line is looked for only once a
+    column fails to convert.
     """
-    by_topic: dict[str, list[RunFileRecord]] = {}
+    topic_col: list[str] = []
+    doc_col: list[str] = []
+    rank_col: list[str] = []
+    score_col: list[str] = []
+    blank_lines: list[int] = []
     run_tag = None
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        record = _parse_run_line(line, line_no)
+        try:
+            topic_id, _, doc_id, rank_s, score_s, tag = line.split()
+        except ValueError:
+            fields = line.split()
+            if not fields:
+                blank_lines.append(line_no)
+                continue
+            _check_numbers(rank_col, score_col, blank_lines)
+            raise ParseError(
+                f"expected 6 fields, got {len(fields)}: {line!r}", line_no
+            ) from None
+        topic_col.append(topic_id)
+        doc_col.append(doc_id)
+        rank_col.append(rank_s)
+        score_col.append(score_s)
         if run_tag is None:
-            run_tag = record.run_tag
-        by_topic.setdefault(record.topic_id, []).append(record)
+            run_tag = tag
     if run_tag is None:
         raise ParseError("empty run file")
 
+    n = len(doc_col)
+    try:
+        ranks = np.fromiter(map(int, rank_col), dtype=np.int64, count=n)
+        scores = np.fromiter(map(float, score_col), dtype=np.float64, count=n)
+    except (ValueError, OverflowError):
+        ranks = None
+    if ranks is None or ranks.min() < 1:
+        _check_numbers(rank_col, score_col, blank_lines)  # raises
+    # Each string column is dropped once converted, so that it is not held
+    # while the topics are built.
+    del rank_col, score_col
+
+    # Row of each topic's first line: sorting rows by it groups the topics
+    # in the order they first appear.
+    first_rows: dict[str, int] = {}
+    group = np.fromiter(
+        map(first_rows.setdefault, topic_col, itertools.count()),
+        dtype=np.int64,
+        count=n,
+    )
+    del topic_col
+    if np.any(group[1:] < group[:-1]):  # topics interleaved
+        rows = np.argsort(group, kind="stable")
+        group, ranks, scores = group[rows], ranks[rows], scores[rows]
+        doc_col = [doc_col[i] for i in rows.tolist()]
+    ends = [*(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), n]
+
     topics = []
-    for topic_id, records in by_topic.items():
-        seen = {r.doc_id for r in records}
-        if len(seen) != len(records):
-            raise ValidationError(
-                f"duplicate (topic, doc) pair in topic {topic_id!r}"
-            )
-        records.sort(key=lambda r: (r.rank, -r.score, r.doc_id))
-        ranks = [r.rank for r in records]
-        if ranks != list(range(1, len(records) + 1)):
-            logger.warning(
-                "run %s topic %s: non-contiguous ranks repaired by re-ranking",
-                run_tag,
-                topic_id,
-            )
+    lo = 0
+    for topic_id, hi in zip(first_rows, ends):
         topics.append(
-            Topic(topic_id=topic_id, docs=tuple((r.doc_id, False) for r in records))
+            _ranked_topic(
+                run_tag, topic_id, doc_col[lo:hi], ranks[lo:hi], scores[lo:hi]
+            )
         )
+        lo = hi
     return Run(run_tag=run_tag, topics=tuple(topics))
 
 
@@ -99,17 +176,20 @@ def serialize_run(run: Run) -> list[str]:
     """Render a Run back to run-file lines (score = 1/rank, flag = 'NF')."""
     lines = []
     for topic in run.topics:
-        for i, (doc_id, _) in enumerate(topic.docs, start=1):
+        for i, doc_id in enumerate(topic.doc_ids, start=1):
             lines.append(
                 f"{topic.topic_id} NF {doc_id} {i} {1.0 / i:.6f} {run.run_tag}"
             )
     return lines
 
 
-def parse_qrels(lines: Iterable[str] | TextIO) -> dict[str, set[str]]:
-    """Parse a qrels file into topic_id -> set of relevant doc_ids."""
-    labels: dict[tuple[str, str], int] = {}
-    relevant: dict[str, set[str]] = {}
+def parse_qrels(lines: Iterable[str] | TextIO) -> dict[str, dict[str, bool]]:
+    """Parse a qrels file into topic_id -> {judged doc_id: relevant}.
+
+    A label > 0 means relevant.  The same (topic, doc) pair may repeat only
+    with the same label.
+    """
+    labels: dict[str, dict[str, int]] = {}
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -123,19 +203,18 @@ def parse_qrels(lines: Iterable[str] | TextIO) -> dict[str, set[str]]:
             label = int(label_s)
         except ValueError as exc:
             raise ParseError(f"bad label: {exc}", line_no) from exc
-        key = (topic_id, doc_id)
-        if key in labels and labels[key] != label:
+        judged = labels.setdefault(topic_id, {})
+        if judged.setdefault(doc_id, label) != label:
             raise ValidationError(
                 f"conflicting labels for topic {topic_id!r} doc {doc_id!r}"
             )
-        labels[key] = label
-        relevant.setdefault(topic_id, set())
-        if label > 0:
-            relevant[topic_id].add(doc_id)
-    return relevant
+    return {
+        topic_id: {doc_id: label > 0 for doc_id, label in judged.items()}
+        for topic_id, judged in labels.items()
+    }
 
 
-def join(run: Run, qrels: dict[str, set[str]]) -> Run:
+def join(run: Run, qrels: dict[str, dict[str, bool]]) -> Run:
     """Attach relevance flags from qrels; order and membership are unchanged.
 
     Documents absent from the qrels are treated as non-relevant (counted and
@@ -147,9 +226,24 @@ def join(run: Run, qrels: dict[str, set[str]]) -> Run:
             raise ValidationError(
                 f"topic {topic.topic_id!r} missing from qrels"
             )
-        rel_docs = qrels[topic.topic_id]
-        docs = tuple((doc_id, doc_id in rel_docs) for doc_id, _ in topic.docs)
-        topics.append(Topic(topic_id=topic.topic_id, docs=docs))
+        judged = qrels[topic.topic_id]
+        # 1 relevant, 0 judged non-relevant, -1 not in the qrels.
+        labels = np.fromiter(
+            map(judged.get, topic.doc_ids, itertools.repeat(-1)),
+            dtype=np.int8,
+            count=topic.size,
+        )
+        missing = int(np.count_nonzero(labels < 0))
+        if missing:
+            logger.warning(
+                "run %s topic %s: %d of %d documents not in the qrels, "
+                "treated as non-relevant",
+                run.run_tag,
+                topic.topic_id,
+                missing,
+                topic.size,
+            )
+        topics.append(topic.with_relevant(labels > 0))
     return Run(run_tag=run.run_tag, topics=tuple(topics))
 
 
@@ -157,7 +251,7 @@ def serialize_qrels(topics: Iterable[Topic]) -> list[str]:
     """Render topics' relevance labels as qrels lines."""
     lines = []
     for topic in topics:
-        for doc_id, rel in topic.docs:
+        for doc_id, rel in zip(topic.doc_ids, topic.relevant.tolist()):
             lines.append(f"{topic.topic_id} 0 {doc_id} {1 if rel else 0}")
     return lines
 
@@ -200,7 +294,9 @@ def _median(values: list[int]) -> float:
     return (values[m - 1] + values[m]) / 2.0
 
 
-def validate_dataset(runs: list[Run], qrels: dict[str, set[str]]) -> ValidationSummary:
+def validate_dataset(
+    runs: list[Run], qrels: dict[str, dict[str, bool]]
+) -> ValidationSummary:
     """Summarize topic sizes and relevant counts, checking the known figures.
 
     Mismatches against the published collection statistics are reported as

@@ -7,7 +7,6 @@ which preserves recall at the cost of effort.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -136,8 +135,7 @@ def knee_stop(topic: Topic, params: MethodParams) -> StopOutcome:
         i = examined_end
         rel_i = rel_at(topic, i)
         if rel_i > 0 and i >= 2:
-            cumrel = np.asarray(topic._cumrel[1 : i + 1], dtype=float)
-            knee = _knee_candidate(cumrel)
+            knee = _knee_candidate(topic.cumrel[1 : i + 1])
             if knee is not None and knee < i:
                 rel_knee = rel_at(topic, knee)
                 if rel_knee > 0:
@@ -169,19 +167,13 @@ def target_stop(topic: Topic, params: MethodParams, seed: int) -> StopOutcome:
     order = list(range(1, n + 1))
     rng.shuffle(order)
 
-    found: list[int] = []
-    examined: list[int] = []
-    for pos in order:
-        examined.append(pos)
-        if topic.docs[pos - 1][1]:
-            found.append(pos)
-            if len(found) == params.target_count:
-                break
-    else:
+    drawn = np.array(order)  # ranks in sampling order
+    hits = np.flatnonzero(topic.relevant[drawn - 1])[: params.target_count]
+    if len(hits) < params.target_count:
         return _full_review(topic)
 
-    stop_rank = max(found)
-    extra = sum(1 for pos in examined if pos > stop_rank)
+    stop_rank = int(drawn[hits].max())
+    extra = int(np.count_nonzero(drawn[: hits[-1] + 1] > stop_rank))
     return StopOutcome(
         topic_id=topic.topic_id,
         stop_rank=stop_rank,
@@ -199,7 +191,7 @@ def oracle_stop(topic: Topic, params: MethodParams) -> StopOutcome:
             f"topic {topic.topic_id!r} has no relevant documents; oracle undefined"
         )
     needed = next(c for c in range(1, total + 1) if c / total >= params.target_recall)
-    stop_rank = bisect.bisect_left(topic._cumrel, needed)
+    stop_rank = int(np.searchsorted(topic.cumrel, needed))
     return StopOutcome(
         topic_id=topic.topic_id,
         stop_rank=stop_rank,

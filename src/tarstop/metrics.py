@@ -76,8 +76,10 @@ def aurc(topic: Topic) -> float:
     n = topic.size
     if total < 1:
         raise ValueError(f"topic {topic.topic_id!r} has no relevant documents")
-    area = sum(topic._cumrel[r] for r in range(1, n + 1)) / total
-    optimal = sum(min(r, total) for r in range(1, n + 1)) / total
+    # Exact integer sums: cumrel over ranks 1..n, and min(r, total) over the
+    # same ranks in closed form.
+    area = int(topic.cumrel[1:].sum()) / total
+    optimal = (total * (total + 1) // 2 + (n - total) * total) / total
     return area / optimal
 
 
@@ -86,15 +88,17 @@ def mean_aurc(run: Run) -> float:
     return sum(aurc(t) for t in run.topics) / len(run.topics)
 
 
-def stratify_runs(runs: list[Run]) -> tuple[list[Run], list[Run], list[Run]]:
-    """Split runs into (top five, middle five, bottom five) by mean AURC.
+def stratify_runs(
+    scored: list[tuple[Run, float]],
+) -> tuple[list[tuple[Run, float]], ...]:
+    """Split (run, mean AURC) pairs into the top, middle and bottom five.
 
     The middle five are centered on the 1-based median position of the
     AURC-sorted list; ties break lexicographically by run_tag.
     """
-    if len(runs) < 15:
+    if len(scored) < 15:
         raise ValueError("stratification needs at least 15 runs")
-    ranked = sorted(runs, key=lambda r: (-mean_aurc(r), r.run_tag))
+    ranked = sorted(scored, key=lambda pair: (-pair[1], pair[0].run_tag))
     median_pos = (len(ranked) + 1) // 2  # 1-based
     mid_start = median_pos - 3  # 0-based start of the centered window
     return ranked[:5], ranked[mid_start : mid_start + 5], ranked[-5:]

@@ -98,8 +98,8 @@ def gen_topic(n: int, rate_family: RateFamily, seed: int) -> Topic:
     rng = np.random.default_rng(seed)
     probs = rate_family.probabilities(n)
     flags = rng.random(n) < probs
-    docs = tuple((f"d{i:07d}", bool(flags[i - 1])) for i in range(1, n + 1))
-    return Topic(topic_id=f"synthetic-{seed}", docs=docs)
+    doc_ids = tuple(f"d{i:07d}" for i in range(1, n + 1))
+    return Topic(topic_id=f"synthetic-{seed}", doc_ids=doc_ids, relevant=flags)
 
 
 def coverage_experiment(

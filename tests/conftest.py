@@ -5,9 +5,11 @@ from tarstop.core import Topic
 
 def make_topic(topic_id: str, relevant_ranks: set[int], n: int) -> Topic:
     """Topic of size n with relevance at the given 1-based ranks."""
+    ranks = range(1, n + 1)
     return Topic(
         topic_id=topic_id,
-        docs=tuple((f"doc{i}", i in relevant_ranks) for i in range(1, n + 1)),
+        doc_ids=tuple(f"doc{i}" for i in ranks),
+        relevant=[i in relevant_ranks for i in ranks],
     )
 
 

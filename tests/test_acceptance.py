@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tarstop.cli import main
-from tarstop.core import MethodParams, Run
+from tarstop.core import MethodParams, Run, Topic
 from tarstop.ingest import parse_qrels, parse_run, join, serialize_qrels, serialize_run
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
 from tarstop.metrics import acceptability, aurc
@@ -210,7 +210,7 @@ def test_criterion_6_metric_unit_checks():
 
 def test_criterion_7_structured_output_determinism(tmp_path):
     topics = [gen_topic(300, ExponentialRate(0.5, -0.01), seed=s) for s in range(2)]
-    topics = [type(t)(topic_id=f"T{i}", docs=t.docs) for i, t in enumerate(topics)]
+    topics = [Topic(f"T{i}", t.doc_ids, t.relevant) for i, t in enumerate(topics)]
     run = Run("det-run", tuple(topics))
     run_path = tmp_path / "run.txt"
     run_path.write_text("\n".join(serialize_run(run)) + "\n")

@@ -4,7 +4,7 @@ import pytest
 
 from tarstop.cli import main
 from tarstop.config import parse_config, resolve_params
-from tarstop.core import MethodParams, Run
+from tarstop.core import MethodParams, Run, Topic
 from tarstop.errors import ValidationError
 from tarstop.ingest import serialize_qrels, serialize_run
 from tarstop.simulate import ExponentialRate, gen_topic
@@ -18,11 +18,9 @@ def dataset(tmp_path):
         topic = gen_topic(400, ExponentialRate(0.5, -0.008), seed=100 + i)
         topics.append(topic)
     # Give the topics shared ids but run-specific orderings.
-    base = [
-        type(t)(topic_id=f"T{i}", docs=t.docs) for i, t in enumerate(topics)
-    ]
+    base = [Topic(f"T{i}", t.doc_ids, t.relevant) for i, t in enumerate(topics)]
     shuffled = [
-        type(t)(topic_id=f"T{i}", docs=tuple(reversed(t.docs)))
+        Topic(f"T{i}", t.doc_ids[::-1], t.relevant[::-1])
         for i, t in enumerate(topics)
     ]
     run_a = Run("run-a", tuple(base))
@@ -102,6 +100,18 @@ def test_evaluate_parse_error_exit_code(dataset, tmp_path):
         str(tmp_path),
     ]
     assert main(args) == 2
+
+
+def test_evaluate_topic_without_relevant_is_validation_error(tmp_path, capsys):
+    run = tmp_path / "run.txt"
+    run.write_text("".join(f"T1 NF d{i} {i} 0.5 zero-run\n" for i in (1, 2, 3)))
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("".join(f"T1 0 d{i} 0\n" for i in (1, 2, 3)))
+    args = ["evaluate", "--runs", str(run), "--qrels", str(qrels)]
+    args += ["--methods", "tm", "--out-dir", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "'zero-run'" in err and "'T1'" in err
 
 
 def test_simulate_deterministic_and_usage(tmp_path):

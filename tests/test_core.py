@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,12 +33,36 @@ def test_rel_at_rejects_out_of_range():
 
 def test_topic_rejects_duplicate_doc_ids():
     with pytest.raises(ValidationError):
-        Topic("t", (("a", True), ("a", False)))
+        Topic("t", ("a", "a"), [True, False])
 
 
 def test_topic_rejects_empty():
     with pytest.raises(ValidationError):
-        Topic("t", ())
+        Topic("t", (), [])
+
+
+def test_topic_rejects_label_length_mismatch():
+    with pytest.raises(ValidationError):
+        Topic("t", ("a", "b"), [True])
+
+
+def test_topic_equality_compares_ids_order_and_labels():
+    topic = make_topic("t", {2}, 3)
+    assert topic == make_topic("t", {2}, 3)
+    assert hash(topic) == hash(make_topic("t", {2}, 3))
+    assert topic != make_topic("t", {1}, 3)
+    assert topic != make_topic("u", {2}, 3)
+    assert topic != Topic("t", topic.doc_ids[::-1], topic.relevant)
+
+
+def test_topic_copies_and_freezes_labels():
+    labels = np.array([False, True, True])
+    topic = Topic("t", ("a", "b", "c"), labels)
+    labels[0] = True
+    assert topic.relevant.tolist() == [False, True, True]
+    assert topic.cumrel.tolist() == [0, 0, 1, 2]
+    assert not topic.relevant.flags.writeable
+    assert not topic.cumrel.flags.writeable
 
 
 def test_run_rejects_duplicate_topic_ids():

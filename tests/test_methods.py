@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_topic
 from tarstop.core import MethodParams, rel_at
@@ -138,6 +142,56 @@ def test_oracle_rejects_zero_relevant():
     topic = make_topic("t", set(), 10)
     with pytest.raises(ValueError):
         oracle_stop(topic, DEFAULTS)
+
+
+def _target_reference(topic, params, seed):
+    """(stop_rank, extra, found, predicted) from one draw at a time."""
+    rng = random.Random(seed)
+    order = list(range(1, topic.size + 1))
+    rng.shuffle(order)
+    found, examined = [], []
+    for pos in order:
+        examined.append(pos)
+        if topic.relevant[pos - 1]:
+            found.append(pos)
+            if len(found) == params.target_count:
+                break
+    else:
+        return topic.size, 0, topic.total_relevant, False
+    stop_rank = max(found)
+    extra = sum(1 for pos in examined if pos > stop_rank)
+    return stop_rank, extra, rel_at(topic, stop_rank), True
+
+
+@given(
+    st.sets(st.integers(1, 80)),
+    st.integers(1, 80),
+    st.integers(1, 12),
+    st.integers(0, 2**32),
+)
+def test_target_stop_matches_sequential_draws(relevant, n, target_count, seed):
+    topic = make_topic("t", {r for r in relevant if r <= n}, n)
+    params = MethodParams(target_count=target_count)
+    outcome = target_stop(topic, params, seed)
+    assert (
+        outcome.stop_rank,
+        outcome.extra_examined,
+        outcome.relevant_found,
+        outcome.predicted,
+    ) == _target_reference(topic, params, seed)
+
+
+def test_outcomes_hold_python_ints():
+    topic = gen_topic(800, ExponentialRate(0.4, -0.004), seed=4)
+    outcomes = [
+        poisson_stop(topic, DEFAULTS),
+        knee_stop(topic, DEFAULTS),
+        target_stop(topic, DEFAULTS, seed=0),
+        oracle_stop(topic, DEFAULTS),
+    ]
+    for outcome in outcomes:
+        counts = (outcome.stop_rank, outcome.extra_examined, outcome.relevant_found)
+        assert all(type(count) is int for count in counts), outcome
 
 
 def test_gain_curve_monotone_unit_steps():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_topic
 from tarstop.core import Run, StopOutcome
@@ -99,6 +101,17 @@ def test_aurc_hand_examples():
     assert aurc(topic2) == pytest.approx(0.5, abs=1e-9)
 
 
+@given(st.sets(st.integers(1, 60), min_size=1), st.integers(0, 40))
+def test_aurc_matches_unit_step_sum(relevant, tail):
+    # Reference: the per-rank sums aurc is defined by, in exact integers.
+    n = max(relevant) + tail
+    total = len(relevant)
+    cumrel = [sum(1 for r in relevant if r <= rank) for rank in range(1, n + 1)]
+    area = sum(cumrel) / total
+    optimal = sum(min(rank, total) for rank in range(1, n + 1)) / total
+    assert aurc(make_topic("t", relevant, n)) == area / optimal
+
+
 def test_aurc_reversal_never_increases():
     topic = make_topic("t", {1, 2, 5}, 8)
     reversed_topic = make_topic(
@@ -113,9 +126,15 @@ def _run_with_aurc(tag, good):
     return Run(tag, (topic,))
 
 
+def _stratify(runs):
+    """Groups of runs from stratify_runs over each run's mean AURC."""
+    groups = stratify_runs([(run, mean_aurc(run)) for run in runs])
+    return tuple([run for run, _ in group] for group in groups)
+
+
 def test_stratify_15_runs():
     runs = [_run_with_aurc(f"r{i:02d}", good=i < 8) for i in range(15)]
-    top, middle, bottom = stratify_runs(runs)
+    top, middle, bottom = _stratify(runs)
     assert [len(g) for g in (top, middle, bottom)] == [5, 5, 5]
     ranked = sorted(runs, key=lambda r: (-mean_aurc(r), r.run_tag))
     assert top == ranked[:5]
@@ -126,13 +145,13 @@ def test_stratify_15_runs():
 def test_stratify_33_runs_middle_window():
     runs = [_run_with_aurc(f"r{i:02d}", good=i % 2 == 0) for i in range(33)]
     ranked = sorted(runs, key=lambda r: (-mean_aurc(r), r.run_tag))
-    _, middle, _ = stratify_runs(runs)
+    _, middle, _ = _stratify(runs)
     assert middle == ranked[14:19]  # 1-based positions 15..19
 
 
 def test_stratify_ties_break_by_tag():
     runs = [_run_with_aurc(f"r{i:02d}", good=True) for i in range(15)]
-    top, middle, bottom = stratify_runs(runs)
+    top, middle, bottom = _stratify(runs)
     tags = [r.run_tag for r in top + middle + bottom]
     assert tags == sorted(tags)
 
@@ -140,4 +159,4 @@ def test_stratify_ties_break_by_tag():
 def test_stratify_requires_15():
     runs = [_run_with_aurc(f"r{i}", good=True) for i in range(14)]
     with pytest.raises(ValueError):
-        stratify_runs(runs)
+        _stratify(runs)
