@@ -18,7 +18,6 @@ from pathlib import Path
 
 import click
 
-from tarstop import fetch as fetch_mod
 from tarstop.config import resolve_params
 from tarstop.core import MethodParams, Run, StopOutcome, Topic
 from tarstop.errors import ComputationError, ParseError, ValidationError
@@ -389,23 +388,27 @@ def simulate(
         family, {"d": d, "k": k, "p": p, "p1": p1, "p2": p2, "cutoff": cutoff}
     )
 
-    coverage = (
-        coverage_experiment(rate, n_docs, trials, params, seed=seed)
-        if trials >= 100
-        else None
-    )
-
     counts = {m: {"acceptable": 0, "total": 0} for m in METHOD_NAMES}
-    for trial in range(trials):
-        topic = gen_topic(n_docs, rate, seed=seed + trial)
+
+    def run_methods(trial: int, topic: Topic) -> None:
         if topic.total_relevant == 0:
-            continue
+            return
         for method in METHOD_NAMES:
             outcome = run_method(method, topic, params, seed + trial)
             counts[method]["total"] += 1
             counts[method]["acceptable"] += acceptability(
                 outcome, topic, params.target_recall
             )
+
+    # Each trial topic is drawn once and shared by coverage and the methods.
+    if trials >= 100:
+        coverage = coverage_experiment(
+            rate, n_docs, trials, params, seed=seed, on_topic=run_methods
+        )
+    else:
+        coverage = None
+        for trial in range(trials):
+            run_methods(trial, gen_topic(n_docs, rate, seed=seed + trial))
 
     records = [
         {
@@ -467,16 +470,6 @@ def validate(run_paths, qrels_path, out_dir):
     )
     for name, status in summary.checks:
         click.echo(f"{status:>4}  {name}")
-
-
-@cli.command()
-@click.option("--url", required=True)
-@click.option("--dest", required=True, type=click.Path())
-@click.option("--checksums", type=click.Path(), default=None)
-def fetch(url, dest, checksums):
-    """Download a dataset file, recording its checksum."""
-    path = fetch_mod.fetch_file(url, dest, checksums)
-    click.echo(f"fetched {path}")
 
 
 def main(argv=None) -> int:

@@ -70,31 +70,49 @@ def poisson_pmf(mean: float, r: int) -> float:
     return math.exp(r * math.log(mean) - mean - math.lgamma(r + 1))
 
 
-def upper_credible_count(mean: float, confidence: float) -> int:
+def upper_credible_count(mean: float, confidence: float, cap: int | None = None) -> int:
     """Smallest R whose cumulative Poisson probability reaches ``confidence``.
 
-    Linear upward scan; R stays in the low thousands for this domain.
+    Linear upward scan.  With a ``cap`` the scan stops there and returns
+    ``min(R, cap)``: callers pass a cap past which every larger R leads to
+    the same outcome, which bounds the scan when the mean is huge.
     """
     if mean < 0:
         raise ValueError("mean must be >= 0")
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be >= 0")
     total = 0.0
     r = 0
-    while True:
+    while r != cap:
         total += poisson_pmf(mean, r)
         if total >= confidence:
             return r
         r += 1
+    return r
+
+
+def _unreachable_bound(n: int, target_recall: float) -> int:
+    """Least R whose quota ceil(R * target_recall) exceeds n documents."""
+    r = int(n / target_recall)
+    while math.ceil(r * target_recall) <= n:
+        r += 1
+    while r > 0 and math.ceil((r - 1) * target_recall) > n:
+        r -= 1
+    return r
 
 
 def required_relevant(model: RateModel, n: int, params: MethodParams) -> int:
     """Relevant documents needed before stopping: ceil(R * target_recall).
 
     R is the credible upper bound on the total relevant count over (0, n].
+    A quota above n can never be met, so R is capped at the least value
+    giving such a quota; past the cap the quota is n + 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     mean = lambda_integral(model, n)
-    bound = upper_credible_count(mean, params.confidence)
+    cap = _unreachable_bound(n, params.target_recall)
+    bound = upper_credible_count(mean, params.confidence, cap)
     return math.ceil(bound * params.target_recall)

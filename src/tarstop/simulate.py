@@ -9,6 +9,7 @@ the credible upper bound on the total relevant count holds empirically.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,13 +109,16 @@ def coverage_experiment(
     trials: int,
     params: MethodParams,
     seed: int = 0,
+    on_topic: Callable[[int, Topic], None] | None = None,
 ) -> float:
     """Empirical coverage of the credible upper bound over seeded trials.
 
     Each trial generates a topic, fits the rate to the whole topic (binned
     at the batch width), and tests whether the true relevant count is at or
     below the credible bound.  Topics with no relevant documents are covered
-    trivially (bound 0); fit failures count as misses.
+    trivially (bound 0); fit failures count as misses.  ``on_topic(trial,
+    topic)``, when given, is called with each generated topic, so a caller
+    can run further experiments on the same draws.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
@@ -122,6 +126,8 @@ def coverage_experiment(
     covered = 0
     for trial in range(trials):
         topic = gen_topic(n, rate_family, seed=seed + trial)
+        if on_topic is not None:
+            on_topic(trial, topic)
         total = topic.total_relevant
         if total == 0:
             covered += 1
@@ -129,7 +135,8 @@ def coverage_experiment(
         try:
             model = fit_exponential(bin_prefix(topic, n, batch))
             mean = lambda_integral(model, n)
-            bound = upper_credible_count(mean, params.confidence)
+            # The true count never exceeds n, so any bound past n covers it.
+            bound = upper_credible_count(mean, params.confidence, cap=n)
         except (NoSignalError, ComputationError):
             continue
         if total <= bound:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tarstop.cli
+import tarstop.simulate
 from tarstop.cli import main
 from tarstop.config import parse_config, resolve_params
 from tarstop.core import MethodParams, Run, Topic
@@ -131,6 +137,37 @@ def test_simulate_deterministic_and_usage(tmp_path):
     assert main(args + ["--out-dir", str(out2)]) == 0
     assert (out1 / "simulate.jsonl").read_bytes() == (out2 / "simulate.jsonl").read_bytes()
     assert main(args[:-2] + ["--trials", "0", "--out-dir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("trials", [5, 100])
+def test_simulate_draws_each_trial_topic_once(tmp_path, monkeypatch, trials):
+    drawn = []
+
+    def counting(n, rate_family, seed):
+        drawn.append(seed)
+        return gen_topic(n, rate_family, seed)
+
+    monkeypatch.setattr(tarstop.cli, "gen_topic", counting)
+    monkeypatch.setattr(tarstop.simulate, "gen_topic", counting)
+    args = ["simulate", "--family", "bimodal", "--n", "200", "--seed", "9"]
+    assert main(args + ["--trials", str(trials), "--out-dir", str(tmp_path)]) == 0
+    assert drawn == [9 + t for t in range(trials)]
+
+
+def test_cli_import_loads_neither_scipy_nor_requests():
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, tarstop.cli; "
+        "print(sorted(m for m in ('scipy', 'requests') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_plot_data_outputs(dataset, tmp_path):

@@ -3,11 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tarstop.core import MethodParams
+from tarstop import poisson
+from tarstop.core import MethodParams, StopOutcome
 from tarstop.errors import ComputationError, ValidationError
+from tarstop.methods import poisson_stop
 from tarstop.poisson import (
     RateModel,
     lambda_at,
@@ -16,6 +18,8 @@ from tarstop.poisson import (
     required_relevant,
     upper_credible_count,
 )
+from tarstop.ratefit import bin_prefix, delta_gate, fit_exponential
+from tarstop.simulate import ExponentialRate, gen_topic
 
 
 def pmf_oracle(mean: float, r: int) -> float:
@@ -126,6 +130,53 @@ def test_upper_credible_count_frozen_values():
 @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
 def test_upper_credible_count_matches_oracle(mean, confidence):
     assert upper_credible_count(mean, confidence) == credible_oracle(mean, confidence)
+
+
+@pytest.mark.parametrize("mean", [0.0, 1.0, 10.0, 50.0])
+@pytest.mark.parametrize("cap", [0, 1, 5, 12, 60, 500])
+def test_upper_credible_count_cap_returns_the_smaller(mean, cap):
+    assert upper_credible_count(mean, 0.95, cap) == min(
+        credible_oracle(mean, 0.95), cap
+    )
+
+
+def test_upper_credible_count_rejects_negative_cap():
+    with pytest.raises(ValueError):
+        upper_credible_count(1.0, 0.95, -1)
+
+
+@given(st.integers(1, 400), st.floats(0.05, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_required_relevant_past_the_cap_is_unreachable(n, recall):
+    # A mean of 1e6 per document puts the credible bound far past anything
+    # n documents can hold; the capped quota is the least one above n.
+    params = MethodParams(target_recall=recall)
+    assert required_relevant(RateModel(1e6, 0.0), n, params) == n + 1
+
+
+def test_rising_rate_topic_scan_stops_at_the_cap(monkeypatch):
+    # Fitted k ~ 0.0016 over the initial sample puts the Poisson mean over
+    # (0, 10000] near 3e7; an uncapped scan takes about a minute per call.
+    topic = gen_topic(10_000, ExponentialRate(0.005, 0.0016), seed=1)
+    params = MethodParams()
+    model = fit_exponential(bin_prefix(topic, 3000, 500))
+    assert model.k == pytest.approx(0.0016, rel=0.05)
+    assert delta_gate(model, topic, 3000, params.delta)
+
+    calls = []
+
+    def recording(mean, confidence, cap=None):
+        bound = upper_credible_count(mean, confidence, cap)
+        calls.append((mean, bound, cap))
+        return bound
+
+    monkeypatch.setattr(poisson, "upper_credible_count", recording)
+    outcome = poisson_stop(topic, params)
+    # Frozen from the uncapped scan, which reaches the same decisions.
+    assert outcome == StopOutcome(topic.topic_id, 8553, 0, 5864, True)
+    cap = 14_286  # least R with ceil(0.7 R) > 10000
+    assert calls[0][0] > 1e7 and calls[0][1] == cap
+    assert all(c == cap and bound <= cap for _, bound, c in calls)
 
 
 @given(

@@ -2,20 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic
-from tarstop.core import rel_at
-from tarstop.errors import InsufficientDataError, NoSignalError
+from tarstop.core import MethodParams, rel_at
+from tarstop.errors import FitError, InsufficientDataError, NoSignalError
 from tarstop.poisson import RateModel
 from tarstop.ratefit import (
     BinnedCounts,
+    _residuals_and_jacobian,
     bin_prefix,
     delta_gate,
     fit_exponential,
     predicted_relevant,
 )
+from tarstop.simulate import StepRate, gen_topic
 
 
 def test_bin_prefix_two_halves():
@@ -113,6 +115,95 @@ def test_fit_no_signal():
     binned = BinnedCounts(((2.0, 0), (6.0, 0)), 4, (4, 4))
     with pytest.raises(NoSignalError):
         fit_exponential(binned)
+
+
+def _binned_counts(counts, width):
+    points = tuple(
+        (i * width + (1 + width) / 2.0, c) for i, c in enumerate(counts)
+    )
+    return BinnedCounts(points, width, (width,) * len(counts))
+
+
+def _xs_and_densities(binned):
+    x = np.array([p[0] for p in binned.points])
+    dens = np.array([p[1] for p in binned.points], dtype=float)
+    return x, dens / np.array(binned.widths, dtype=float)
+
+
+@pytest.mark.parametrize("logd, k", [(-1.0, -0.01), (-4.5, 0.002), (0.3, -0.2)])
+def test_jacobian_matches_central_differences(logd, k):
+    x, dens = _xs_and_densities(_binned_counts([7, 3, 4, 0, 1, 2], 10))
+    _, jac = _residuals_and_jacobian(logd, k, x, dens)
+    for col, (hd, hk) in enumerate(((1e-6, 0.0), (0.0, 1e-8))):
+        r_hi, _ = _residuals_and_jacobian(logd + hd, k + hk, x, dens)
+        r_lo, _ = _residuals_and_jacobian(logd - hd, k - hk, x, dens)
+        central = (r_hi - r_lo) / (2 * (hd + hk))
+        np.testing.assert_allclose(jac[:, col], central, rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "counts", [[5, 0, 0, 0], [1, 0], [12, 0, 0, 0, 0, 0], [0, 0, 3], [0, 4]]
+)
+def test_fit_signal_in_one_end_interval_has_no_minimiser(counts):
+    # The squared error falls towards 0 as k -> -inf (first interval) or
+    # k -> +inf (last interval); there is no finite point to return.
+    with pytest.raises(FitError, match="no finite minimiser"):
+        fit_exponential(_binned_counts(counts, 100))
+
+
+def test_fit_exhausting_the_budget_raises():
+    # (2, 0, 1) per interval: the best fits run off towards k -> -inf, so
+    # no step converges before the residual-evaluation budget is spent.
+    with pytest.raises(FitError, match="did not converge in 600 evaluations"):
+        fit_exponential(_binned_counts([2, 0, 1], 291))
+
+
+def test_fit_returns_plain_floats():
+    model = fit_exponential(_binned_from_model(0.5, -0.01, 10, 1))
+    assert type(model.d) is float
+    assert type(model.k) is float
+
+
+def test_step_trial_84_with_one_relevant_document_raises():
+    # The step family's coverage trial 84 at seed 0 has one relevant
+    # document, at a rank inside the first 100-rank interval.
+    topic = gen_topic(2000, StepRate(0.1, 100), seed=84)
+    assert topic.total_relevant == 1 == rel_at(topic, 100)
+    batch = math.ceil(MethodParams().beta_frac * topic.size)
+    with pytest.raises(FitError):
+        fit_exponential(bin_prefix(topic, topic.size, batch))
+
+
+def _cost(logd, k, x, dens):
+    r, _ = _residuals_and_jacobian(logd, k, x, dens)
+    return 0.5 * float(r @ r)
+
+
+@given(
+    st.lists(st.integers(0, 60), min_size=3, max_size=20),
+    st.integers(1, 300),
+)
+@settings(max_examples=200, deadline=None)
+def test_fit_is_no_worse_than_its_start_and_stationary(counts, width):
+    # Relevant documents outside a single end interval (that case raises
+    # before iterating); the infimum may still lie at k -> +-inf, as in the
+    # budget test, and then the fit raises too.
+    assume(any(counts[1:-1]) or (counts[0] and counts[-1]))
+    binned = _binned_counts(counts, width)
+    x, dens = _xs_and_densities(binned)
+    try:
+        model = fit_exponential(binned)
+    except FitError:
+        return
+    w = np.array(binned.widths, dtype=float)
+    k0, logd0 = np.polyfit(x, np.log(np.maximum(dens, 0.5 / w)), 1)
+    logd = math.log(model.d)
+    # log(exp(logd)) may move logd by an ulp: allow that much residual error.
+    slack = len(dens) * (4 * np.finfo(float).eps * dens.max()) ** 2
+    assert _cost(logd, model.k, x, dens) <= _cost(logd0, k0, x, dens) + slack
+    r, jac = _residuals_and_jacobian(logd, model.k, x, dens)
+    scale = np.linalg.norm(jac, axis=0) * np.linalg.norm(dens)
+    assert np.all(np.abs(jac.T @ r) <= 1e-6 * scale)
 
 
 def test_delta_gate_boundary_accepts():
