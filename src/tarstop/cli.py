@@ -36,7 +36,15 @@ from tarstop.poisson import lambda_at
 from tarstop.ratefit import bin_prefix, fit_exponential
 from tarstop.simulate import gen_topic, coverage_experiment, make_rate_family
 
-METHOD_NAMES = ("pp", "tm", "km", "or")
+# name -> rule(topic, params, seed).  Key order is the order in which
+# simulate.jsonl lists the methods.
+METHODS = {
+    "pp": lambda topic, params, seed: poisson_stop(topic, params),
+    "tm": lambda topic, params, seed: target_stop(topic, params, seed),
+    "km": lambda topic, params, seed: knee_stop(topic, params),
+    "or": lambda topic, params, seed: oracle_stop(topic, params),
+}
+METHOD_NAMES = tuple(METHODS)
 
 
 def _topic_seed(base: int, run_tag: str, topic_id: str) -> int:
@@ -44,27 +52,13 @@ def _topic_seed(base: int, run_tag: str, topic_id: str) -> int:
     return base * 1_000_003 + zlib.crc32(f"{run_tag}:{topic_id}".encode())
 
 
-def run_method(
-    name: str, topic: Topic, params: MethodParams, seed: int
-) -> StopOutcome:
-    if name == "pp":
-        return poisson_stop(topic, params)
-    if name == "tm":
-        return target_stop(topic, params, seed)
-    if name == "km":
-        return knee_stop(topic, params)
-    if name == "or":
-        return oracle_stop(topic, params)
-    raise ValueError(f"unknown method {name!r}")
-
-
 def evaluate_run(
     run: Run, method: str, params: MethodParams, seed: int
 ) -> tuple[MethodReport, list[tuple[StopOutcome, Topic]]]:
     outcomes = []
     for topic in sorted(run.topics, key=lambda t: t.topic_id):
-        outcome = run_method(
-            method, topic, params, _topic_seed(seed, run.run_tag, topic.topic_id)
+        outcome = METHODS[method](
+            topic, params, _topic_seed(seed, run.run_tag, topic.topic_id)
         )
         outcomes.append((outcome, topic))
     return build_report(method, outcomes, params.target_recall), outcomes
@@ -393,8 +387,8 @@ def simulate(
     def run_methods(trial: int, topic: Topic) -> None:
         if topic.total_relevant == 0:
             return
-        for method in METHOD_NAMES:
-            outcome = run_method(method, topic, params, seed + trial)
+        for method, rule in METHODS.items():
+            outcome = rule(topic, params, seed + trial)
             counts[method]["total"] += 1
             counts[method]["acceptable"] += acceptability(
                 outcome, topic, params.target_recall

@@ -61,9 +61,26 @@ class Topic:
         The document ids were validated when this topic was built, so they
         are shared, not checked or copied again.
         """
+        return self._relabelled(self.doc_ids, relevant)
+
+    def with_shared_ids(self, doc_ids: tuple[str, ...], relevant) -> Topic:
+        """The same ranked documents, named by the caller's equal strings.
+
+        ``join`` passes the qrels' own id strings, so that every run joined
+        to one qrels holds a single copy of each judged id.  ``doc_ids``
+        must equal this topic's ids in order; being equal to ids that were
+        validated, they are not checked for duplicates again.
+        """
+        if doc_ids != self.doc_ids:
+            raise ValidationError(
+                f"topic {self.topic_id!r}: shared doc_ids differ from its own"
+            )
+        return self._relabelled(doc_ids, relevant)
+
+    def _relabelled(self, doc_ids: tuple[str, ...], relevant) -> Topic:
         topic = object.__new__(Topic)
         object.__setattr__(topic, "topic_id", self.topic_id)
-        object.__setattr__(topic, "doc_ids", self.doc_ids)
+        object.__setattr__(topic, "doc_ids", doc_ids)
         topic._set_relevant(relevant)
         return topic
 

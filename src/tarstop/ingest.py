@@ -183,18 +183,34 @@ def serialize_run(run: Run) -> list[str]:
     return lines
 
 
-def parse_qrels(lines: Iterable[str] | TextIO) -> dict[str, dict[str, bool]]:
-    """Parse a qrels file into topic_id -> {judged doc_id: relevant}.
+@dataclass(frozen=True, eq=False)
+class JudgedTopic:
+    """One topic's qrels, stored by column.
+
+    ``doc_ids`` is a read-only ``object`` array of the judged id strings and
+    ``relevant`` a read-only ``bool`` array of their labels; ``row`` maps
+    each id to its index, ``row[doc_ids[i]] == i``.  Ids are kept in an
+    array so that ``join`` gathers a run's ids with one indexing operation.
+    """
+
+    doc_ids: np.ndarray
+    relevant: np.ndarray
+    row: dict[str, int]
+
+
+def parse_qrels(lines: Iterable[str] | TextIO) -> dict[str, JudgedTopic]:
+    """Parse a qrels file into topic_id -> JudgedTopic, in one pass.
 
     A label > 0 means relevant.  The same (topic, doc) pair may repeat only
     with the same label.
     """
-    labels: dict[str, dict[str, int]] = {}
+    # topic_id -> (doc_id -> row, doc ids, integer labels), filled row by row.
+    tables: dict[str, tuple[dict[str, int], list[str], list[int]]] = {}
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         parts = line.split()
         if len(parts) != 4:
+            if not parts:
+                continue
             raise ParseError(
                 f"expected 4 fields, got {len(parts)}: {line!r}", line_no
             )
@@ -203,22 +219,34 @@ def parse_qrels(lines: Iterable[str] | TextIO) -> dict[str, dict[str, bool]]:
             label = int(label_s)
         except ValueError as exc:
             raise ParseError(f"bad label: {exc}", line_no) from exc
-        judged = labels.setdefault(topic_id, {})
-        if judged.setdefault(doc_id, label) != label:
+        table = tables.get(topic_id)
+        if table is None:
+            table = tables[topic_id] = ({}, [], [])
+        row, doc_ids, labels = table
+        i = row.setdefault(doc_id, len(doc_ids))
+        if i == len(doc_ids):
+            doc_ids.append(doc_id)
+            labels.append(label)
+        elif labels[i] != label:
             raise ValidationError(
                 f"conflicting labels for topic {topic_id!r} doc {doc_id!r}"
             )
-    return {
-        topic_id: {doc_id: label > 0 for doc_id, label in judged.items()}
-        for topic_id, judged in labels.items()
-    }
+    judged = {}
+    for topic_id, (row, doc_ids, labels) in tables.items():
+        ids = np.array(doc_ids, dtype=object)
+        relevant = np.array(labels) > 0
+        ids.flags.writeable = relevant.flags.writeable = False
+        judged[topic_id] = JudgedTopic(ids, relevant, row)
+    return judged
 
 
-def join(run: Run, qrels: dict[str, dict[str, bool]]) -> Run:
+def join(run: Run, qrels: dict[str, JudgedTopic]) -> Run:
     """Attach relevance flags from qrels; order and membership are unchanged.
 
-    Documents absent from the qrels are treated as non-relevant (counted and
-    logged once per topic).
+    Each joined topic holds the qrels' own doc-id strings in place of the
+    run's, so all runs joined to one qrels share one string per judged
+    document.  A document absent from the qrels keeps the run's string and
+    is treated as non-relevant (counted and logged once per topic).
     """
     topics = []
     for topic in run.topics:
@@ -227,23 +255,28 @@ def join(run: Run, qrels: dict[str, dict[str, bool]]) -> Run:
                 f"topic {topic.topic_id!r} missing from qrels"
             )
         judged = qrels[topic.topic_id]
-        # 1 relevant, 0 judged non-relevant, -1 not in the qrels.
-        labels = np.fromiter(
-            map(judged.get, topic.doc_ids, itertools.repeat(-1)),
-            dtype=np.int8,
+        # Row of each document in the qrels, -1 when it is not there.
+        rows = np.fromiter(
+            map(judged.row.get, topic.doc_ids, itertools.repeat(-1)),
+            dtype=np.intp,
             count=topic.size,
         )
-        missing = int(np.count_nonzero(labels < 0))
-        if missing:
+        missing = rows < 0
+        relevant = judged.relevant[rows] & ~missing
+        missing_count = int(np.count_nonzero(missing))
+        if missing_count:
             logger.warning(
                 "run %s topic %s: %d of %d documents not in the qrels, "
                 "treated as non-relevant",
                 run.run_tag,
                 topic.topic_id,
-                missing,
+                missing_count,
                 topic.size,
             )
-        topics.append(topic.with_relevant(labels > 0))
+        doc_ids = judged.doc_ids[rows]
+        for i in np.flatnonzero(missing).tolist():
+            doc_ids[i] = topic.doc_ids[i]
+        topics.append(topic.with_shared_ids(tuple(doc_ids.tolist()), relevant))
     return Run(run_tag=run.run_tag, topics=tuple(topics))
 
 
@@ -295,7 +328,7 @@ def _median(values: list[int]) -> float:
 
 
 def validate_dataset(
-    runs: list[Run], qrels: dict[str, dict[str, bool]]
+    runs: list[Run], qrels: dict[str, JudgedTopic]
 ) -> ValidationSummary:
     """Summarize topic sizes and relevant counts, checking the known figures.
 

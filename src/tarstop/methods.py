@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,20 +20,6 @@ from tarstop.errors import (
 )
 from tarstop.poisson import required_relevant
 from tarstop.ratefit import bin_prefix, delta_gate, fit_exponential
-
-
-@dataclass(frozen=True)
-class GainCurve:
-    """Cumulative relevant found at each examined rank."""
-
-    points: tuple[tuple[int, int], ...]
-
-
-def gain_curve(topic: Topic, examined_end: int) -> GainCurve:
-    """Gain curve over ranks 1..examined_end."""
-    return GainCurve(
-        tuple((r, rel_at(topic, r)) for r in range(1, examined_end + 1))
-    )
 
 
 def _full_review(topic: Topic) -> StopOutcome:

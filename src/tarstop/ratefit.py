@@ -48,7 +48,6 @@ class BinnedCounts:
     """
 
     points: tuple[tuple[float, int], ...]
-    interval_width: float
     widths: tuple[int, ...]
 
 
@@ -62,18 +61,14 @@ def bin_prefix(topic: Topic, examined_end: int, interval_width: float) -> Binned
         raise InsufficientDataError(
             f"cannot bin {examined_end} ranks into intervals of width {interval_width}"
         )
-    width = int(math.ceil(interval_width))
-    points = []
-    widths = []
-    lo = 1
-    while lo <= examined_end:
-        hi = min(lo + width - 1, examined_end)
-        midpoint = (lo + hi) / 2.0
-        count = rel_at(topic, hi) - rel_at(topic, lo - 1)
-        points.append((midpoint, count))
-        widths.append(hi - lo + 1)
-        lo = hi + 1
-    return BinnedCounts(tuple(points), interval_width, tuple(widths))
+    # Interval i covers ranks edges[i] + 1 .. edges[i + 1].
+    edges = [*range(0, examined_end, int(math.ceil(interval_width))), examined_end]
+    found = topic.cumrel[edges].tolist()
+    points, widths = [], []
+    for lo, hi, found_lo, found_hi in zip(edges, edges[1:], found, found[1:]):
+        points.append(((lo + 1 + hi) / 2.0, found_hi - found_lo))
+        widths.append(hi - lo)
+    return BinnedCounts(tuple(points), tuple(widths))
 
 
 def fit_exponential(binned: BinnedCounts) -> RateModel:

@@ -119,7 +119,7 @@ def test_criterion_3b_exact_fit_recovery():
             widths.append(width)
         from tarstop.ratefit import BinnedCounts
 
-        model = fit_exponential(BinnedCounts(tuple(points), width, tuple(widths)))
+        model = fit_exponential(BinnedCounts(tuple(points), tuple(widths)))
         assert abs(model.d - d) / d <= 1e-6
         assert abs(model.k - k) / abs(k) <= 1e-6
     _passed("criterion 3b: noiseless exponential recovered to 1e-6 relative")

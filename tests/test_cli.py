@@ -13,6 +13,7 @@ from tarstop.config import parse_config, resolve_params
 from tarstop.core import MethodParams, Run, Topic
 from tarstop.errors import ValidationError
 from tarstop.ingest import serialize_qrels, serialize_run
+from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
 from tarstop.simulate import ExponentialRate, gen_topic
 
 
@@ -137,6 +138,25 @@ def test_simulate_deterministic_and_usage(tmp_path):
     assert main(args + ["--out-dir", str(out2)]) == 0
     assert (out1 / "simulate.jsonl").read_bytes() == (out2 / "simulate.jsonl").read_bytes()
     assert main(args[:-2] + ["--trials", "0", "--out-dir", str(tmp_path)]) == 1
+
+
+def test_method_registry_order_and_dispatch(tmp_path):
+    assert tarstop.cli.METHOD_NAMES == ("pp", "tm", "km", "or")
+    topic = gen_topic(400, ExponentialRate(0.5, -0.008), seed=100)
+    params = MethodParams()
+    rules = tarstop.cli.METHODS
+    assert rules["pp"](topic, params, 7) == poisson_stop(topic, params)
+    assert rules["tm"](topic, params, 7) == target_stop(topic, params, 7)
+    assert rules["tm"](topic, params, 7) != target_stop(topic, params, 8)
+    assert rules["km"](topic, params, 7) == knee_stop(topic, params)
+    assert rules["or"](topic, params, 7) == oracle_stop(topic, params)
+    args = ["simulate", "--family", "exponential", "--n", "400", "--trials", "3"]
+    assert main(args + ["--out-dir", str(tmp_path)]) == 0
+    records = [
+        json.loads(line)
+        for line in (tmp_path / "simulate.jsonl").read_text().splitlines()
+    ]
+    assert [r["method"] for r in records[1:]] == ["pp", "tm", "km", "or"]
 
 
 @pytest.mark.parametrize("trials", [5, 100])

@@ -82,14 +82,29 @@ def test_parse_run_rank_ties_by_score():
 
 
 def test_parse_qrels_labels():
-    qrels = parse_qrels(QREL_LINES)
-    assert qrels["CD010775"]["18850670"] is True
-    assert qrels["CD010775"]["10503898"] is False
+    judged = parse_qrels(QREL_LINES)["CD010775"]
+    assert judged.doc_ids.tolist() == ["18850670", "10503898", "19307324"]
+    assert judged.relevant.tolist() == [True, False, True]
+    assert judged.row == {"18850670": 0, "10503898": 1, "19307324": 2}
+    assert judged.relevant[judged.row["18850670"]]
+    assert not judged.relevant[judged.row["10503898"]]
+    assert not judged.doc_ids.flags.writeable
+    assert not judged.relevant.flags.writeable
+
+
+def test_parse_qrels_repeated_label_keeps_one_row():
+    judged = parse_qrels(["T1 0 a 2", "T1 0 b 0", "T1 0 a 2"])["T1"]
+    assert judged.doc_ids.tolist() == ["a", "b"]
+    assert judged.relevant.tolist() == [True, False]
 
 
 def test_parse_qrels_conflicting_duplicate():
-    with pytest.raises(ValidationError):
-        parse_qrels(["T1 0 a 1", "T1 0 a 0"])
+    # In the second pair both labels mean relevant, but the integers differ.
+    for second in ("T1 0 a 0", "T1 0 a 2"):
+        with pytest.raises(
+            ValidationError, match="conflicting labels for topic 'T1' doc 'a'"
+        ):
+            parse_qrels(["T1 0 a 1", second])
 
 
 def test_parse_qrels_malformed():
@@ -110,25 +125,45 @@ def test_join_sets_flags():
 
 def test_join_missing_doc_is_nonrelevant():
     run = parse_run(["T1 NF known 1 0.9 tag", "T1 NF unknown 2 0.5 tag"])
-    joined = join(run, {"T1": {"known": True}})
+    joined = join(run, parse_qrels(["T1 0 known 1"]))
     topic = joined.topics[0]
     assert dict(zip(topic.doc_ids, topic.relevant.tolist())) == {
         "known": True,
         "unknown": False,
     }
+    assert topic.doc_ids[1] is run.topics[0].doc_ids[1]  # the run's own string
 
 
 def test_join_missing_topic_errors():
     run = parse_run(RUN_LINES)
     with pytest.raises(ValidationError):
-        join(run, {"CD010775": {}})
+        join(run, parse_qrels(["CD010775 0 19307324 1"]))
 
 
 def test_join_preserves_order():
     run = parse_run(RUN_LINES)
     joined = join(run, parse_qrels(QREL_LINES))
     for before, after in zip(run.topics, joined.topics):
-        assert after.doc_ids is before.doc_ids  # shared, not copied
+        assert after.topic_id == before.topic_id
+        assert after.doc_ids == before.doc_ids
+
+
+def test_joined_runs_share_the_qrels_id_strings():
+    qrels = parse_qrels(QREL_LINES)
+    first_run = parse_run(RUN_LINES)
+    first = join(first_run, qrels)
+    second = {t.topic_id: t for t in join(parse_run(RUN_LINES[::-1]), qrels).topics}
+    for topic, parsed in zip(first.topics, first_run.topics):
+        judged = qrels[topic.topic_id]
+        other = second[topic.topic_id]
+        assert other.doc_ids == topic.doc_ids
+        for doc_id, parsed_id, other_id in zip(
+            topic.doc_ids, parsed.doc_ids, other.doc_ids
+        ):
+            own = judged.doc_ids[judged.row[doc_id]]
+            assert parsed_id is not own  # parse_run made its own string
+            assert doc_id is own
+            assert other_id is own
 
 
 def test_run_round_trip():
@@ -237,8 +272,7 @@ def test_topic_counts_are_python_ints():
 
 def test_join_logs_documents_missing_from_qrels(caplog):
     run = parse_run(RUN_LINES)
-    qrels = parse_qrels(QREL_LINES)
-    qrels["CD010775"] = {"19307324": True}
+    qrels = parse_qrels(["CD010775 0 19307324 1", *QREL_LINES[3:]])
     with caplog.at_level(logging.WARNING, logger="tarstop.ingest"):
         join(run, qrels)
     messages = [r.getMessage() for r in caplog.records]
@@ -246,3 +280,49 @@ def test_join_logs_documents_missing_from_qrels(caplog):
         "run Test-Data-Sheffield-run-2 topic CD010775: 2 of 3 documents "
         "not in the qrels, treated as non-relevant"
     ]
+
+
+_topic_ids = st.sampled_from(["A", "B"])
+# Ids of two or more characters, which CPython does not cache, so that `is`
+# tells the qrels' strings from the run's.
+_judged_ids = ["d1", "d2", "d3", "d4"]
+
+
+@given(
+    st.lists(
+        st.tuples(_topic_ids, st.sampled_from([*_judged_ids, "new", "shared"])),
+        min_size=1,
+        max_size=12,
+        unique=True,
+    ),
+    st.dictionaries(
+        st.tuples(_topic_ids, st.sampled_from(_judged_ids)),
+        st.integers(-2, 3),
+    ),
+)
+def test_join_matches_reference_loop(run_pairs, judgements):
+    # "shared" is judged in both topics with different labels; "new" never is.
+    qrels_lines = [f"{t} 0 {d} {label}" for (t, d), label in judgements.items()]
+    qrels_lines += ["A 0 shared 1", "B 0 shared 0"]
+    reference: dict[str, dict[str, bool]] = {}
+    for line in qrels_lines:
+        topic_id, _, doc_id, label = line.split()
+        reference.setdefault(topic_id, {})[doc_id] = int(label) > 0
+    run = parse_run(
+        [f"{t} NF {d} {rank} 0.5 tag" for rank, (t, d) in enumerate(run_pairs, 1)]
+    )
+    qrels = parse_qrels(qrels_lines)
+    joined = join(run, qrels)
+    for before, after in zip(run.topics, joined.topics):
+        judged = reference[before.topic_id]
+        assert after.topic_id == before.topic_id
+        assert after.doc_ids == before.doc_ids
+        assert after.relevant.tolist() == [
+            judged.get(doc_id, False) for doc_id in before.doc_ids
+        ]
+        table = qrels[before.topic_id]
+        for doc_id, own in zip(after.doc_ids, before.doc_ids):
+            if doc_id in judged:
+                assert doc_id is table.doc_ids[table.row[doc_id]]
+            else:
+                assert doc_id is own

@@ -8,7 +8,6 @@ from conftest import make_topic
 from tarstop.core import MethodParams, rel_at
 from tarstop.methods import (
     _knee_candidate,
-    gain_curve,
     knee_stop,
     oracle_stop,
     poisson_stop,
@@ -192,13 +191,6 @@ def test_outcomes_hold_python_ints():
     for outcome in outcomes:
         counts = (outcome.stop_rank, outcome.extra_examined, outcome.relevant_found)
         assert all(type(count) is int for count in counts), outcome
-
-
-def test_gain_curve_monotone_unit_steps():
-    topic = make_topic("t", {1, 4, 5}, 8)
-    curve = gain_curve(topic, 8)
-    values = [v for _, v in curve.points]
-    assert values == [1, 1, 1, 2, 3, 3, 3, 3]
 
 
 def test_prefix_methods_report_prefix_relevant():

@@ -62,6 +62,35 @@ def test_bin_prefix_conserves_counts(relevant, examined_end, width):
     assert sum(binned.widths) == examined_end
 
 
+def _bin_prefix_loop(topic, examined_end, interval_width):
+    """Reference: one interval at a time, counting with rel_at."""
+    width = int(math.ceil(interval_width))
+    points, widths = [], []
+    lo = 1
+    while lo <= examined_end:
+        hi = min(lo + width - 1, examined_end)
+        points.append(((lo + hi) / 2.0, rel_at(topic, hi) - rel_at(topic, lo - 1)))
+        widths.append(hi - lo + 1)
+        lo = hi + 1
+    return BinnedCounts(tuple(points), tuple(widths))
+
+
+@given(
+    st.sets(st.integers(1, 300)),
+    st.integers(1, 300),
+    st.one_of(st.integers(1, 60), st.floats(1.0, 60.0)),
+)
+@settings(max_examples=200)
+def test_bin_prefix_matches_loop_reference(relevant, examined_end, interval_width):
+    topic = make_topic("t", relevant, 300)
+    assume(examined_end >= 2 or interval_width <= examined_end)
+    binned = bin_prefix(topic, examined_end, interval_width)
+    expected = _bin_prefix_loop(topic, examined_end, interval_width)
+    assert binned == expected
+    assert all(type(x) is float and type(c) is int for x, c in binned.points)
+    assert all(type(w) is int for w in binned.widths)
+
+
 def _binned_from_model(d, k, m, width):
     """Noiseless per-rank densities sampled from d*exp(k*x)."""
     points, widths = [], []
@@ -69,7 +98,7 @@ def _binned_from_model(d, k, m, width):
         x = i * width + (1 + width) / 2.0
         points.append((x, d * math.exp(k * x) * width))
         widths.append(width)
-    return BinnedCounts(tuple(points), width, tuple(widths))
+    return BinnedCounts(tuple(points), tuple(widths))
 
 
 def test_fit_recovers_noiseless_exponential():
@@ -88,7 +117,7 @@ def test_fit_reproduces_every_density():
 
 def test_fit_constant_data():
     points = tuple((x, 3) for x in (5.0, 15.0, 25.0, 35.0))
-    binned = BinnedCounts(points, 10, (10, 10, 10, 10))
+    binned = BinnedCounts(points, (10, 10, 10, 10))
     model = fit_exponential(binned)
     assert model.k == pytest.approx(0.0, abs=1e-8)
     assert model.d == pytest.approx(0.3, rel=1e-6)
@@ -106,13 +135,13 @@ def test_fit_constant_data():
 
 
 def test_fit_single_point_rejected():
-    binned = BinnedCounts(((2.0, 3),), 4, (4,))
+    binned = BinnedCounts(((2.0, 3),), (4,))
     with pytest.raises(InsufficientDataError):
         fit_exponential(binned)
 
 
 def test_fit_no_signal():
-    binned = BinnedCounts(((2.0, 0), (6.0, 0)), 4, (4, 4))
+    binned = BinnedCounts(((2.0, 0), (6.0, 0)), (4, 4))
     with pytest.raises(NoSignalError):
         fit_exponential(binned)
 
@@ -121,7 +150,7 @@ def _binned_counts(counts, width):
     points = tuple(
         (i * width + (1 + width) / 2.0, c) for i, c in enumerate(counts)
     )
-    return BinnedCounts(points, width, (width,) * len(counts))
+    return BinnedCounts(points, (width,) * len(counts))
 
 
 def _xs_and_densities(binned):
