@@ -11,17 +11,28 @@ Exit codes: 0 success, 1 usage, 2 parse/validation, 3 computation error.
 from __future__ import annotations
 
 import json
+import logging
 import math
+import os
 import sys
 import zlib
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import click
 
 from tarstop.config import resolve_params
 from tarstop.core import MethodParams, Run, StopOutcome, Topic
 from tarstop.errors import ComputationError, ParseError, ValidationError
-from tarstop.ingest import join, parse_qrels, parse_run, validate_dataset
+from tarstop.ingest import (
+    JudgedTopic,
+    join,
+    parse_qrels,
+    parse_run,
+    validate_dataset,
+)
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
 from tarstop.metrics import (
     MethodReport,
@@ -70,47 +81,113 @@ def _dump_jsonl(records: list[dict], path: Path) -> None:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _method_records(
+    run: Run, method: str, params: MethodParams, seed: int
+) -> tuple[MethodReport, list[dict]]:
+    """One method's report on a run, with the run's topic and run records."""
+    report, outcomes = evaluate_run(run, method, params, seed)
+    records = [
+        {
+            "record": "topic",
+            "run": run.run_tag,
+            "method": method,
+            "topic_id": topic.topic_id,
+            "n": topic.size,
+            "stop_rank": outcome.stop_rank,
+            "extra_examined": outcome.extra_examined,
+            "effort": outcome.effort,
+            "relevant_found": outcome.relevant_found,
+            "recall": round(recall_of(outcome, topic), 10),
+            "acceptable": acceptability(outcome, topic, params.target_recall),
+            "predicted": outcome.predicted,
+        }
+        for outcome, topic in outcomes
+    ]
+    records.append(
+        {
+            "record": "run",
+            "run": run.run_tag,
+            "method": method,
+            "topic_count": len(report.per_topic),
+            "total_effort": report.total_effort,
+            "reliability": round(report.reliability, 10),
+            "mean_pct_effort_saved": round(report.mean_pct_effort_saved, 10),
+        }
+    )
+    return report, records
+
+
+@dataclass(frozen=True)
+class _RunResult:
+    """What a pool worker sends back for one run file.
+
+    ``reports`` maps each requested method to its report on the run and the
+    run's records for ``report.jsonl``; ``gain`` is set when a gain curve
+    was asked for.
+    """
+
+    run_tag: str
+    mean_aurc: float
+    reports: dict[str, tuple[MethodReport, list[dict]]]
+    gain: tuple[list, list] | None = None
+
+
+def _assess_run(
+    run: Run,
+    methods: list[str],
+    params: MethodParams,
+    seed: int,
+    gain_topic: str | None = None,
+) -> _RunResult:
+    """A worker's task: assess one joined run with the given methods.
+
+    The gain curve of ``gain_topic`` is drawn when a topic is named.
+    """
+    gain = None
+    if gain_topic is not None:
+        topic = next((t for t in run.topics if t.topic_id == gain_topic), None)
+        if topic is None:
+            raise ValidationError(
+                f"topic {gain_topic!r} not found in {run.run_tag!r}"
+            )
+        gain = _gain_curve(topic, params)
+    return _RunResult(
+        run_tag=run.run_tag,
+        mean_aurc=mean_aurc(run),
+        reports={m: _method_records(run, m, params, seed) for m in methods},
+        gain=gain,
+    )
+
+
+def _gain_curve(topic: Topic, params: MethodParams) -> tuple[list, list]:
+    """(observed, estimated) cumulative gain of a topic at ranks 0..n.
+
+    The estimate integrates the rate fitted over the whole ranking.
+    """
+    batch = max(1, math.ceil(params.beta_frac * topic.size))
+    model = fit_exponential(bin_prefix(topic, topic.size, batch))
+    actual = [(0, 0.0)]
+    predicted = [(0, 0.0)]
+    cum = 0.0
+    for rank, found in enumerate(topic.cumrel[1:].tolist(), start=1):
+        cum += lambda_at(model, rank)
+        predicted.append((rank, cum))
+        actual.append((rank, float(found)))
+    return actual, predicted
+
+
 def _evaluate_records(
-    runs: list[Run], methods: list[str], params: MethodParams, seed: int
+    results: list[_RunResult], methods: list[str]
 ) -> tuple[list[dict], list[dict]]:
-    """(jsonl records, aggregate rows) for a set of runs and methods."""
+    """(jsonl records, aggregate rows) for a set of assessed runs."""
     records: list[dict] = []
     aggregates: list[dict] = []
     per_method: dict[str, list[MethodReport]] = {m: [] for m in methods}
-    for run in sorted(runs, key=lambda r: r.run_tag):
+    for result in sorted(results, key=lambda r: r.run_tag):
         for method in methods:
-            report, outcomes = evaluate_run(run, method, params, seed)
+            report, run_records = result.reports[method]
             per_method[method].append(report)
-            for outcome, topic in outcomes:
-                records.append(
-                    {
-                        "record": "topic",
-                        "run": run.run_tag,
-                        "method": method,
-                        "topic_id": topic.topic_id,
-                        "n": topic.size,
-                        "stop_rank": outcome.stop_rank,
-                        "extra_examined": outcome.extra_examined,
-                        "effort": outcome.effort,
-                        "relevant_found": outcome.relevant_found,
-                        "recall": round(recall_of(outcome, topic), 10),
-                        "acceptable": acceptability(
-                            outcome, topic, params.target_recall
-                        ),
-                        "predicted": outcome.predicted,
-                    }
-                )
-            records.append(
-                {
-                    "record": "run",
-                    "run": run.run_tag,
-                    "method": method,
-                    "topic_count": len(report.per_topic),
-                    "total_effort": report.total_effort,
-                    "reliability": round(report.reliability, 10),
-                    "mean_pct_effort_saved": round(report.mean_pct_effort_saved, 10),
-                }
-            )
+            records.extend(run_records)
     for method in methods:
         reports = per_method[method]
         topic_flags = [t.acceptable for r in reports for t in r.per_topic]
@@ -146,21 +223,99 @@ def _aggregate_table(aggregates: list[dict], title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_runs(run_paths, qrels_path) -> list[Run]:
+# The per-run pipeline.  Each run file is parsed, joined and assessed in a
+# pool worker; the qrels are parsed once in the parent and handed to every
+# worker.  Records logged in a worker come back with its result and are
+# emitted in the parent, in --runs order.
+
+
+class _KeptRecords(logging.Handler):
+    """Keeps a worker's log records, formatted, until its task returns."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args = record.getMessage(), None
+        self.records.append(record)
+
+
+# Set in each pool worker by _init_worker.
+_worker_qrels: dict[str, JudgedTopic] = {}
+_worker_log: _KeptRecords | None = None
+
+
+def _init_worker(qrels: dict[str, JudgedTopic]) -> None:
+    global _worker_qrels, _worker_log
+    _worker_qrels, _worker_log = qrels, _KeptRecords()
+    logger = logging.getLogger("tarstop")
+    logger.handlers, logger.propagate = [_worker_log], False
+
+
+def _run_worker(
+    path: str, task: Callable[[Run], _RunResult]
+) -> tuple[_RunResult, list[logging.LogRecord]]:
+    _worker_log.records = []
+    with open(path) as handle:
+        run = join(parse_run(handle), _worker_qrels)
+    for topic in run.topics:
+        if topic.total_relevant < 1:
+            raise ValidationError(
+                f"run {run.run_tag!r} topic {topic.topic_id!r} has no "
+                "relevant documents in the qrels; recall is undefined"
+            )
+    return task(run), _worker_log.records
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_runs(
+    qrels_path: str, jobs: list[tuple[str, Callable[[Run], _RunResult]]]
+) -> list[_RunResult]:
+    """Run each (run file, task) job on a process pool; results in job order.
+
+    The first job to fail, in job order, decides the error raised.  A
+    worker that dies ends the command with a ComputationError naming the
+    first run file left unfinished.  The workers are reaped before this
+    returns.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with open(qrels_path) as handle:
         qrels = parse_qrels(handle)
-    runs = []
-    for path in run_paths:
-        with open(path) as handle:
-            run = join(parse_run(handle), qrels)
-        for topic in run.topics:
-            if topic.total_relevant < 1:
-                raise ValidationError(
-                    f"run {run.run_tag!r} topic {topic.topic_id!r} has no "
-                    "relevant documents in the qrels; recall is undefined"
-                )
-        runs.append(run)
-    return runs
+    context = None
+    if "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(
+        max_workers=min(len(jobs), _cpu_count()),
+        mp_context=context,
+        initializer=_init_worker,
+        initargs=(qrels,),
+    )
+    try:
+        futures = [pool.submit(_run_worker, path, task) for path, task in jobs]
+        results = []
+        for (path, _), future in zip(jobs, futures):
+            try:
+                result, records = future.result()
+            except BrokenProcessPool:
+                raise ComputationError(
+                    f"a worker process died before run file {path} was done"
+                ) from None
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            results.append(result)
+        return results
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _parse_methods(spec: str) -> list[str]:
@@ -175,21 +330,38 @@ def _parse_methods(spec: str) -> list[str]:
     return methods
 
 
-def _params_options(func):
-    options = [
-        click.option("--recall", "target_recall", type=float, default=None),
-        click.option("--confidence", type=float, default=None),
-        click.option("--alpha", "alpha_frac", type=float, default=None),
-        click.option("--beta", "beta_frac", type=float, default=None),
-        click.option("--gamma", type=int, default=None),
-        click.option("--delta", type=float, default=None),
-        click.option("--epsilon", type=int, default=None),
-        click.option("--target-count", type=int, default=None),
-        click.option("--config", "config_path", type=click.Path(exists=True), default=None),
-    ]
-    for option in reversed(options):
-        func = option(func)
-    return func
+def _options(*options):
+    """One decorator applying the given click options in the order given."""
+
+    def decorate(func):
+        for option in reversed(options):
+            func = option(func)
+        return func
+
+    return decorate
+
+
+_params_options = _options(
+    click.option("--recall", "target_recall", type=float, default=None),
+    click.option("--confidence", type=float, default=None),
+    click.option("--alpha", "alpha_frac", type=float, default=None),
+    click.option("--beta", "beta_frac", type=float, default=None),
+    click.option("--gamma", type=int, default=None),
+    click.option("--delta", type=float, default=None),
+    click.option("--epsilon", type=int, default=None),
+    click.option("--target-count", type=int, default=None),
+    click.option("--config", "config_path", type=click.Path(exists=True), default=None),
+)
+
+# Inputs and outputs of the commands that read run files through _map_runs.
+_run_file_options = _options(
+    click.option("--runs", "run_paths", multiple=True, required=True, type=click.Path(exists=True)),
+    click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True)),
+    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--out-dir", type=click.Path(), default=".", show_default=True),
+)
+
+_methods_option = click.option("--methods", default="pp,tm,km,or", show_default=True)
 
 
 @click.group()
@@ -198,50 +370,46 @@ def cli():
 
 
 @cli.command()
-@click.option("--runs", "run_paths", multiple=True, required=True, type=click.Path(exists=True))
-@click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True))
-@click.option("--methods", default="pp,tm,km,or", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out-dir", type=click.Path(), default=".", show_default=True)
+@_run_file_options
+@_methods_option
 @_params_options
 def evaluate(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags):
     """Evaluate stopping methods over run files, writing report.txt/.jsonl."""
     params = resolve_params(config_path, **flags)
     method_list = _parse_methods(methods)
-    runs = _load_runs(run_paths, qrels_path)
-    records, aggregates = _evaluate_records(runs, method_list, params, seed)
+    task = partial(_assess_run, methods=method_list, params=params, seed=seed)
+    results = _map_runs(qrels_path, [(path, task) for path in run_paths])
+    records, aggregates = _evaluate_records(results, method_list)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _dump_jsonl(records, out / "report.jsonl")
-    table = _aggregate_table(aggregates, f"All {len(runs)} runs")
+    table = _aggregate_table(aggregates, f"All {len(results)} runs")
     (out / "report.txt").write_text(table)
     click.echo(table, nl=False)
 
 
 @cli.command()
-@click.option("--runs", "run_paths", multiple=True, required=True, type=click.Path(exists=True))
-@click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True))
-@click.option("--methods", default="pp,tm,km,or", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out-dir", type=click.Path(), default=".", show_default=True)
+@_run_file_options
+@_methods_option
 @_params_options
 def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags):
     """Rank runs by mean AURC and report top/middle/bottom five groups."""
     params = resolve_params(config_path, **flags)
     method_list = _parse_methods(methods)
-    runs = _load_runs(run_paths, qrels_path)
-    if len(runs) < 15:
+    if len(run_paths) < 15:
         raise click.UsageError("stratification needs at least 15 runs")
-    scored = [(run, mean_aurc(run)) for run in runs]
+    task = partial(_assess_run, methods=method_list, params=params, seed=seed)
+    results = _map_runs(qrels_path, [(path, task) for path in run_paths])
+    scored = [(result, result.mean_aurc) for result in results]
     top, middle, bottom = stratify_runs(scored)
 
     records: list[dict] = []
-    for run, score in sorted(scored, key=lambda pair: pair[0].run_tag):
+    for result, score in sorted(scored, key=lambda pair: pair[0].run_tag):
         records.append(
             {
                 "record": "run_aurc",
-                "run": run.run_tag,
+                "run": result.run_tag,
                 "mean_aurc": round(score, 10),
             }
         )
@@ -272,7 +440,7 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     tables = []
     for group_name, group in (("top", top), ("middle", middle), ("bottom", bottom)):
         group_records, aggregates = _evaluate_records(
-            [run for run, _ in group], method_list, params, seed
+            [result for result, _ in group], method_list
         )
         for record in group_records:
             record["group"] = group_name
@@ -295,35 +463,22 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
 
 
 @cli.command("plot-data")
-@click.option("--runs", "run_paths", multiple=True, required=True, type=click.Path(exists=True))
-@click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True))
+@_run_file_options
 @click.option("--topic", "topic_id", required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out-dir", type=click.Path(), default=".", show_default=True)
 @_params_options
 def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **flags):
     """Emit gain-curve and effort-vs-AURC CSV/SVG plot data."""
     params = resolve_params(config_path, **flags)
-    runs = _load_runs(run_paths, qrels_path)
-    topic = next(
-        (t for t in runs[0].topics if t.topic_id == topic_id), None
-    )
-    if topic is None:
-        raise ValidationError(f"topic {topic_id!r} not found in {runs[0].run_tag!r}")
+    task = partial(_assess_run, methods=["or", "pp"], params=params, seed=seed)
+    # The gain curve is drawn for the topic in the first run file.
+    jobs = [(run_paths[0], partial(task, gain_topic=topic_id))]
+    jobs += [(path, task) for path in run_paths[1:]]
+    results = _map_runs(qrels_path, jobs)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # Gain curve vs. the rate fitted over the whole ranking.
-    batch = max(1, math.ceil(params.beta_frac * topic.size))
-    model = fit_exponential(bin_prefix(topic, topic.size, batch))
-    actual = [(0, 0.0)]
-    predicted = [(0, 0.0)]
-    cum = 0.0
-    for rank, found in enumerate(topic.cumrel[1:].tolist(), start=1):
-        cum += lambda_at(model, rank)
-        predicted.append((rank, cum))
-        actual.append((rank, float(found)))
+    actual, predicted = results[0].gain
     with (out / f"gain_{topic_id}.csv").open("w", newline="\n") as handle:
         handle.write("rank,relevant_found,rate_estimate\n")
         for (rank, a), (_, p) in zip(actual, predicted):
@@ -336,12 +491,15 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
     )
 
     # Per-run effort vs. AURC for the oracle and Poisson methods.
-    rows = []
-    for run in sorted(runs, key=lambda r: r.run_tag):
-        score = mean_aurc(run)
-        or_report, _ = evaluate_run(run, "or", params, seed)
-        pp_report, _ = evaluate_run(run, "pp", params, seed)
-        rows.append((run.run_tag, score, or_report.total_effort, pp_report.total_effort))
+    rows = [
+        (
+            result.run_tag,
+            result.mean_aurc,
+            result.reports["or"][0].total_effort,
+            result.reports["pp"][0].total_effort,
+        )
+        for result in sorted(results, key=lambda r: r.run_tag)
+    ]
     with (out / "effort_vs_aurc.csv").open("w", newline="\n") as handle:
         handle.write("run,mean_aurc,oracle_effort,poisson_effort\n")
         for tag, score, or_eff, pp_eff in rows:

@@ -55,14 +55,6 @@ class Topic:
         object.__setattr__(self, "relevant", relevant)
         object.__setattr__(self, "cumrel", cumrel)
 
-    def with_relevant(self, relevant) -> Topic:
-        """The same ranked documents with new labels.
-
-        The document ids were validated when this topic was built, so they
-        are shared, not checked or copied again.
-        """
-        return self._relabelled(self.doc_ids, relevant)
-
     def with_shared_ids(self, doc_ids: tuple[str, ...], relevant) -> Topic:
         """The same ranked documents, named by the caller's equal strings.
 
@@ -75,9 +67,6 @@ class Topic:
             raise ValidationError(
                 f"topic {self.topic_id!r}: shared doc_ids differ from its own"
             )
-        return self._relabelled(doc_ids, relevant)
-
-    def _relabelled(self, doc_ids: tuple[str, ...], relevant) -> Topic:
         topic = object.__new__(Topic)
         object.__setattr__(topic, "topic_id", self.topic_id)
         object.__setattr__(topic, "doc_ids", doc_ids)

@@ -9,10 +9,14 @@ class ParseError(TarstopError):
     """A run or qrels file line could not be parsed."""
 
     def __init__(self, message: str, line_no: int | None = None):
+        # Both arguments are kept in ``args``, so that a copy pickled across
+        # processes keeps its line number.
+        super().__init__(message, line_no)
         self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+
+    def __str__(self) -> str:
+        message = self.args[0]
+        return message if self.line_no is None else f"line {self.line_no}: {message}"
 
 
 class ValidationError(TarstopError):

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import tarstop.simulate
 from tarstop.cli import main
 from tarstop.config import parse_config, resolve_params
 from tarstop.core import MethodParams, Run, Topic
-from tarstop.errors import ValidationError
+from tarstop.errors import ParseError, ValidationError
 from tarstop.ingest import serialize_qrels, serialize_run
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
 from tarstop.simulate import ExponentialRate, gen_topic
@@ -119,6 +121,69 @@ def test_evaluate_topic_without_relevant_is_validation_error(tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "'zero-run'" in err and "'T1'" in err
+
+
+def test_first_bad_run_file_in_runs_order_decides_error(dataset, tmp_path, capsys):
+    _, qrels = dataset
+    # The late failure takes its worker longer to find than the early one.
+    late = tmp_path / "late.txt"
+    late.write_text(
+        "".join(f"T0 NF d{i} {i} 0.5 bad\n" for i in range(1, 30_001))
+        + "T0 NF d0\n"
+    )
+    early = tmp_path / "early.txt"
+    early.write_text("T0 NF d1 x 0.5 bad\n")
+    for first, second, line in [
+        (late, early, "line 30001:"),
+        (early, late, "line 1:"),
+    ]:
+        args = ["evaluate", "--runs", str(first), "--runs", str(second)]
+        args += ["--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line}") and err.count("error:") == 1
+
+
+def test_parse_error_keeps_line_number_when_pickled():
+    copy = pickle.loads(pickle.dumps(ParseError("bad rank", 7)))
+    assert (copy.line_no, str(copy)) == (7, "line 7: bad rank")
+    assert str(ParseError("empty run file")) == "empty run file"
+
+
+def test_dead_worker_is_computation_error(dataset, tmp_path, monkeypatch, capsys):
+    paths, qrels = dataset
+
+    def dying(handle):
+        os._exit(1)
+
+    # Pool workers are forked, so they inherit the patched parse_run.
+    monkeypatch.setattr(tarstop.cli, "parse_run", dying)
+    assert main(_evaluate_args(paths, qrels, tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("computation error: a worker process died")
+    assert str(paths["run-a"]) in err and "Traceback" not in err
+    assert not multiprocessing.active_children()
+
+
+def test_worker_warnings_reach_stderr(dataset, tmp_path, capfd):
+    paths, qrels = dataset
+    # Each run gets a document the qrels do not judge.
+    for tag, path in paths.items():
+        path.write_text(path.read_text() + f"T1 NF unjudged-{tag} 401 0.0 {tag}\n")
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    command = [sys.executable, "-m", "tarstop.cli"]
+    command += _evaluate_args(paths, qrels, tmp_path / "out", ["--methods", "or"])
+    subprocess.run(command, env={**os.environ, "PYTHONPATH": src}, check=True)
+    warnings = [
+        line
+        for line in capfd.readouterr().err.splitlines()
+        if "not in the qrels" in line
+    ]
+    assert warnings == [
+        f"run {tag} topic T1: 1 of 401 documents not in the qrels, "
+        "treated as non-relevant"
+        for tag in paths
+    ]
 
 
 def test_simulate_deterministic_and_usage(tmp_path):

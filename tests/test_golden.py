@@ -6,10 +6,12 @@ what the program reports and must say so.
 """
 
 import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
 
+import tarstop.cli
 from tarstop.cli import main
 from tarstop.simulate import ExponentialRate, gen_topic
 
@@ -65,13 +67,25 @@ def _write_dataset(root):
     return paths, root / "qrels.txt"
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_output_digest(command, tmp_path):
-    paths, qrels = _write_dataset(tmp_path)
+def _output_digest(command, root):
+    paths, qrels = _write_dataset(root)
     args = [command, "--qrels", str(qrels), "--seed", "0"]
     for path in paths:
         args += ["--runs", str(path)]
-    out = tmp_path / "out"
+    out = root / "out"
     assert main(args + ["--out-dir", str(out)]) == 0
-    name, digest = GOLDEN[command]
-    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    name, _ = GOLDEN[command]
+    return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output_digest(command, tmp_path):
+    assert _output_digest(command, tmp_path) == GOLDEN[command][1]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_worker_count_leaves_output_bytes(command, cpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(tarstop.cli, "_cpu_count", lambda: cpus)
+    assert _output_digest(command, tmp_path) == GOLDEN[command][1]
+    assert not multiprocessing.active_children()
