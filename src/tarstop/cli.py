@@ -27,7 +27,7 @@ from tarstop.config import resolve_params
 from tarstop.core import MethodParams, Run, StopOutcome, Topic
 from tarstop.errors import ComputationError, ParseError, ValidationError
 from tarstop.ingest import (
-    JudgedTopic,
+    Qrels,
     join,
     parse_qrels,
     parse_run,
@@ -242,11 +242,11 @@ class _KeptRecords(logging.Handler):
 
 
 # Set in each pool worker by _init_worker.
-_worker_qrels: dict[str, JudgedTopic] = {}
+_worker_qrels: Qrels = {}
 _worker_log: _KeptRecords | None = None
 
 
-def _init_worker(qrels: dict[str, JudgedTopic]) -> None:
+def _init_worker(qrels: Qrels) -> None:
     global _worker_qrels, _worker_log
     _worker_qrels, _worker_log = qrels, _KeptRecords()
     logger = logging.getLogger("tarstop")

@@ -39,13 +39,10 @@ class Topic:
                     )
                 seen.add(doc_id)
         object.__setattr__(self, "doc_ids", doc_ids)
-        self._set_relevant(self.relevant)
-
-    def _set_relevant(self, relevant) -> None:
-        relevant = np.array(relevant, dtype=bool)
-        if relevant.shape != (len(self.doc_ids),):
+        relevant = np.array(self.relevant, dtype=bool)
+        if relevant.shape != (len(doc_ids),):
             raise ValidationError(
-                f"topic {self.topic_id!r} has {len(self.doc_ids)} documents "
+                f"topic {self.topic_id!r} has {len(doc_ids)} documents "
                 f"but relevance labels of shape {relevant.shape}"
             )
         cumrel = np.zeros(len(relevant) + 1, dtype=np.int32)
@@ -54,24 +51,6 @@ class Topic:
         cumrel.flags.writeable = False
         object.__setattr__(self, "relevant", relevant)
         object.__setattr__(self, "cumrel", cumrel)
-
-    def with_shared_ids(self, doc_ids: tuple[str, ...], relevant) -> Topic:
-        """The same ranked documents, named by the caller's equal strings.
-
-        ``join`` passes the qrels' own id strings, so that every run joined
-        to one qrels holds a single copy of each judged id.  ``doc_ids``
-        must equal this topic's ids in order; being equal to ids that were
-        validated, they are not checked for duplicates again.
-        """
-        if doc_ids != self.doc_ids:
-            raise ValidationError(
-                f"topic {self.topic_id!r}: shared doc_ids differ from its own"
-            )
-        topic = object.__new__(Topic)
-        object.__setattr__(topic, "topic_id", self.topic_id)
-        object.__setattr__(topic, "doc_ids", doc_ids)
-        topic._set_relevant(relevant)
-        return topic
 
     def __eq__(self, other):
         if not isinstance(other, Topic):

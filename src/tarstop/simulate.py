@@ -8,6 +8,7 @@ the credible upper bound on the total relevant count holds empirically.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -92,6 +93,12 @@ class BimodalRate:
 RateFamily = ExponentialRate | UniformRate | StepRate | BimodalRate
 
 
+@functools.lru_cache(maxsize=4)
+def _doc_ids(n: int) -> tuple[str, ...]:
+    """Synthetic doc ids d0000001..dn; a tuple, so every topic can share it."""
+    return tuple(f"d{i:07d}" for i in range(1, n + 1))
+
+
 def gen_topic(n: int, rate_family: RateFamily, seed: int) -> Topic:
     """Generate a seeded synthetic topic from a relevance-rate family."""
     if n < 1:
@@ -99,8 +106,7 @@ def gen_topic(n: int, rate_family: RateFamily, seed: int) -> Topic:
     rng = np.random.default_rng(seed)
     probs = rate_family.probabilities(n)
     flags = rng.random(n) < probs
-    doc_ids = tuple(f"d{i:07d}" for i in range(1, n + 1))
-    return Topic(topic_id=f"synthetic-{seed}", doc_ids=doc_ids, relevant=flags)
+    return Topic(topic_id=f"synthetic-{seed}", doc_ids=_doc_ids(n), relevant=flags)
 
 
 def coverage_experiment(

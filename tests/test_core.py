@@ -65,18 +65,6 @@ def test_topic_copies_and_freezes_labels():
     assert not topic.cumrel.flags.writeable
 
 
-def test_with_shared_ids_holds_the_given_strings():
-    topic = Topic("t", ("ab", "cd"), [False, False])
-    shared = ("".join(["a", "b"]), "".join(["c", "d"]))
-    assert shared[0] is not topic.doc_ids[0]
-    labelled = topic.with_shared_ids(shared, [True, False])
-    assert labelled.doc_ids is shared
-    assert labelled == Topic("t", ("ab", "cd"), [True, False])
-    assert labelled.cumrel.tolist() == [0, 1, 1]
-    with pytest.raises(ValidationError, match="differ"):
-        topic.with_shared_ids(("cd", "ab"), [True, False])
-
-
 def test_run_rejects_duplicate_topic_ids():
     t = make_topic("t", {1}, 2)
     with pytest.raises(ValidationError):
