@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 import click
+import numpy as np
 
 from tarstop.config import resolve_params
 from tarstop.core import MethodParams, Run, StopOutcome, Topic
@@ -43,7 +44,7 @@ from tarstop.metrics import (
     stratify_runs,
 )
 from tarstop.plots import render_svg
-from tarstop.poisson import lambda_at
+from tarstop.poisson import _MAX_EXP_ARG
 from tarstop.ratefit import bin_prefix, fit_exponential
 from tarstop.simulate import gen_topic, coverage_experiment, make_rate_family
 
@@ -164,16 +165,17 @@ def _gain_curve(topic: Topic, params: MethodParams) -> tuple[list, list]:
 
     The estimate integrates the rate fitted over the whole ranking.
     """
-    batch = max(1, math.ceil(params.beta_frac * topic.size))
-    model = fit_exponential(bin_prefix(topic, topic.size, batch))
-    actual = [(0, 0.0)]
-    predicted = [(0, 0.0)]
-    cum = 0.0
-    for rank, found in enumerate(topic.cumrel[1:].tolist(), start=1):
-        cum += lambda_at(model, rank)
-        predicted.append((rank, cum))
-        actual.append((rank, float(found)))
-    return actual, predicted
+    n = topic.size
+    batch = max(1, math.ceil(params.beta_frac * n))
+    model = fit_exponential(bin_prefix(topic, n, batch))
+    arg = model.k * np.arange(1, n + 1, dtype=float)
+    if arg[-1] > _MAX_EXP_ARG:
+        rank = int(np.argmax(arg > _MAX_EXP_ARG)) + 1
+        raise ComputationError(f"exp overflow evaluating rate at x={rank}")
+    # Summed rank by rank, in the order a running total would add them.
+    predicted = np.cumsum(model.d * np.exp(arg)).tolist()
+    actual = list(zip(range(n + 1), topic.cumrel.astype(float).tolist()))
+    return actual, [(0, 0.0), *zip(range(1, n + 1), predicted)]
 
 
 def _evaluate_records(

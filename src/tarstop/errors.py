@@ -36,4 +36,4 @@ class NoSignalError(TarstopError):
 
 
 class FitError(ComputationError):
-    """The least-squares fit failed to converge."""
+    """The least-squares rate fit has no finite minimiser or amplitude."""

@@ -7,12 +7,15 @@ Fitting densities (counts divided by sub-interval width) keeps the
 continuous integral and the per-rank sum used by the fit-accuracy gate
 mutually consistent.
 
-The fit is a two-parameter Levenberg-Marquardt solve with the closed-form
-Jacobian.  One limit of the model is checked before it iterates: when every
-relevant document in the binned prefix lies in the first sub-interval, the
-squared error has no finite minimiser (it falls towards 0 as k -> -inf), so
-the fit raises ``FitError`` instead of returning an arbitrary point on that
-valley.  The same holds, with k -> +inf, when they all lie in the last one.
+The model is linear in d, so the fit is solved by variable projection
+(Golub & Pereyra, SIAM J. Numer. Anal. 1973): for a fixed k the best d is
+(e . dens) / (e . e) with e = exp(k * x), which leaves the profile
+f(k) = (|dens|^2 - (e . dens)^2 / (e . e)) / 2 to minimise over k alone.  Its
+limits are exact, (|dens|^2 - dens[0]^2) / 2 as k -> -inf and
+(|dens|^2 - dens[-1]^2) / 2 as k -> +inf.  The rule: when the minimum is not
+below the smaller limit by more than rounding, the cost falls towards a limit
+along a valley in (d, k) with no finite minimiser, and the fit raises
+``FitError`` rather than return a point on that valley.
 """
 
 from __future__ import annotations
@@ -31,11 +34,18 @@ from tarstop.errors import (
 )
 from tarstop.poisson import _MAX_EXP_ARG, RateModel
 
-# Budget of residual evaluations (the initial point included) per fit.
-_MAX_NFEV = 600
-_FTOL = 1e-15
-_XTOL = 1e-15
-_GTOL = 1e-12
+# The profile is searched over t = k * span, span being the distance from the
+# first to the last midpoint, on a grid of _GRID points evenly over
+# [-_T0, _T0] and _PER_DOUBLING geometric points per doubling beyond.
+_T0 = 8.0
+_GRID = 33
+_PER_DOUBLING = 16
+_UNDERFLOW = 750.0  # exp(-750.0) == 0.0 in double precision
+_MAX_STEPS = 64  # secant steps on f' per local minimum
+# A cost closer to a limit than this, per midpoint and relative to |dens|^2,
+# is within rounding of it.
+_ROUNDING = 64 * float(np.finfo(float).eps)
+_NO_MINIMISER = "the rate fit has no finite minimiser: its cost is not below its limit"
 
 
 @dataclass(frozen=True)
@@ -74,109 +84,98 @@ def bin_prefix(topic: Topic, examined_end: int, interval_width: float) -> Binned
 def fit_exponential(binned: BinnedCounts) -> RateModel:
     """Least-squares fit of d * exp(k * x) to the per-rank densities.
 
-    Optimizes over (ln d, k) so the amplitude stays positive; initialized by
-    log-linear regression over the densities floored at half an event per
-    interval.  Raises ``FitError`` when all relevant documents lie in the
-    first or the last interval (no finite minimiser), when the solver spends
-    its budget of residual evaluations without converging, or when a
-    parameter is not finite.
+    f and f' are evaluated on a grid of t = k * span out to +-64, widened to
+    where f equals its limits when its lowest point is at an edge.  Secant
+    steps on f' locate the minimum in each cell where f' turns from - to +;
+    the lowest is the fit.  Raises ``FitError`` when it is not below both
+    limits by more than rounding, or when d is outside double precision.
     """
     if len(binned.points) < 2:
         raise InsufficientDataError("need at least 2 binned points to fit")
-    x = np.array([p[0] for p in binned.points])
-    y = np.array([p[1] for p in binned.points], dtype=float)
-    w = np.array(binned.widths, dtype=float)
+    x, y = np.array(binned.points, dtype=float).T
     if not np.any(y > 0):
         raise NoSignalError("no relevant documents in the examined prefix")
-    if not np.any(y[1:-1] > 0) and not (y[0] > 0 and y[-1] > 0):
-        raise FitError(
-            "all relevant documents lie in the first or the last interval; "
-            "the rate fit has no finite minimiser"
-        )
-    dens = y / w
+    if np.any(np.diff(x) <= 0):
+        raise ValueError("interval midpoints must increase")
+    dens = y / np.array(binned.widths, dtype=float)
+    span = float(x[-1] - x[0])
+    u = (x - x[0]) / span
 
-    # Log-linear init; the 0.5-event floor keeps empty intervals usable.
-    log_dens = np.log(np.maximum(dens, 0.5 / w))
-    k0, logd0 = np.polyfit(x, log_dens, 1)
+    t = _INITIAL_GRID
+    cost, grad = _profile(t, u, dens)
+    if np.argmin(cost) in (0, t.size - 1):
+        # Out to where exp(t * gap) == 0 for all midpoints but an end one.
+        t = _grid(_UNDERFLOW / min(u[1], 1.0 - u[-2]))
+        cost, grad = _profile(t, u, dens)
+    cells = np.flatnonzero((grad[:-1] < 0) & (grad[1:] >= 0))
+    if cells.size == 0:
+        raise FitError(_NO_MINIMISER)
+    roots = [_slope_root(u, dens, t[i : i + 2], grad[i : i + 2]) for i in cells]
+    costs = _profile(np.array(roots), u, dens)[0] if len(roots) > 1 else [0.0]
+    t = roots[int(np.argmin(costs))]
 
-    logd, k = _levenberg_marquardt(x, dens, float(logd0), float(k0))
-    d = math.exp(logd) if logd <= _MAX_EXP_ARG else math.inf
-    if not (math.isfinite(k) and 0.0 < d < math.inf):
-        raise FitError("rate fit produced non-finite parameters")
-    return RateModel(d=d, k=k)
+    near = 0 if t < 0 else -1
+    e = np.exp(t * (u - u[near]))
+    d_scaled = float(e @ dens) / float(e @ e)
+    r = dens - d_scaled * e
+    limit = min(float(dens[1:] @ dens[1:]), float(dens[:-1] @ dens[:-1]))
+    if not float(r @ r) < limit - _ROUNDING * len(dens) * float(dens @ dens):
+        raise FitError(_NO_MINIMISER)
+    k = t / span
+    logd = math.log(d_scaled) - k * x[near]
+    if not -_MAX_EXP_ARG < logd < _MAX_EXP_ARG:
+        raise FitError("rate fit amplitude is outside double precision")
+    return RateModel(d=math.exp(logd), k=k)
 
 
-def _residuals_and_jacobian(
-    logd: float, k: float, x: np.ndarray, dens: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals exp(logd + k x) - dens and their Jacobian [e, e * x]."""
-    e = np.exp(np.clip(logd + k * x, -_MAX_EXP_ARG, _MAX_EXP_ARG))
-    return e - dens, np.stack((e, e * x), axis=1)
+def _slope_root(u: np.ndarray, y: np.ndarray, t: np.ndarray, g: np.ndarray) -> float:
+    """Root of f' in the cell t, where f' is g: g[0] < 0 <= g[1].
 
-
-def _levenberg_marquardt(
-    x: np.ndarray, dens: np.ndarray, logd: float, k: float
-) -> tuple[float, float]:
-    """Minimise 0.5 * sum(residual**2) over (logd, k) from the given start.
-
-    Each step solves the 2x2 damped normal equations
-    (J^T J + mu * diag(J^T J)) step = -J^T r.  A step is kept when it lowers
-    the cost; mu follows Nielsen's update.  Converged when |J^T r|_inf <
-    gtol, when a step with a good model fit lowers the cost by less than
-    ftol of it, or when a step is shorter than xtol relative to the
-    parameters.  Raises ``FitError`` once the budget of residual
-    evaluations is spent.
+    Illinois steps until one stalls at rounding or leaves the cell, at most
+    _MAX_STEPS; returns the cell end where |f'| is smaller.
     """
-    r, jac = _residuals_and_jacobian(logd, k, x, dens)
-    cost = 0.5 * float(r @ r)
-    nfev = 1
-    mu, nu = 1e-3, 2.0
-    while True:
-        (a11, a12), (_, a22) = (jac.T @ jac).tolist()
-        g1, g2 = (jac.T @ r).tolist()
-        if max(abs(g1), abs(g2)) < _GTOL:
-            return logd, k
-        while True:
-            if nfev >= _MAX_NFEV:
-                raise FitError(
-                    f"rate fit did not converge in {_MAX_NFEV} evaluations"
-                )
-            m11, m22 = a11 * (1.0 + mu), a22 * (1.0 + mu)
-            det = m11 * m22 - a12 * a12
-            if det > 0:
-                step1 = (-g1 * m22 + g2 * a12) / det
-                step2 = (-g2 * m11 + g1 * a12) / det
-            else:
-                step1 = step2 = math.nan
-            new_logd, new_k = logd + step1, k + step2
-            nfev += 1
-            if math.isfinite(new_logd) and math.isfinite(new_k):
-                r_new, jac_new = _residuals_and_jacobian(new_logd, new_k, x, dens)
-                cost_new = 0.5 * float(r_new @ r_new)
-            else:
-                cost_new = math.inf
-            reduction = cost - cost_new
-            # Reduction the linear model promises: -(g.s + s.A.s / 2).
-            predicted = 0.5 * (
-                mu * (a11 * step1 * step1 + a22 * step2 * step2)
-                - g1 * step1
-                - g2 * step2
-            )
-            ratio = reduction / predicted if predicted > 0 else 0.0
-            converged = (
-                reduction < _FTOL * cost and ratio > 0.25
-            ) or math.hypot(step1, step2) < _XTOL * (_XTOL + math.hypot(logd, k))
-            if reduction > 0:
-                logd, k, r, jac, cost = new_logd, new_k, r_new, jac_new, cost_new
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(ratio, 1.0) - 1.0) ** 3)
-                nu = 2.0
-                if converged:
-                    return logd, k
-                break
-            if converged:
-                return logd, k
-            mu *= nu
-            nu *= 2.0
+    (lo, hi), (g_lo, g_hi) = t.tolist(), g.tolist()
+    side, mid = 0, lo
+    for _ in range(_MAX_STEPS):
+        mid, last = (lo * g_hi - hi * g_lo) / (g_hi - g_lo), mid
+        if not lo < mid < hi or abs(mid - last) <= 4 * np.spacing(abs(mid) + 1.0):
+            break
+        g_mid = _profile(np.array([mid]), u, y)[1][0]
+        if g_mid < 0:
+            lo, g_lo = mid, g_mid
+            g_hi *= 0.5 if side < 0 else 1.0
+            side = -1
+        else:
+            hi, g_hi = mid, g_mid
+            g_lo *= 0.5 if side > 0 else 1.0
+            side = 1
+    return float(lo if -g_lo < g_hi else hi)
+
+
+def _grid(t_edge: float) -> np.ndarray:
+    """_GRID points evenly over [-_T0, _T0], then geometric out to +-t_edge."""
+    points = 1 + math.ceil(_PER_DOUBLING * math.log2(t_edge / _T0))
+    tail = np.geomspace(_T0, t_edge, points)
+    return np.concatenate((-tail[:0:-1], np.linspace(-_T0, _T0, _GRID), tail[1:]))
+
+
+_INITIAL_GRID = _grid(64.0)
+
+
+def _profile(
+    k: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Profile cost f(k) = |r|^2 / 2 and f'(k) = -d (x * e) . r at each k.
+
+    Here e = exp(k * x) rescaled to 1 at its largest entry (x must increase),
+    d = (e . y) / (e . e) and r = y - d * e.  As e . r = 0, f' measures x from
+    where e = 1, which drops the one residual that carries the rounding of d.
+    """
+    dx = x[:, None] - np.where(k < 0, x[0], x[-1])
+    e = np.exp(dx * k)
+    d = (y @ e) / np.einsum("ij,ij->j", e, e)
+    r = y[:, None] - d * e
+    return 0.5 * np.einsum("ij,ij->j", r, r), -d * np.einsum("ij,ij->j", dx * e, r)
 
 
 def delta_gate(model: RateModel, topic: Topic, examined_end: int, delta: float) -> bool:

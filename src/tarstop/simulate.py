@@ -122,9 +122,10 @@ def coverage_experiment(
     Each trial generates a topic, fits the rate to the whole topic (binned
     at the batch width), and tests whether the true relevant count is at or
     below the credible bound.  Topics with no relevant documents are covered
-    trivially (bound 0); fit failures count as misses.  ``on_topic(trial,
-    topic)``, when given, is called with each generated topic, so a caller
-    can run further experiments on the same draws.
+    trivially (bound 0).  A trial whose rate fit fails counts as a miss,
+    including one whose least-squares cost has no finite minimiser.
+    ``on_topic(trial, topic)``, when given, is called with each generated
+    topic, so a caller can run further experiments on the same draws.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -13,9 +14,11 @@ import tarstop.simulate
 from tarstop.cli import main
 from tarstop.config import parse_config, resolve_params
 from tarstop.core import MethodParams, Run, Topic
-from tarstop.errors import ParseError, ValidationError
+from tarstop.errors import ComputationError, ParseError, ValidationError
 from tarstop.ingest import serialize_qrels, serialize_run
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
+from tarstop.poisson import RateModel, lambda_at
+from tarstop.ratefit import bin_prefix, fit_exponential
 from tarstop.simulate import ExponentialRate, gen_topic
 
 
@@ -271,6 +274,35 @@ def test_plot_data_outputs(dataset, tmp_path):
     assert len(effort) == 3
     assert (out / "gain_T0.svg").exists()
     assert (out / "effort_vs_aurc.svg").exists()
+
+
+def _gain_csv_by_loop(topic, params):
+    """gain CSV bytes from a running total of lambda_at, rank by rank."""
+    batch = max(1, math.ceil(params.beta_frac * topic.size))
+    model = fit_exponential(bin_prefix(topic, topic.size, batch))
+    lines = ["rank,relevant_found,rate_estimate", "0,0.000000,0.000000"]
+    cum = 0.0
+    for rank, found in enumerate(topic.cumrel[1:].tolist(), start=1):
+        cum += lambda_at(model, rank)
+        lines.append(f"{rank},{float(found):.6f},{cum:.6f}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_gain_csv_matches_the_per_rank_loop(dataset, tmp_path):
+    paths, qrels = dataset
+    args = ["plot-data", "--runs", str(paths["run-a"]), "--qrels", str(qrels)]
+    assert main(args + ["--topic", "T0", "--out-dir", str(tmp_path)]) == 0
+    # T0 of run-a, in its own order: the fixture's first generated topic.
+    topic = gen_topic(400, ExponentialRate(0.5, -0.008), seed=100)
+    expected = _gain_csv_by_loop(topic, MethodParams())
+    assert (tmp_path / "gain_T0.csv").read_bytes() == expected
+
+
+def test_gain_curve_overflow_is_a_computation_error(monkeypatch):
+    topic = gen_topic(400, ExponentialRate(0.5, -0.008), seed=100)
+    monkeypatch.setattr(tarstop.cli, "fit_exponential", lambda b: RateModel(1e-3, 2.0))
+    with pytest.raises(ComputationError, match="exp overflow evaluating rate at x=351"):
+        tarstop.cli._gain_curve(topic, MethodParams())
 
 
 def test_plot_data_missing_topic(dataset, tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic
@@ -11,13 +11,13 @@ from tarstop.errors import FitError, InsufficientDataError, NoSignalError
 from tarstop.poisson import RateModel
 from tarstop.ratefit import (
     BinnedCounts,
-    _residuals_and_jacobian,
+    _profile,
     bin_prefix,
     delta_gate,
     fit_exponential,
     predicted_relevant,
 )
-from tarstop.simulate import StepRate, gen_topic
+from tarstop.simulate import BimodalRate, StepRate, gen_topic
 
 
 def test_bin_prefix_two_halves():
@@ -159,15 +159,12 @@ def _xs_and_densities(binned):
     return x, dens / np.array(binned.widths, dtype=float)
 
 
-@pytest.mark.parametrize("logd, k", [(-1.0, -0.01), (-4.5, 0.002), (0.3, -0.2)])
-def test_jacobian_matches_central_differences(logd, k):
+@pytest.mark.parametrize("k", [-0.2, -0.01, -1e-4, 0.0, 0.002, 0.05])
+def test_profile_derivative_matches_central_differences(k):
     x, dens = _xs_and_densities(_binned_counts([7, 3, 4, 0, 1, 2], 10))
-    _, jac = _residuals_and_jacobian(logd, k, x, dens)
-    for col, (hd, hk) in enumerate(((1e-6, 0.0), (0.0, 1e-8))):
-        r_hi, _ = _residuals_and_jacobian(logd + hd, k + hk, x, dens)
-        r_lo, _ = _residuals_and_jacobian(logd - hd, k - hk, x, dens)
-        central = (r_hi - r_lo) / (2 * (hd + hk))
-        np.testing.assert_allclose(jac[:, col], central, rtol=1e-6, atol=1e-12)
+    h = 1e-7
+    cost, grad = _profile(np.array([k - h, k, k + h]), x, dens)
+    assert grad[1] == pytest.approx((cost[2] - cost[0]) / (2 * h), rel=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -180,11 +177,41 @@ def test_fit_signal_in_one_end_interval_has_no_minimiser(counts):
         fit_exponential(_binned_counts(counts, 100))
 
 
-def test_fit_exhausting_the_budget_raises():
-    # (2, 0, 1) per interval: the best fits run off towards k -> -inf, so
-    # no step converges before the residual-evaluation budget is spent.
-    with pytest.raises(FitError, match="did not converge in 600 evaluations"):
-        fit_exponential(_binned_counts([2, 0, 1], 291))
+def _limits(dens):
+    """The profile's exact limits as k -> -inf and as k -> +inf."""
+    return 0.5 * float(dens[1:] @ dens[1:]), 0.5 * float(dens[:-1] @ dens[:-1])
+
+
+@pytest.mark.parametrize(
+    "counts, width", [([2, 0, 1], 291), ([30, 0, 1, 1, 2, 0], 100)]
+)
+def test_fit_whose_cost_falls_towards_a_limit_raises(counts, width):
+    # Relevant documents in several intervals, yet the cost stays above its
+    # k -> -inf limit and falls towards it: every finite point is a valley.
+    x, dens = _xs_and_densities(_binned_counts(counts, width))
+    cost, _ = _profile(-np.geomspace(0.1, 10.0, 50) / (x[-1] - x[0]), x, dens)
+    assert np.all(np.diff(cost) < 0) and np.all(cost > _limits(dens)[0])
+    with pytest.raises(FitError, match="no finite minimiser"):
+        fit_exponential(_binned_counts(counts, width))
+
+
+def test_bimodal_valley_prefix_raises():
+    # Bimodal topic, seed 10, prefix 600: the counts above, for which a
+    # Levenberg-Marquardt solve stopped at d = 422, k = -0.144 on the valley.
+    topic = gen_topic(2000, BimodalRate(0.3, 0.01, 100), seed=10)
+    binned = bin_prefix(topic, 600, 100)
+    assert [c for _, c in binned.points] == [30, 0, 1, 1, 2, 0]
+    with pytest.raises(FitError, match="no finite minimiser"):
+        fit_exponential(binned)
+
+
+def test_fit_minimum_past_the_first_grid_is_found():
+    # (30, 1, 0, ..., 0) over 20 intervals: the cost dips below its
+    # k -> -inf limit near exp(k * width) = 1/30, at k * span = -65, past
+    # the edge of the first grid.
+    model = fit_exponential(_binned_counts([30, 1] + [0] * 18, 100))
+    assert model.k * 1900 < -64
+    assert math.exp(model.k * 100) == pytest.approx(1 / 30, rel=1e-2)
 
 
 def test_fit_returns_plain_floats():
@@ -203,21 +230,13 @@ def test_step_trial_84_with_one_relevant_document_raises():
         fit_exponential(bin_prefix(topic, topic.size, batch))
 
 
-def _cost(logd, k, x, dens):
-    r, _ = _residuals_and_jacobian(logd, k, x, dens)
-    return 0.5 * float(r @ r)
-
-
 @given(
     st.lists(st.integers(0, 60), min_size=3, max_size=20),
     st.integers(1, 300),
 )
 @settings(max_examples=200, deadline=None)
 def test_fit_is_no_worse_than_its_start_and_stationary(counts, width):
-    # Relevant documents outside a single end interval (that case raises
-    # before iterating); the infimum may still lie at k -> +-inf, as in the
-    # budget test, and then the fit raises too.
-    assume(any(counts[1:-1]) or (counts[0] and counts[-1]))
+    assume(any(counts))
     binned = _binned_counts(counts, width)
     x, dens = _xs_and_densities(binned)
     try:
@@ -225,14 +244,81 @@ def test_fit_is_no_worse_than_its_start_and_stationary(counts, width):
     except FitError:
         return
     w = np.array(binned.widths, dtype=float)
-    k0, logd0 = np.polyfit(x, np.log(np.maximum(dens, 0.5 / w)), 1)
-    logd = math.log(model.d)
-    # log(exp(logd)) may move logd by an ulp: allow that much residual error.
-    slack = len(dens) * (4 * np.finfo(float).eps * dens.max()) ** 2
-    assert _cost(logd, model.k, x, dens) <= _cost(logd0, k0, x, dens) + slack
-    r, jac = _residuals_and_jacobian(logd, model.k, x, dens)
-    scale = np.linalg.norm(jac, axis=0) * np.linalg.norm(dens)
-    assert np.all(np.abs(jac.T @ r) <= 1e-6 * scale)
+    k0, _ = np.polyfit(x, np.log(np.maximum(dens, 0.5 / w)), 1)
+    cost, grad = _profile(np.array([model.k, k0]), x, dens)
+    # No worse than the profile at the log-linear start, up to rounding:
+    # each residual is off by at most 4 ulps of the largest density, which
+    # moves the sum of squares by at most m * err * (|r| + err).
+    err = 4 * np.finfo(float).eps * dens.max()
+    slack = len(dens) * err * (np.linalg.norm(dens) + err)
+    assert cost[0] <= cost[1] + slack
+    # The returned (d, k) costs what the profile does at k.
+    fitted = model.d * np.exp(model.k * x)
+    r = dens - fitted
+    assert 0.5 * float(r @ r) <= cost[0] + slack
+    # Stationary: f'(k) = -(x - x_end) d e . r is 0 to within its terms.
+    near = x[0] if model.k < 0 else x[-1]
+    scale = np.linalg.norm((x - near) * fitted) * np.linalg.norm(dens)
+    assert abs(grad[0]) <= 1e-6 * scale
+
+
+def _dense_grid_minimum(x, dens):
+    """Least profile cost on a dense grid of t = k * span, refined twice.
+
+    The grid reaches the t at which exp(t * gap) == 0 for every midpoint
+    but an end one, so its two ends cost the two limits.
+    """
+    u = (x - x[0]) / (x[-1] - x[0])
+    tail = np.geomspace(1e-3, 800.0 / np.diff(u).min(), 4000)
+    t = np.concatenate((-tail[::-1], [0.0], tail))
+    for _ in range(3):
+        z = np.multiply.outer(u, t)
+        e = np.exp(z - z.max(axis=0))
+        d = (dens @ e) / (e * e).sum(axis=0)
+        cost = 0.5 * ((dens[:, None] - d * e) ** 2).sum(axis=0)
+        j = int(np.argmin(cost))
+        t = np.linspace(t[max(j - 1, 0)], t[min(j + 1, t.size - 1)], 1001)
+    return float(cost[j])
+
+
+@given(
+    st.lists(st.integers(0, 20), min_size=2, max_size=8),
+    st.integers(1, 300),
+    st.floats(0.01, 1.0),
+)
+@example([20, 20, 6, 5, 0, 8, 11, 6], 299, 0.168)  # two local minima
+@example([6, 0, 1], 15, 0.9375)  # dips below a limit, within rounding
+@example([16, 0, 4], 15, 0.93)  # the same, computed below it by rounding
+@settings(max_examples=200, deadline=None)
+def test_fit_cost_matches_a_dense_grid_minimum(counts, width, last):
+    # Reference for the whole fit: the dense-grid minimum of the profile,
+    # to 1e-9 of the cost scale |dens|^2 / 2.  A minimum that reaches a
+    # limit must raise; one less than 1e-9 of the scale below it may.
+    assume(any(counts))
+    last_width = max(1, round(last * width))
+    edges = [i * width for i in range(len(counts))] + [(len(counts) - 1) * width + last_width]
+    binned = BinnedCounts(
+        tuple(((lo + 1 + hi) / 2.0, c) for lo, hi, c in zip(edges, edges[1:], counts)),
+        tuple(hi - lo for lo, hi in zip(edges, edges[1:])),
+    )
+    x, dens = _xs_and_densities(binned)
+    scale = 0.5 * float(dens @ dens)
+    ref = _dense_grid_minimum(x, dens)
+    limit = min(_limits(dens))
+    if ref >= limit:
+        with pytest.raises(FitError, match="no finite minimiser"):
+            fit_exponential(binned)
+        return
+    try:
+        model = fit_exponential(binned)
+    except FitError:
+        assert ref >= limit - 1e-9 * scale
+        return
+    r = dens - model.d * np.exp(model.k * x)
+    cost = 0.5 * float(r @ r)
+    assert abs(cost - ref) <= 1e-9 * scale
+    # Below the limit by more than the cost's rounding, m ulps of the scale.
+    assert cost < limit - 16 * len(dens) * np.finfo(float).eps * scale
 
 
 def test_delta_gate_boundary_accepts():
