@@ -528,7 +528,7 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
 @click.option("--cutoff", type=int, default=100, show_default=True)
 @click.option("--n", "n_docs", type=int, default=2000, show_default=True)
 @click.option("--trials", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(), default=".", show_default=True)
 @_params_options
 def simulate(

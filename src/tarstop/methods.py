@@ -8,7 +8,6 @@ which preserves recall at the cost of effort.
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 
@@ -40,6 +39,17 @@ def _schedule(topic: Topic, params: MethodParams) -> tuple[int, int]:
     return alpha, batch
 
 
+def _first_rank_reaching(topic: Topic, start: int, end: int, quota: int) -> int | None:
+    """First rank in start..end whose relevant count reaches quota, or None.
+
+    ``cumrel`` never decreases, so a left-sided search over the window
+    finds it.
+    """
+    window = topic.cumrel[start : end + 1]
+    offset = int(np.searchsorted(window, quota))
+    return start + offset if offset < len(window) else None
+
+
 def poisson_stop(topic: Topic, params: MethodParams) -> StopOutcome:
     """Stop once the credible-bound relevant count has been found.
 
@@ -69,15 +79,15 @@ def poisson_stop(topic: Topic, params: MethodParams) -> StopOutcome:
 
         if quota is not None:
             boundary = min(examined_end + batch, n)
-            for rank in range(examined_end, boundary + 1):
-                if rel_at(topic, rank) >= quota:
-                    return StopOutcome(
-                        topic_id=topic.topic_id,
-                        stop_rank=rank,
-                        extra_examined=0,
-                        relevant_found=rel_at(topic, rank),
-                        predicted=True,
-                    )
+            rank = _first_rank_reaching(topic, examined_end, boundary, quota)
+            if rank is not None:
+                return StopOutcome(
+                    topic_id=topic.topic_id,
+                    stop_rank=rank,
+                    extra_examined=0,
+                    relevant_found=rel_at(topic, rank),
+                    predicted=True,
+                )
             if boundary == examined_end:
                 return _full_review(topic)
             examined_end = boundary
@@ -140,19 +150,26 @@ def knee_stop(topic: Topic, params: MethodParams) -> StopOutcome:
         examined_end = min(examined_end + batch, n)
 
 
+# Last word of the target method's seed entropy.  It keeps tm's stream apart
+# from gen_topic's default_rng(seed), which simulate passes the same seed.
+_TARGET_STREAM = 0x746D
+
+
+def _target_rng(seed: int) -> np.random.Generator:
+    """The target method's Generator for ``seed``; negative seeds are valid."""
+    return np.random.default_rng((abs(seed), int(seed < 0), _TARGET_STREAM))
+
+
 def target_stop(topic: Topic, params: MethodParams, seed: int) -> StopOutcome:
     """Sample ranks uniformly without replacement until enough relevant found.
 
+    The sampling order is one Generator permutation of the ranks per topic,
+    drawn from ``_target_rng(seed)``, a stream seeded apart from gen_topic's.
     The examined set is the ranked prefix up to the deepest sampled relevant
     document, plus any samples beyond it (counted as extra effort,
     de-duplicated against the prefix).
     """
-    n = topic.size
-    rng = random.Random(seed)
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-
-    drawn = np.array(order)  # ranks in sampling order
+    drawn = _target_rng(seed).permutation(topic.size) + 1  # ranks in sampling order
     hits = np.flatnonzero(topic.relevant[drawn - 1])[: params.target_count]
     if len(hits) < params.target_count:
         return _full_review(topic)

@@ -208,6 +208,29 @@ def test_simulate_deterministic_and_usage(tmp_path):
     assert main(args[:-2] + ["--trials", "0", "--out-dir", str(tmp_path)]) == 1
 
 
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    args = ["simulate", "--family", "step", "--trials", "1", "--seed", "-5"]
+    assert main(args + ["--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_evaluate_accepts_negative_seed(dataset, tmp_path):
+    paths, qrels = dataset
+
+    def tm_records(seed):
+        out = tmp_path / f"seed{seed}"
+        args = _evaluate_args(paths, qrels, out)
+        args[args.index("--seed") + 1] = str(seed)
+        assert main(args) == 0
+        lines = (out / "report.jsonl").read_text().splitlines()
+        return [line for line in lines if json.loads(line)["method"] == "tm"]
+
+    negative = tm_records(-1)
+    assert negative and negative != tm_records(1)
+
+
 def test_method_registry_order_and_dispatch(tmp_path):
     assert tarstop.cli.METHOD_NAMES == ("pp", "tm", "km", "or")
     topic = gen_topic(400, ExponentialRate(0.5, -0.008), seed=100)
@@ -243,10 +266,11 @@ def test_simulate_draws_each_trial_topic_once(tmp_path, monkeypatch, trials):
 
 
 def test_cli_import_loads_neither_scipy_nor_requests():
+    # numpy.random is loaded by the target method's first call, not at import.
     src = str(Path(tarstop.cli.__file__).resolve().parents[1])
     code = (
-        "import sys, tarstop.cli; "
-        "print(sorted(m for m in ('scipy', 'requests') if m in sys.modules))"
+        "import sys, tarstop.cli; print(sorted(m for m in "
+        "('scipy', 'requests', 'numpy.random') if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],

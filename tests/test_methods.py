@@ -1,5 +1,8 @@
-import random
+import itertools
+import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +10,9 @@ from hypothesis import strategies as st
 from conftest import make_topic
 from tarstop.core import MethodParams, rel_at
 from tarstop.methods import (
+    _first_rank_reaching,
     _knee_candidate,
+    _target_rng,
     knee_stop,
     oracle_stop,
     poisson_stop,
@@ -53,6 +58,26 @@ def test_poisson_stops_at_initial_sample_when_quota_met():
     assert outcome.relevant_found == rel_at(topic, 300)
 
 
+@given(
+    st.sets(st.integers(1, 60)),
+    st.integers(1, 60),
+    st.integers(0, 60),
+    st.integers(0, 60),
+    st.integers(-2, 62),
+)
+def test_first_rank_reaching_matches_the_rank_loop(relevant, n, start, width, quota):
+    topic = make_topic("t", {r for r in relevant if r <= n}, n)
+    start = min(start, n)
+    end = min(start + width, n)
+    expected = next(
+        (rank for rank in range(start, end + 1) if rel_at(topic, rank) >= quota),
+        None,
+    )
+    rank = _first_rank_reaching(topic, start, end, quota)
+    assert rank == expected
+    assert rank is None or type(rank) is int
+
+
 def test_target_exhaustion_full_review():
     topic = make_topic("t", {2, 5}, 50)
     outcome = target_stop(topic, DEFAULTS, seed=0)
@@ -70,15 +95,11 @@ def test_target_stops_at_max_sampled_relevant():
 
 
 def test_target_seeded_golden():
-    # frozen from the first converged build
+    # Frozen when the sampling order became one Generator permutation; the
+    # shuffled Python list before it gave (222, 99, 34, True).
     topic = gen_topic(500, ExponentialRate(0.4, -0.01), seed=123)
     outcome = target_stop(topic, DEFAULTS, seed=7)
-    assert (
-        outcome.stop_rank,
-        outcome.extra_examined,
-        outcome.relevant_found,
-        outcome.predicted,
-    ) == (222, 99, 34, True)
+    assert _as_tuple(outcome) == (283, 51, 36, True)
 
 
 def test_target_deterministic_per_seed():
@@ -143,11 +164,8 @@ def test_oracle_rejects_zero_relevant():
         oracle_stop(topic, DEFAULTS)
 
 
-def _target_reference(topic, params, seed):
-    """(stop_rank, extra, found, predicted) from one draw at a time."""
-    rng = random.Random(seed)
-    order = list(range(1, topic.size + 1))
-    rng.shuffle(order)
+def _sequential_outcome(topic, params, order):
+    """(stop_rank, extra, found, predicted) drawing ``order`` one rank at a time."""
     found, examined = [], []
     for pos in order:
         examined.append(pos)
@@ -162,22 +180,82 @@ def _target_reference(topic, params, seed):
     return stop_rank, extra, rel_at(topic, stop_rank), True
 
 
+def _target_reference(topic, params, seed):
+    order = [int(pos) + 1 for pos in _target_rng(seed).permutation(topic.size)]
+    return _sequential_outcome(topic, params, order)
+
+
+def _as_tuple(outcome):
+    return (
+        outcome.stop_rank,
+        outcome.extra_examined,
+        outcome.relevant_found,
+        outcome.predicted,
+    )
+
+
 @given(
     st.sets(st.integers(1, 80)),
     st.integers(1, 80),
     st.integers(1, 12),
-    st.integers(0, 2**32),
+    st.integers(-(2**63), 2**63),
 )
 def test_target_stop_matches_sequential_draws(relevant, n, target_count, seed):
     topic = make_topic("t", {r for r in relevant if r <= n}, n)
     params = MethodParams(target_count=target_count)
     outcome = target_stop(topic, params, seed)
-    assert (
-        outcome.stop_rank,
-        outcome.extra_examined,
-        outcome.relevant_found,
-        outcome.predicted,
-    ) == _target_reference(topic, params, seed)
+    assert _as_tuple(outcome) == _target_reference(topic, params, seed)
+
+
+# Seeds -SEEDS/2 .. SEEDS/2 - 1, shared by every case of the exact-law test.
+SEEDS = 10_000
+
+
+@pytest.mark.parametrize(
+    "n, relevant", [(5, {1, 3}), (6, {2, 3, 5}), (7, {1, 4, 5, 6})]
+)
+def test_target_stop_follows_the_exact_permutation_law(n, relevant):
+    """target_stop over fixed seeds against the law of a uniform permutation.
+
+    The exact law of (stop_rank, extra, found, predicted) comes from applying
+    the per-draw rule to each of the n! sampling orders.  For k outcomes and
+    N seeds, the empirical law of a sampler with that law lies within
+    TV <= sqrt(k/N)/2 in expectation (Cauchy-Schwarz); changing one seed's
+    outcome moves TV by at most 1/N, so by McDiarmid it exceeds that by more
+    than sqrt(ln(1e6)/(2N)) with probability below 1e-6.
+    """
+    topic = make_topic("t", relevant, n)
+    orders = list(itertools.permutations(range(1, n + 1)))
+    for target_count in range(1, len(relevant) + 1):
+        params = MethodParams(target_count=target_count)
+        exact = Counter(_sequential_outcome(topic, params, o) for o in orders)
+        seen = Counter(
+            _as_tuple(target_stop(topic, params, seed))
+            for seed in range(-SEEDS // 2, SEEDS // 2)
+        )
+        assert set(seen) <= set(exact)
+        tv = 0.5 * sum(
+            abs(seen[key] / SEEDS - count / len(orders))
+            for key, count in exact.items()
+        )
+        bound = 0.5 * math.sqrt(len(exact) / SEEDS) + math.sqrt(
+            math.log(1e6) / (2 * SEEDS)
+        )
+        assert tv <= bound, (target_count, tv, bound)
+
+
+def test_target_stream_is_apart_from_gen_topic():
+    # simulate passes seed + trial both to gen_topic's default_rng and to tm.
+    for seed in range(50):
+        assert not np.array_equal(
+            _target_rng(seed).permutation(1000),
+            np.random.default_rng(seed).permutation(1000),
+        )
+        if seed:
+            assert not np.array_equal(
+                _target_rng(seed).permutation(1000),
+                _target_rng(-seed).permutation(1000),
+            )
 
 
 def test_outcomes_hold_python_ints():
