@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from tarstop.config import resolve_params
-from tarstop.core import MethodParams, Run, StopOutcome, Topic
+from tarstop.core import MethodParams, Run, Topic
 from tarstop.errors import ComputationError, ParseError, ValidationError
 from tarstop.ingest import (
     Qrels,
@@ -36,17 +36,17 @@ from tarstop.ingest import (
 )
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
 from tarstop.metrics import (
-    MethodReport,
     acceptability,
-    build_report,
     mean_aurc,
+    pct_effort_saved,
     recall_of,
+    reliability,
     stratify_runs,
 )
 from tarstop.plots import render_svg
 from tarstop.poisson import _MAX_EXP_ARG
 from tarstop.ratefit import bin_prefix, fit_exponential
-from tarstop.simulate import gen_topic, coverage_experiment, make_rate_family
+from tarstop.simulate import bound_covers, gen_topic, make_rate_family
 
 # name -> rule(topic, params, seed).  Key order is the order in which
 # simulate.jsonl lists the methods.
@@ -64,72 +64,62 @@ def _topic_seed(base: int, run_tag: str, topic_id: str) -> int:
     return base * 1_000_003 + zlib.crc32(f"{run_tag}:{topic_id}".encode())
 
 
-def evaluate_run(
-    run: Run, method: str, params: MethodParams, seed: int
-) -> tuple[MethodReport, list[tuple[StopOutcome, Topic]]]:
-    outcomes = []
-    for topic in sorted(run.topics, key=lambda t: t.topic_id):
-        outcome = METHODS[method](
-            topic, params, _topic_seed(seed, run.run_tag, topic.topic_id)
-        )
-        outcomes.append((outcome, topic))
-    return build_report(method, outcomes, params.target_recall), outcomes
-
-
 def _dump_jsonl(records: list[dict], path: Path) -> None:
     with path.open("w", newline="\n") as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _method_records(
+def _topic_records(
     run: Run, method: str, params: MethodParams, seed: int
-) -> tuple[MethodReport, list[dict]]:
-    """One method's report on a run, with the run's topic and run records."""
-    report, outcomes = evaluate_run(run, method, params, seed)
-    records = [
-        {
-            "record": "topic",
-            "run": run.run_tag,
-            "method": method,
-            "topic_id": topic.topic_id,
-            "n": topic.size,
-            "stop_rank": outcome.stop_rank,
-            "extra_examined": outcome.extra_examined,
-            "effort": outcome.effort,
-            "relevant_found": outcome.relevant_found,
-            "recall": round(recall_of(outcome, topic), 10),
-            "acceptable": acceptability(outcome, topic, params.target_recall),
-            "predicted": outcome.predicted,
-        }
-        for outcome, topic in outcomes
-    ]
-    records.append(
-        {
-            "record": "run",
-            "run": run.run_tag,
-            "method": method,
-            "topic_count": len(report.per_topic),
-            "total_effort": report.total_effort,
-            "reliability": round(report.reliability, 10),
-            "mean_pct_effort_saved": round(report.mean_pct_effort_saved, 10),
-        }
-    )
-    return report, records
+) -> list[dict]:
+    """One method's topic records on a run, in topic_id order."""
+    records = []
+    for topic in sorted(run.topics, key=lambda t: t.topic_id):
+        outcome = METHODS[method](
+            topic, params, _topic_seed(seed, run.run_tag, topic.topic_id)
+        )
+        records.append(
+            {
+                "record": "topic",
+                "run": run.run_tag,
+                "method": method,
+                "topic_id": topic.topic_id,
+                "n": topic.size,
+                "stop_rank": outcome.stop_rank,
+                "extra_examined": outcome.extra_examined,
+                "effort": outcome.effort,
+                "relevant_found": outcome.relevant_found,
+                "recall": round(recall_of(outcome, topic), 10),
+                "acceptable": acceptability(outcome, topic, params.target_recall),
+                "predicted": outcome.predicted,
+            }
+        )
+    return records
+
+
+def _summary(topics: list[dict]) -> dict:
+    """Unrounded run-record figures of one method's topic records on a run."""
+    return {
+        "total_effort": sum(t["effort"] for t in topics),
+        "reliability": reliability([t["acceptable"] for t in topics]),
+        "mean_pct_effort_saved": pct_effort_saved(
+            [(t["effort"], t["n"]) for t in topics]
+        ),
+    }
 
 
 @dataclass(frozen=True)
 class _RunResult:
     """What a pool worker sends back for one run file.
 
-    ``reports`` maps each requested method to its report on the run and the
-    run's records for ``report.jsonl``; ``gain`` is set when a gain curve
-    was asked for.
+    ``records`` maps each requested method to its topic records on the run;
+    ``gain`` is set when a gain curve was asked for.
     """
 
     run_tag: str
     mean_aurc: float
-    reports: dict[str, tuple[MethodReport, list[dict]]]
+    records: dict[str, list[dict]]
     gain: tuple[list, list] | None = None
 
 
@@ -155,7 +145,7 @@ def _assess_run(
     return _RunResult(
         run_tag=run.run_tag,
         mean_aurc=mean_aurc(run),
-        reports={m: _method_records(run, m, params, seed) for m in methods},
+        records={m: _topic_records(run, m, params, seed) for m in methods},
         gain=gain,
     )
 
@@ -181,35 +171,46 @@ def _gain_curve(topic: Topic, params: MethodParams) -> tuple[list, list]:
 def _evaluate_records(
     results: list[_RunResult], methods: list[str]
 ) -> tuple[list[dict], list[dict]]:
-    """(jsonl records, aggregate rows) for a set of assessed runs."""
+    """(jsonl records, aggregate rows) for a set of assessed runs.
+
+    Each run's topic records are followed by its run record; one aggregate
+    row per method closes the list.
+    """
     records: list[dict] = []
-    aggregates: list[dict] = []
-    per_method: dict[str, list[MethodReport]] = {m: [] for m in methods}
+    summaries: dict[str, list[dict]] = {m: [] for m in methods}
     for result in sorted(results, key=lambda r: r.run_tag):
         for method in methods:
-            report, run_records = result.reports[method]
-            per_method[method].append(report)
-            records.extend(run_records)
-    for method in methods:
-        reports = per_method[method]
-        topic_flags = [t.acceptable for r in reports for t in r.per_topic]
-        aggregate = {
-            "record": "aggregate",
-            "method": method,
-            "run_count": len(reports),
-            "mean_effort": round(
-                sum(r.total_effort for r in reports) / len(reports), 10
-            ),
-            "mean_pct_effort_saved": round(
-                sum(r.mean_pct_effort_saved for r in reports) / len(reports), 10
-            ),
-            "reliability": round(
-                sum(1 for a in topic_flags if a) / len(topic_flags), 10
-            ),
-        }
-        aggregates.append(aggregate)
-        records.append(aggregate)
-    return records, aggregates
+            topics = result.records[method]
+            summary = _summary(topics)
+            summaries[method].append(summary)
+            records += topics
+            records.append(
+                {
+                    "record": "run",
+                    "run": result.run_tag,
+                    "method": method,
+                    "topic_count": len(topics),
+                    **{key: round(value, 10) for key, value in summary.items()},
+                }
+            )
+    aggregates = []
+    for method, runs in summaries.items():
+        flags = [t["acceptable"] for r in results for t in r.records[method]]
+        aggregates.append(
+            {
+                "record": "aggregate",
+                "method": method,
+                "run_count": len(runs),
+                "mean_effort": round(
+                    sum(r["total_effort"] for r in runs) / len(runs), 10
+                ),
+                "mean_pct_effort_saved": round(
+                    sum(r["mean_pct_effort_saved"] for r in runs) / len(runs), 10
+                ),
+                "reliability": round(reliability(flags), 10),
+            }
+        )
+    return records + aggregates, aggregates
 
 
 def _aggregate_table(aggregates: list[dict], title: str) -> str:
@@ -314,6 +315,10 @@ def _map_runs(
                 ) from None
             for record in records:
                 logging.getLogger(record.name).handle(record)
+            if any(r.run_tag == result.run_tag for r in results):
+                raise ValidationError(
+                    f"run tag {result.run_tag!r} is given more than once"
+                )
             results.append(result)
         return results
     finally:
@@ -329,6 +334,9 @@ def _parse_methods(spec: str) -> list[str]:
         )
     if not methods:
         raise click.UsageError("no methods selected")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise click.UsageError(f"methods {repeated} are given more than once")
     return methods
 
 
@@ -415,28 +423,21 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
                 "mean_aurc": round(score, 10),
             }
         )
-    top_scores = sorted(score for _, score in top)
-    bottom_scores = sorted(score for _, score in bottom)
-    bands = [
-        {
-            "record": "sanity_band",
-            "group": "top",
-            "lo": round(top_scores[0], 10),
-            "hi": round(top_scores[-1], 10),
-            "status": "pass"
-            if 0.91 <= top_scores[0] and top_scores[-1] <= 0.94
-            else "warn",
-        },
-        {
-            "record": "sanity_band",
-            "group": "bottom",
-            "lo": round(bottom_scores[0], 10),
-            "hi": round(bottom_scores[-1], 10),
-            "status": "pass"
-            if 0.46 <= bottom_scores[0] and bottom_scores[-1] <= 0.62
-            else "warn",
-        },
-    ]
+    bands = []
+    for name, group, lo, hi in (
+        ("top", top, 0.91, 0.94),
+        ("bottom", bottom, 0.46, 0.62),
+    ):
+        scores = sorted(score for _, score in group)
+        bands.append(
+            {
+                "record": "sanity_band",
+                "group": name,
+                "lo": round(scores[0], 10),
+                "hi": round(scores[-1], 10),
+                "status": "pass" if lo <= scores[0] and scores[-1] <= hi else "warn",
+            }
+        )
     records.extend(bands)
 
     tables = []
@@ -497,8 +498,8 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
         (
             result.run_tag,
             result.mean_aurc,
-            result.reports["or"][0].total_effort,
-            result.reports["pp"][0].total_effort,
+            _summary(result.records["or"])["total_effort"],
+            _summary(result.records["pp"])["total_effort"],
         )
         for result in sorted(results, key=lambda r: r.run_tag)
     ]
@@ -520,49 +521,47 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
 
 @cli.command()
 @click.option("--family", required=True, type=click.Choice(["exponential", "uniform", "step", "bimodal"]))
-@click.option("--d", type=float, default=0.5, show_default=True)
+@click.option("--d", type=click.FloatRange(min=0, min_open=True), default=0.5, show_default=True)
 @click.option("--k", type=float, default=-0.005, show_default=True)
-@click.option("--p", type=float, default=0.1, show_default=True)
-@click.option("--p1", type=float, default=0.3, show_default=True)
-@click.option("--p2", type=float, default=0.01, show_default=True)
-@click.option("--cutoff", type=int, default=100, show_default=True)
-@click.option("--n", "n_docs", type=int, default=2000, show_default=True)
-@click.option("--trials", type=int, required=True)
+@click.option("--p", type=click.FloatRange(0, 1), default=0.1, show_default=True)
+@click.option("--p1", type=click.FloatRange(0, 1), default=0.3, show_default=True)
+@click.option("--p2", type=click.FloatRange(0, 1), default=0.01, show_default=True)
+@click.option("--cutoff", type=click.IntRange(min=0), default=100, show_default=True)
+@click.option("--n", "n_docs", type=click.IntRange(min=1), default=2000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(), default=".", show_default=True)
 @_params_options
 def simulate(
     family, d, k, p, p1, p2, cutoff, n_docs, trials, seed, out_dir, config_path, **flags
 ):
-    """Run coverage and method-reliability experiments on synthetic topics."""
-    if trials < 1:
-        raise click.UsageError("--trials must be >= 1")
+    """Run coverage and method-reliability experiments on synthetic topics.
+
+    Coverage of the credible bound is reported from 100 trials up.
+    """
     params = resolve_params(config_path, **flags)
-    rate = make_rate_family(
-        family, {"d": d, "k": k, "p": p, "p1": p1, "p2": p2, "cutoff": cutoff}
-    )
-
-    counts = {m: {"acceptable": 0, "total": 0} for m in METHOD_NAMES}
-
-    def run_methods(trial: int, topic: Topic) -> None:
-        if topic.total_relevant == 0:
-            return
-        for method, rule in METHODS.items():
-            outcome = rule(topic, params, seed + trial)
-            counts[method]["total"] += 1
-            counts[method]["acceptable"] += acceptability(
-                outcome, topic, params.target_recall
-            )
+    try:
+        rate = make_rate_family(
+            family, {"d": d, "k": k, "p": p, "p1": p1, "p2": p2, "cutoff": cutoff}
+        )
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
 
     # Each trial topic is drawn once and shared by coverage and the methods.
-    if trials >= 100:
-        coverage = coverage_experiment(
-            rate, n_docs, trials, params, seed=seed, on_topic=run_methods
-        )
-    else:
-        coverage = None
-        for trial in range(trials):
-            run_methods(trial, gen_topic(n_docs, rate, seed=seed + trial))
+    covered = 0
+    acceptable = {m: [] for m in METHOD_NAMES}
+    for trial in range(trials):
+        topic = gen_topic(n_docs, rate, seed=seed + trial)
+        if trials >= 100:
+            covered += bound_covers(topic, params)
+        if topic.total_relevant == 0:
+            continue
+        for method, rule in METHODS.items():
+            outcome = rule(topic, params, seed + trial)
+            acceptable[method].append(
+                acceptability(outcome, topic, params.target_recall)
+            )
+    coverage = covered / trials if trials >= 100 else None
 
     records = [
         {
@@ -574,16 +573,13 @@ def simulate(
             "coverage": None if coverage is None else round(coverage, 10),
         }
     ]
-    for method in METHOD_NAMES:
-        total = counts[method]["total"]
+    for method, hits in acceptable.items():
         records.append(
             {
                 "record": "method_reliability",
                 "method": method,
-                "topics": total,
-                "reliability": round(counts[method]["acceptable"] / total, 10)
-                if total
-                else None,
+                "topics": len(hits),
+                "reliability": round(reliability(hits), 10) if hits else None,
             }
         )
 
@@ -632,9 +628,6 @@ def main(argv=None) -> int:
         return 0
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

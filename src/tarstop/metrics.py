@@ -1,34 +1,13 @@
 """Per-topic and aggregate evaluation of stopping outcomes.
 
-Covers effort, acceptability, reliability, percentage of effort saved, the
+Covers recall, acceptability, reliability, percentage of effort saved, the
 normalized area under the cumulative recall curve (AURC), and AURC-based
 stratification of runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from tarstop.core import Run, StopOutcome, Topic
-
-
-@dataclass(frozen=True)
-class TopicResult:
-    topic_id: str
-    effort: int
-    recall: float
-    acceptable: bool
-
-
-@dataclass(frozen=True)
-class MethodReport:
-    """Aggregated metrics of one method over one run (or a set of runs)."""
-
-    method_name: str
-    per_topic: tuple[TopicResult, ...]
-    total_effort: int
-    reliability: float
-    mean_pct_effort_saved: float
 
 
 def recall_of(outcome: StopOutcome, topic: Topic) -> float:
@@ -44,25 +23,23 @@ def acceptability(outcome: StopOutcome, topic: Topic, target_recall: float) -> i
     return 1 if recall_of(outcome, topic) >= target_recall else 0
 
 
-def reliability(acceptable_flags: list[bool]) -> float:
+def reliability(acceptable_flags: list[int]) -> float:
     """Fraction of topics whose outcome is acceptable."""
     if not acceptable_flags:
         raise ValueError("reliability of an empty topic set is undefined")
     return sum(1 for a in acceptable_flags if a) / len(acceptable_flags)
 
 
-def pct_effort_saved(outcomes: list[tuple[StopOutcome, Topic]]) -> float:
+def pct_effort_saved(efforts: list[tuple[int, int]]) -> float:
     """Mean per-topic percentage of documents that went unexamined.
 
-    Per-topic saved fractions are floored at 0 (extra samples can push
-    effort past the topic size).
+    Takes one (effort, topic size) pair per topic.  Per-topic saved
+    fractions are floored at 0 (extra samples can push effort past the
+    topic size).
     """
-    if not outcomes:
+    if not efforts:
         raise ValueError("pct_effort_saved of an empty set is undefined")
-    saved = [
-        max(0.0, (topic.size - outcome.effort) / topic.size)
-        for outcome, topic in outcomes
-    ]
+    saved = [max(0.0, (size - effort) / size) for effort, size in efforts]
     return 100.0 * sum(saved) / len(saved)
 
 
@@ -102,27 +79,3 @@ def stratify_runs(
     median_pos = (len(ranked) + 1) // 2  # 1-based
     mid_start = median_pos - 3  # 0-based start of the centered window
     return ranked[:5], ranked[mid_start : mid_start + 5], ranked[-5:]
-
-
-def build_report(
-    method_name: str,
-    outcomes: list[tuple[StopOutcome, Topic]],
-    target_recall: float,
-) -> MethodReport:
-    """Aggregate one method's outcomes over a set of topics."""
-    per_topic = tuple(
-        TopicResult(
-            topic_id=topic.topic_id,
-            effort=outcome.effort,
-            recall=recall_of(outcome, topic),
-            acceptable=bool(acceptability(outcome, topic, target_recall)),
-        )
-        for outcome, topic in outcomes
-    )
-    return MethodReport(
-        method_name=method_name,
-        per_topic=per_topic,
-        total_effort=sum(t.effort for t in per_topic),
-        reliability=reliability([t.acceptable for t in per_topic]),
-        mean_pct_effort_saved=pct_effort_saved(outcomes),
-    )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,45 +108,48 @@ def gen_topic(n: int, rate_family: RateFamily, seed: int) -> Topic:
     return Topic(topic_id=f"synthetic-{seed}", doc_ids=_doc_ids(n), relevant=flags)
 
 
+def bound_covers(topic: Topic, params: MethodParams) -> bool:
+    """Whether the credible upper bound covers the topic's relevant count.
+
+    The rate is fitted to the whole topic, binned at the batch width, and
+    the true relevant count is tested against the credible bound.  A topic
+    with no relevant documents is covered trivially (bound 0).  A topic
+    whose rate fit fails is a miss, including one whose least-squares cost
+    has no finite minimiser.
+    """
+    total = topic.total_relevant
+    if total == 0:
+        return True
+    n = topic.size
+    batch = max(1, math.ceil(params.beta_frac * n))
+    try:
+        model = fit_exponential(bin_prefix(topic, n, batch))
+        mean = lambda_integral(model, n)
+        # The true count never exceeds n, so any bound past n covers it.
+        bound = upper_credible_count(mean, params.confidence, cap=n)
+    except (NoSignalError, ComputationError):
+        return False
+    return total <= bound
+
+
 def coverage_experiment(
     rate_family: RateFamily,
     n: int,
     trials: int,
     params: MethodParams,
     seed: int = 0,
-    on_topic: Callable[[int, Topic], None] | None = None,
 ) -> float:
     """Empirical coverage of the credible upper bound over seeded trials.
 
-    Each trial generates a topic, fits the rate to the whole topic (binned
-    at the batch width), and tests whether the true relevant count is at or
-    below the credible bound.  Topics with no relevant documents are covered
-    trivially (bound 0).  A trial whose rate fit fails counts as a miss,
-    including one whose least-squares cost has no finite minimiser.
-    ``on_topic(trial, topic)``, when given, is called with each generated
-    topic, so a caller can run further experiments on the same draws.
+    Trial t draws its topic with seed ``seed + t`` and counts as covered
+    when ``bound_covers`` holds for it.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    batch = max(1, math.ceil(params.beta_frac * n))
-    covered = 0
-    for trial in range(trials):
-        topic = gen_topic(n, rate_family, seed=seed + trial)
-        if on_topic is not None:
-            on_topic(trial, topic)
-        total = topic.total_relevant
-        if total == 0:
-            covered += 1
-            continue
-        try:
-            model = fit_exponential(bin_prefix(topic, n, batch))
-            mean = lambda_integral(model, n)
-            # The true count never exceeds n, so any bound past n covers it.
-            bound = upper_credible_count(mean, params.confidence, cap=n)
-        except (NoSignalError, ComputationError):
-            continue
-        if total <= bound:
-            covered += 1
+    covered = sum(
+        bound_covers(gen_topic(n, rate_family, seed=seed + trial), params)
+        for trial in range(trials)
+    )
     return covered / trials
 
 

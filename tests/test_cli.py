@@ -98,6 +98,33 @@ def test_evaluate_unknown_method_usage_error(dataset, tmp_path):
     assert main(_evaluate_args(paths, qrels, tmp_path, ["--methods", "xx"])) == 1
 
 
+def test_evaluate_repeated_method_usage_error(dataset, tmp_path, capsys):
+    paths, qrels = dataset
+    out = tmp_path / "out"
+    assert main(_evaluate_args(paths, qrels, out, ["--methods", "or,pp,or"])) == 1
+    assert "['or']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "stratify", "plot-data"])
+def test_repeated_run_tag_is_validation_error(command, dataset, tmp_path, capsys):
+    paths, qrels = dataset
+    # run-b's lines under run-a's tag: a second file with a tag already given.
+    renamed = tmp_path / "renamed.txt"
+    renamed.write_text(paths["run-b"].read_text().replace("run-b", "run-a"))
+    for second in (paths["run-a"], renamed):
+        runs = [paths["run-a"], paths["run-b"], second] + [paths["run-b"]] * 12
+        args = [command, "--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
+        for path in runs:
+            args += ["--runs", str(path)]
+        if command == "plot-data":
+            args += ["--topic", "T0"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: run tag 'run-a' is given more than once\n"
+        assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_parse_error_exit_code(dataset, tmp_path):
     _, qrels = dataset
     bad = tmp_path / "bad.txt"
@@ -206,6 +233,29 @@ def test_simulate_deterministic_and_usage(tmp_path):
     assert main(args + ["--out-dir", str(out2)]) == 0
     assert (out1 / "simulate.jsonl").read_bytes() == (out2 / "simulate.jsonl").read_bytes()
     assert main(args[:-2] + ["--trials", "0", "--out-dir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "family, option, value",
+    [
+        ("uniform", "--p", "2"),
+        ("exponential", "--n", "0"),
+        ("step", "--cutoff", "-1"),
+        ("exponential", "--d", "0"),
+        ("exponential", "--k", "inf"),
+    ],
+)
+def test_simulate_invalid_argument_is_usage_error(
+    family, option, value, tmp_path, capsys
+):
+    args = ["simulate", "--family", family, "--trials", "1", option, value]
+    assert main(args + ["--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("Error:")] == [
+        err.splitlines()[-1]
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_rejects_negative_seed(tmp_path, capsys):

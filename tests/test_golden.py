@@ -1,11 +1,13 @@
-"""Byte-level golden outputs of `evaluate`, `stratify` and `simulate`.
+"""Byte-level golden outputs of `evaluate`, `stratify`, `plot-data` and `simulate`.
 
-The `evaluate` and `stratify` digests, on a seeded dataset, were recorded
-before the columnar Topic and single-pass run ingest replaced the per-line
-parser, and refrozen when the target method's sampling order became one
-Generator permutation (only its records moved: evaluate was 5ec3d5d3...,
-stratify 50112433...).  A change that alters a digest changes what the
-program reports and must say so.
+The `evaluate` and `stratify` jsonl digests, on a seeded dataset, were
+recorded before the columnar Topic and single-pass run ingest replaced the
+per-line parser, and refrozen when the target method's sampling order
+became one Generator permutation (only its records moved: evaluate was
+5ec3d5d3..., stratify 50112433...).  The table and plot-data digests were
+recorded before topic records became the only per-run result of a worker.
+A change that alters a digest changes what the program reports and must
+say so.
 """
 
 import hashlib
@@ -20,16 +22,22 @@ from tarstop.simulate import ExponentialRate, gen_topic
 
 SIZES = (300, 500, 800, 1200)
 RUNS = 15
+# command -> {output file: sha256} at seed 0.
 GOLDEN = {
-    "evaluate": (
-        "report.jsonl",
-        "336690a5ef8d9ad5742865fd5bfe11ce10c4f53df30228164af4f7d5eccfb9a5",
-    ),
-    "stratify": (
-        "stratify.jsonl",
-        "6aa5757281988b981d401a1963c0c6d471079bce219bcc95a42d017c24c5ab9a",
-    ),
+    "evaluate": {
+        "report.jsonl": "336690a5ef8d9ad5742865fd5bfe11ce10c4f53df30228164af4f7d5eccfb9a5",
+        "report.txt": "06613a7607fdcabce4b5c7eed4b38b5af740c8f0537346ab7de7855e02a33fa3",
+    },
+    "stratify": {
+        "stratify.jsonl": "6aa5757281988b981d401a1963c0c6d471079bce219bcc95a42d017c24c5ab9a",
+        "stratify.txt": "bdd58421aed332b4b1a22ba6e68b09d363145345d08dda15c39d48dda9dfeb0e",
+    },
+    "plot-data": {
+        "effort_vs_aurc.csv": "28d9a4fc98289911c0a23d992191bb747c2c887e7a3f21a6426947db033a58db",
+        "gain_T0.csv": "7a2528100a70b98b29078c131a12b119d7ce448bfd0e16b41d7f99a6d13ba832",
+    },
 }
+EXTRA_ARGS = {"plot-data": ["--topic", "T0"]}
 
 
 # simulate --family bimodal --n 400 --cutoff 20 --trials 100 --seed 0.  Its
@@ -77,20 +85,23 @@ def _write_dataset(root):
     return paths, root / "qrels.txt"
 
 
-def _output_digest(command, root):
+def _output_digests(command, root):
+    """{output file: sha256} of the files GOLDEN pins for the command."""
     paths, qrels = _write_dataset(root)
     args = [command, "--qrels", str(qrels), "--seed", "0"]
     for path in paths:
         args += ["--runs", str(path)]
     out = root / "out"
-    assert main(args + ["--out-dir", str(out)]) == 0
-    name, _ = GOLDEN[command]
-    return hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert main(args + EXTRA_ARGS.get(command, []) + ["--out-dir", str(out)]) == 0
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in GOLDEN[command]
+    }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_output_digest(command, tmp_path):
-    assert _output_digest(command, tmp_path) == GOLDEN[command][1]
+    assert _output_digests(command, tmp_path) == GOLDEN[command]
 
 
 def test_golden_bimodal_simulate_digest(tmp_path):
@@ -105,5 +116,5 @@ def test_golden_bimodal_simulate_digest(tmp_path):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_worker_count_leaves_output_bytes(command, cpus, tmp_path, monkeypatch):
     monkeypatch.setattr(tarstop.cli, "_cpu_count", lambda: cpus)
-    assert _output_digest(command, tmp_path) == GOLDEN[command][1]
+    assert _output_digests(command, tmp_path) == GOLDEN[command]
     assert not multiprocessing.active_children()

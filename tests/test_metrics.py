@@ -64,29 +64,20 @@ def test_reliability_values():
 
 
 def test_pct_effort_saved_full_reviews():
-    topics = [make_topic(f"t{i}", {1}, 100) for i in range(3)]
-    pairs = [(outcome(t.topic_id, 100, relevant=1), t) for t in topics]
-    assert pct_effort_saved(pairs) == 0.0
+    assert pct_effort_saved([(100, 100)] * 3) == 0.0
 
 
 def test_pct_effort_saved_single():
-    topic = make_topic("t", {1}, 100)
-    assert pct_effort_saved([(outcome("t", 30, relevant=1), topic)]) == pytest.approx(
-        70.0
-    )
+    assert pct_effort_saved([(30, 100)]) == pytest.approx(70.0)
 
 
 def test_pct_effort_saved_mean_of_fractions():
-    t1 = make_topic("a", {1}, 100)
-    t2 = make_topic("b", {1}, 200)
-    pairs = [(outcome("a", 50, relevant=1), t1), (outcome("b", 100, relevant=1), t2)]
-    assert pct_effort_saved(pairs) == pytest.approx(50.0)
+    assert pct_effort_saved([(50, 100), (100, 200)]) == pytest.approx(50.0)
 
 
 def test_pct_effort_saved_floors_extras():
-    topic = make_topic("t", {1}, 10)
-    pairs = [(outcome("t", 10, extra=5, relevant=1), topic)]
-    assert pct_effort_saved(pairs) == 0.0
+    # Effort 15 on a 10-document topic: 10 ranks plus 5 extra samples.
+    assert pct_effort_saved([(15, 10)]) == 0.0
 
 
 def test_aurc_perfect_ranking():

@@ -75,15 +75,3 @@ def test_coverage_requires_trials():
 def test_coverage_step_family_reports_fraction():
     coverage = coverage_experiment(StepRate(0.5, 50), 500, 100, MethodParams(), seed=2)
     assert 0.0 <= coverage <= 1.0
-
-
-def test_coverage_hands_each_drawn_topic_to_on_topic():
-    family = BimodalRate(0.3, 0.01, 20)
-    seen = []
-    coverage = coverage_experiment(
-        family, 200, 100, MethodParams(), seed=5,
-        on_topic=lambda trial, topic: seen.append((trial, topic)),
-    )
-    assert coverage == coverage_experiment(family, 200, 100, MethodParams(), seed=5)
-    assert [trial for trial, _ in seen] == list(range(100))
-    assert all(topic == gen_topic(200, family, seed=5 + t) for t, topic in seen)
