@@ -27,13 +27,7 @@ import numpy as np
 from tarstop.config import resolve_params
 from tarstop.core import MethodParams, Run, Topic
 from tarstop.errors import ComputationError, ParseError, ValidationError
-from tarstop.ingest import (
-    Qrels,
-    join,
-    parse_qrels,
-    parse_run,
-    validate_dataset,
-)
+from tarstop.ingest import Qrels, parse_qrels, parse_run, validate_dataset
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
 from tarstop.metrics import (
     acceptability,
@@ -130,7 +124,7 @@ def _assess_run(
     seed: int,
     gain_topic: str | None = None,
 ) -> _RunResult:
-    """A worker's task: assess one joined run with the given methods.
+    """A worker's task: assess one labelled run with the given methods.
 
     The gain curve of ``gain_topic`` is drawn when a topic is named.
     """
@@ -226,7 +220,7 @@ def _aggregate_table(aggregates: list[dict], title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The per-run pipeline.  Each run file is parsed, joined and assessed in a
+# The per-run pipeline.  Each run file is parsed, labelled and assessed in a
 # pool worker; the qrels are parsed once in the parent and handed to every
 # worker.  Records logged in a worker come back with its result and are
 # emitted in the parent, in --runs order.
@@ -261,7 +255,7 @@ def _run_worker(
 ) -> tuple[_RunResult, list[logging.LogRecord]]:
     _worker_log.records = []
     with open(path) as handle:
-        run = join(parse_run(handle), _worker_qrels)
+        run = parse_run(handle, _worker_qrels)
     for topic in run.topics:
         if topic.total_relevant < 1:
             raise ValidationError(
@@ -605,14 +599,27 @@ def simulate(
 @click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True))
 @click.option("--out-dir", type=click.Path(), default=".", show_default=True)
 def validate(run_paths, qrels_path, out_dir):
-    """Check ingested data against the known collection statistics."""
+    """Check ingested data against the known collection statistics.
+
+    Every run file is labelled from the qrels and must hold the topics of
+    the first, whose figures are summarized.
+    """
     with open(qrels_path) as handle:
         qrels = parse_qrels(handle)
-    runs = []
+    first = first_ids = None
     for path in run_paths:
         with open(path) as handle:
-            runs.append(parse_run(handle))
-    summary = validate_dataset(runs, qrels)
+            run = parse_run(handle, qrels)
+        topic_ids = {t.topic_id for t in run.topics}
+        if first is None:
+            first, first_ids = run, topic_ids
+        elif topic_ids != first_ids:
+            raise ValidationError(
+                f"run {run.run_tag!r} ({path}) differs from run {first.run_tag!r} "
+                f"in its topics: missing {sorted(first_ids - topic_ids)}, "
+                f"extra {sorted(topic_ids - first_ids)}"
+            )
+    summary = validate_dataset(first)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "validation.json").write_text(

@@ -11,40 +11,21 @@ from tarstop.errors import ValidationError
 
 @dataclass(frozen=True, eq=False)
 class Topic:
-    """One ranked document list with binary relevance labels, stored by column.
+    """The binary relevance labels of one ranked document list.
 
-    ``doc_ids[i]`` sits at rank ``i + 1`` and ``relevant[i]`` is its label.
+    ``relevant[i]`` is the label of the document at rank ``i + 1``.
     ``cumrel[r]`` counts the relevant documents at ranks 1..r, so it has
     ``size + 1`` entries and starts at 0.  Both arrays are read-only.
-
-    Two topics are equal when their ids, document order and labels are
-    equal; the hash covers the id and the document order.
     """
 
     topic_id: str
-    doc_ids: tuple[str, ...]
     relevant: np.ndarray
     cumrel: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        doc_ids = tuple(self.doc_ids)
-        if not doc_ids:
-            raise ValidationError(f"topic {self.topic_id!r} has no documents")
-        if len(set(doc_ids)) != len(doc_ids):
-            seen = set()
-            for doc_id in doc_ids:
-                if doc_id in seen:
-                    raise ValidationError(
-                        f"topic {self.topic_id!r} has duplicate doc_id {doc_id!r}"
-                    )
-                seen.add(doc_id)
-        object.__setattr__(self, "doc_ids", doc_ids)
         relevant = np.array(self.relevant, dtype=bool)
-        if relevant.shape != (len(doc_ids),):
-            raise ValidationError(
-                f"topic {self.topic_id!r} has {len(doc_ids)} documents "
-                f"but relevance labels of shape {relevant.shape}"
-            )
+        if not len(relevant):
+            raise ValidationError(f"topic {self.topic_id!r} has no documents")
         cumrel = np.zeros(len(relevant) + 1, dtype=np.int32)
         np.cumsum(relevant, dtype=np.int32, out=cumrel[1:])
         relevant.flags.writeable = False
@@ -52,21 +33,9 @@ class Topic:
         object.__setattr__(self, "relevant", relevant)
         object.__setattr__(self, "cumrel", cumrel)
 
-    def __eq__(self, other):
-        if not isinstance(other, Topic):
-            return NotImplemented
-        return (
-            self.topic_id == other.topic_id
-            and self.doc_ids == other.doc_ids
-            and np.array_equal(self.relevant, other.relevant)
-        )
-
-    def __hash__(self):
-        return hash((self.topic_id, self.doc_ids))
-
     @property
     def size(self) -> int:
-        return len(self.doc_ids)
+        return len(self.relevant)
 
     @property
     def total_relevant(self) -> int:

@@ -1,4 +1,4 @@
-"""Parsing of run and qrels files into Runs and Topics.
+"""Parsing of run and qrels files into labelled Runs and Topics.
 
 Run files carry 6 whitespace-separated columns
 (``topic_id flag doc_id rank score run_tag``); qrels carry 4
@@ -42,6 +42,10 @@ CLEF2017_STATS = {
 }
 
 
+# topic_id -> doc_id -> integer label, as parse_qrels returns them.
+Qrels = dict[str, dict[str, int]]
+
+
 def _line_of(row: int, blank_lines: list[int]) -> int:
     """1-based line number of the given 0-based non-blank row."""
     line_no = row + 1
@@ -83,14 +87,14 @@ def _doc_order(doc_ids: list[str]) -> np.ndarray:
     return order
 
 
-def _ranked_topic(
+def _ranked_ids(
     run_tag: str,
     topic_id: str,
     doc_ids: list[str],
     ranks: np.ndarray,
     scores: np.ndarray,
-) -> Topic:
-    """An unlabeled Topic in (rank, -score, doc_id) order."""
+) -> list[str]:
+    """A topic's doc ids in (rank, -score, doc_id) order; a repeated id is refused."""
     if np.any(ranks[1:] <= ranks[:-1]):
         order = np.lexsort((_doc_order(doc_ids), -scores, ranks))
         ranks = ranks[order]
@@ -101,21 +105,64 @@ def _ranked_topic(
             run_tag,
             topic_id,
         )
-    return Topic(topic_id, tuple(doc_ids), np.zeros(len(doc_ids), dtype=bool))
+    if len(set(doc_ids)) != len(doc_ids):
+        seen = set()
+        for doc_id in doc_ids:
+            if doc_id in seen:
+                raise ValidationError(
+                    f"topic {topic_id!r} has duplicate doc_id {doc_id!r}"
+                )
+            seen.add(doc_id)
+    return doc_ids
 
 
-def parse_run(lines: Iterable[str] | TextIO) -> Run:
-    """Parse a run file into a Run of unlabeled Topics.
+def _labelled_topic(
+    run_tag: str, topic_id: str, doc_ids: list[str], qrels: Qrels
+) -> Topic:
+    """The Topic of a ranked id list, labelled from the qrels.
+
+    A document absent from the qrels is non-relevant (counted and logged
+    once per topic).
+    """
+    labels = qrels.get(topic_id)
+    if labels is None:
+        raise ValidationError(f"topic {topic_id!r} missing from qrels")
+    # Each document's label, None when it is not judged.
+    found = list(map(labels.get, doc_ids))
+    missing_count = found.count(None)
+    if missing_count:
+        logger.warning(
+            "run %s topic %s: %d of %d documents not in the qrels, "
+            "treated as non-relevant",
+            run_tag,
+            topic_id,
+            missing_count,
+            len(found),
+        )
+        found = [0 if label is None else label for label in found]
+    relevant = np.fromiter(
+        map(operator.gt, found, itertools.repeat(0)), dtype=bool, count=len(found)
+    )
+    return Topic(topic_id, relevant)
+
+
+def parse_run(lines: Iterable[str] | TextIO, qrels: Qrels) -> Run:
+    """Parse a run file into a Run of Topics labelled from the qrels.
 
     Documents are ordered by ascending rank (ties broken by descending score
     then doc_id); non-contiguous ranks are repaired by re-ranking in sorted
-    order, with a warning.  Topics keep the order of their first line.
+    order, with a warning.  Topics keep the order of their first line.  A
+    document is relevant when its qrels label is > 0; one the qrels do not
+    judge is non-relevant, with one warning per topic.  The doc ids live
+    only here: a Topic keeps its labels alone.
 
     Lines are read in blocks of ``_BLOCK_LINES``.  A block's rank, score
     and topic columns are converted to arrays at once and its strings
     dropped, so beside the result only one block of strings, the doc ids
     and a few numbers per line are held.  A ParseError names the first bad
-    line by its number.
+    line by its number.  Every topic is ordered and checked for a repeated
+    doc id before any is labelled, so parse errors come first, then
+    duplicates, then topics missing from the qrels.
     """
     doc_col: list[str] = []
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -176,31 +223,18 @@ def parse_run(lines: Iterable[str] | TextIO) -> Run:
         doc_col = [doc_col[i] for i in rows.tolist()]
     ends = [*(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), n]
 
-    topics = []
+    ranked = []
     lo = 0
     for topic_id, hi in zip(first_rows, ends):
-        topics.append(
-            _ranked_topic(
-                run_tag, topic_id, doc_col[lo:hi], ranks[lo:hi], scores[lo:hi]
-            )
+        ranked.append(
+            _ranked_ids(run_tag, topic_id, doc_col[lo:hi], ranks[lo:hi], scores[lo:hi])
         )
         lo = hi
-    return Run(run_tag=run_tag, topics=tuple(topics))
-
-
-def serialize_run(run: Run) -> list[str]:
-    """Render a Run back to run-file lines (score = 1/rank, flag = 'NF')."""
-    lines = []
-    for topic in run.topics:
-        for i, doc_id in enumerate(topic.doc_ids, start=1):
-            lines.append(
-                f"{topic.topic_id} NF {doc_id} {i} {1.0 / i:.6f} {run.run_tag}"
-            )
-    return lines
-
-
-# topic_id -> doc_id -> integer label, as parse_qrels returns them.
-Qrels = dict[str, dict[str, int]]
+    topics = tuple(
+        _labelled_topic(run_tag, topic_id, doc_ids, qrels)
+        for topic_id, doc_ids in zip(first_rows, ranked)
+    )
+    return Run(run_tag=run_tag, topics=topics)
 
 
 def parse_qrels(lines: Iterable[str] | TextIO) -> Qrels:
@@ -231,48 +265,6 @@ def parse_qrels(lines: Iterable[str] | TextIO) -> Qrels:
                 f"conflicting labels for topic {topic_id!r} doc {doc_id!r}"
             )
     return qrels
-
-
-def join(run: Run, qrels: Qrels) -> Run:
-    """Attach relevance flags from qrels; order, membership and ids are unchanged.
-
-    A document absent from the qrels is treated as non-relevant (counted and
-    logged once per topic).
-    """
-    topics = []
-    for topic in run.topics:
-        labels = qrels.get(topic.topic_id)
-        if labels is None:
-            raise ValidationError(
-                f"topic {topic.topic_id!r} missing from qrels"
-            )
-        # Each document's label, None when it is not judged.
-        found = list(map(labels.get, topic.doc_ids))
-        missing_count = found.count(None)
-        if missing_count:
-            logger.warning(
-                "run %s topic %s: %d of %d documents not in the qrels, "
-                "treated as non-relevant",
-                run.run_tag,
-                topic.topic_id,
-                missing_count,
-                topic.size,
-            )
-            found = [0 if label is None else label for label in found]
-        relevant = np.fromiter(
-            map(operator.gt, found, itertools.repeat(0)), dtype=bool, count=topic.size
-        )
-        topics.append(Topic(topic.topic_id, topic.doc_ids, relevant))
-    return Run(run_tag=run.run_tag, topics=tuple(topics))
-
-
-def serialize_qrels(topics: Iterable[Topic]) -> list[str]:
-    """Render topics' relevance labels as qrels lines."""
-    lines = []
-    for topic in topics:
-        for doc_id, rel in zip(topic.doc_ids, topic.relevant.tolist()):
-            lines.append(f"{topic.topic_id} 0 {doc_id} {1 if rel else 0}")
-    return lines
 
 
 @dataclass
@@ -313,21 +305,16 @@ def _median(values: list[int]) -> float:
     return (values[m - 1] + values[m]) / 2.0
 
 
-def validate_dataset(
-    runs: list[Run], qrels: Qrels
-) -> ValidationSummary:
-    """Summarize topic sizes and relevant counts, checking the known figures.
+def validate_dataset(run: Run) -> ValidationSummary:
+    """Summarize a labelled run's topic sizes and relevant counts.
 
     Mismatches against the published collection statistics are reported as
     warnings in ``checks``, never as errors; synthetic datasets simply fail
     every check with a 'warn'.
     """
-    if not runs:
-        raise ValidationError("no runs to validate")
-    topics = runs[0].topics
+    topics = run.topics
     sizes = [t.size for t in topics]
-    joined = join(runs[0], qrels)
-    relevant = [t.total_relevant for t in joined.topics]
+    relevant = [t.total_relevant for t in topics]
 
     summary = ValidationSummary(
         topic_count=len(topics),

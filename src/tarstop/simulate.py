@@ -2,13 +2,12 @@
 
 Topics are generated by independent per-rank Bernoulli draws against a
 parameterized relevance-rate family (discrete thinning), which matches the
-at-most-one-event-per-rank data model.  The coverage experiment checks that
-the credible upper bound on the total relevant count holds empirically.
+at-most-one-event-per-rank data model.  ``bound_covers`` checks, one topic
+at a time, that the credible upper bound on the total relevant count holds.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -92,12 +91,6 @@ class BimodalRate:
 RateFamily = ExponentialRate | UniformRate | StepRate | BimodalRate
 
 
-@functools.lru_cache(maxsize=4)
-def _doc_ids(n: int) -> tuple[str, ...]:
-    """Synthetic doc ids d0000001..dn; a tuple, so every topic can share it."""
-    return tuple(f"d{i:07d}" for i in range(1, n + 1))
-
-
 def gen_topic(n: int, rate_family: RateFamily, seed: int) -> Topic:
     """Generate a seeded synthetic topic from a relevance-rate family."""
     if n < 1:
@@ -105,7 +98,7 @@ def gen_topic(n: int, rate_family: RateFamily, seed: int) -> Topic:
     rng = np.random.default_rng(seed)
     probs = rate_family.probabilities(n)
     flags = rng.random(n) < probs
-    return Topic(topic_id=f"synthetic-{seed}", doc_ids=_doc_ids(n), relevant=flags)
+    return Topic(topic_id=f"synthetic-{seed}", relevant=flags)
 
 
 def bound_covers(topic: Topic, params: MethodParams) -> bool:
@@ -130,27 +123,6 @@ def bound_covers(topic: Topic, params: MethodParams) -> bool:
     except (NoSignalError, ComputationError):
         return False
     return total <= bound
-
-
-def coverage_experiment(
-    rate_family: RateFamily,
-    n: int,
-    trials: int,
-    params: MethodParams,
-    seed: int = 0,
-) -> float:
-    """Empirical coverage of the credible upper bound over seeded trials.
-
-    Trial t draws its topic with seed ``seed + t`` and counts as covered
-    when ``bound_covers`` holds for it.
-    """
-    if trials < 100:
-        raise ValueError("trials must be >= 100")
-    covered = sum(
-        bound_covers(gen_topic(n, rate_family, seed=seed + trial), params)
-        for trial in range(trials)
-    )
-    return covered / trials
 
 
 def make_rate_family(name: str, args: dict[str, float]) -> RateFamily:

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import doc_ids, serialize_qrels, serialize_run
 from tarstop.cli import main
-from tarstop.core import MethodParams, Run, Topic
-from tarstop.ingest import parse_qrels, parse_run, join, serialize_qrels, serialize_run
+from tarstop.core import MethodParams
+from tarstop.ingest import parse_qrels, parse_run
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
 from tarstop.metrics import acceptability, aurc
 from tarstop.poisson import upper_credible_count
@@ -25,7 +26,7 @@ from tarstop.simulate import (
     ExponentialRate,
     StepRate,
     UniformRate,
-    coverage_experiment,
+    bound_covers,
     gen_topic,
 )
 from test_poisson import credible_oracle
@@ -51,7 +52,7 @@ def _clef_runs():
     for path in sorted(Path(runs_dir).iterdir()):
         if path.is_file():
             with open(path) as handle:
-                runs.append(join(parse_run(handle), qrels))
+                runs.append(parse_run(handle, qrels))
     return runs
 
 
@@ -138,9 +139,12 @@ def test_criterion_3c_credible_bound_monte_carlo():
 
 
 def test_criterion_3d_coverage_on_matched_family():
-    coverage = coverage_experiment(
-        ExponentialRate(0.5, -0.005), 2000, 1000, DEFAULTS, seed=7
+    family = ExponentialRate(0.5, -0.005)
+    covered = sum(
+        bound_covers(gen_topic(2000, family, seed=7 + trial), DEFAULTS)
+        for trial in range(1000)
     )
+    coverage = covered / 1000
     assert coverage >= 0.90, coverage
     _passed(f"criterion 3d: coverage {coverage:.3f} >= 0.90 over 1,000 trials")
 
@@ -209,13 +213,18 @@ def test_criterion_6_metric_unit_checks():
 
 
 def test_criterion_7_structured_output_determinism(tmp_path):
-    topics = [gen_topic(300, ExponentialRate(0.5, -0.01), seed=s) for s in range(2)]
-    topics = [Topic(f"T{i}", t.doc_ids, t.relevant) for i, t in enumerate(topics)]
-    run = Run("det-run", tuple(topics))
+    ids = doc_ids(300)
+    labels = {
+        f"T{s}": gen_topic(300, ExponentialRate(0.5, -0.01), seed=s).relevant
+        for s in range(2)
+    }
     run_path = tmp_path / "run.txt"
-    run_path.write_text("\n".join(serialize_run(run)) + "\n")
+    run_path.write_text(
+        "\n".join(serialize_run("det-run", {t: ids for t in labels})) + "\n"
+    )
     qrels_path = tmp_path / "qrels.txt"
-    qrels_path.write_text("\n".join(serialize_qrels(topics)) + "\n")
+    judged = {topic_id: (ids, rel) for topic_id, rel in labels.items()}
+    qrels_path.write_text("\n".join(serialize_qrels(judged)) + "\n")
 
     outs = []
     for name in ("a", "b"):

@@ -11,39 +11,39 @@ import pytest
 
 import tarstop.cli
 import tarstop.simulate
+from conftest import doc_ids, serialize_qrels, serialize_run
 from tarstop.cli import main
 from tarstop.config import parse_config, resolve_params
-from tarstop.core import MethodParams, Run, Topic
+from tarstop.core import MethodParams
 from tarstop.errors import ComputationError, ParseError, ValidationError
-from tarstop.ingest import serialize_qrels, serialize_run
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
 from tarstop.poisson import RateModel, lambda_at
 from tarstop.ratefit import bin_prefix, fit_exponential
 from tarstop.simulate import ExponentialRate, gen_topic
+from test_golden import _write_dataset
 
 
 @pytest.fixture
 def dataset(tmp_path):
     """Two synthetic run files over three topics, plus matching qrels."""
-    topics = []
-    for i in range(3):
-        topic = gen_topic(400, ExponentialRate(0.5, -0.008), seed=100 + i)
-        topics.append(topic)
+    ids = doc_ids(400)
+    labels = {
+        f"T{i}": gen_topic(400, ExponentialRate(0.5, -0.008), seed=100 + i).relevant
+        for i in range(3)
+    }
     # Give the topics shared ids but run-specific orderings.
-    base = [Topic(f"T{i}", t.doc_ids, t.relevant) for i, t in enumerate(topics)]
-    shuffled = [
-        Topic(f"T{i}", t.doc_ids[::-1], t.relevant[::-1])
-        for i, t in enumerate(topics)
-    ]
-    run_a = Run("run-a", tuple(base))
-    run_b = Run("run-b", tuple(shuffled))
+    rankings = {
+        "run-a": {topic_id: ids for topic_id in labels},
+        "run-b": {topic_id: ids[::-1] for topic_id in labels},
+    }
     paths = {}
-    for run in (run_a, run_b):
-        p = tmp_path / f"{run.run_tag}.txt"
-        p.write_text("\n".join(serialize_run(run)) + "\n")
-        paths[run.run_tag] = p
+    for run_tag, ranked in rankings.items():
+        p = tmp_path / f"{run_tag}.txt"
+        p.write_text("\n".join(serialize_run(run_tag, ranked)) + "\n")
+        paths[run_tag] = p
     qrels = tmp_path / "qrels.txt"
-    qrels.write_text("\n".join(serialize_qrels(base)) + "\n")
+    judged = {topic_id: (ids, rel) for topic_id, rel in labels.items()}
+    qrels.write_text("\n".join(serialize_qrels(judged)) + "\n")
     return paths, qrels
 
 
@@ -183,7 +183,7 @@ def test_parse_error_keeps_line_number_when_pickled():
 def test_dead_worker_is_computation_error(dataset, tmp_path, monkeypatch, capsys):
     paths, qrels = dataset
 
-    def dying(handle):
+    def dying(handle, qrels):
         os._exit(1)
 
     # Pool workers are forked, so they inherit the patched parse_run.
@@ -393,6 +393,25 @@ def test_validate_command(dataset, tmp_path, capsys):
     assert main(args) == 0
     assert (tmp_path / "validation.json").exists()
     assert "warn" in capsys.readouterr().out
+
+
+def test_validate_checks_every_run_file(tmp_path, capsys):
+    paths, qrels = _write_dataset(tmp_path)
+    # A second run file that holds one of the four topics.
+    partial = tmp_path / "partial.txt"
+    with paths[1].open() as lines:
+        partial.write_text("".join(line for line in lines if line.startswith("T2 ")))
+    args = ["validate", "--runs", str(paths[0]), "--runs", str(partial)]
+    args += ["--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: run 'run01'")
+    assert "missing ['T0', 'T1', 'T3'], extra []" in err
+    assert not (tmp_path / "out").exists()
+    # A second run file with a topic the qrels lack fails its labelling.
+    partial.write_text("T9 NF d0000001 1 0.5 run-c\n")
+    assert main(args) == 2
+    assert "topic 'T9' missing from qrels" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path):

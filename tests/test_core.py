@@ -31,33 +31,14 @@ def test_rel_at_rejects_out_of_range():
         rel_at(topic, -1)
 
 
-def test_topic_rejects_duplicate_doc_ids():
-    with pytest.raises(ValidationError):
-        Topic("t", ("a", "a"), [True, False])
-
-
 def test_topic_rejects_empty():
     with pytest.raises(ValidationError):
-        Topic("t", (), [])
-
-
-def test_topic_rejects_label_length_mismatch():
-    with pytest.raises(ValidationError):
-        Topic("t", ("a", "b"), [True])
-
-
-def test_topic_equality_compares_ids_order_and_labels():
-    topic = make_topic("t", {2}, 3)
-    assert topic == make_topic("t", {2}, 3)
-    assert hash(topic) == hash(make_topic("t", {2}, 3))
-    assert topic != make_topic("t", {1}, 3)
-    assert topic != make_topic("u", {2}, 3)
-    assert topic != Topic("t", topic.doc_ids[::-1], topic.relevant)
+        Topic("t", [])
 
 
 def test_topic_copies_and_freezes_labels():
     labels = np.array([False, True, True])
-    topic = Topic("t", ("a", "b", "c"), labels)
+    topic = Topic("t", labels)
     labels[0] = True
     assert topic.relevant.tolist() == [False, True, True]
     assert topic.cumrel.tolist() == [0, 0, 1, 2]

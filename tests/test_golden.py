@@ -1,4 +1,4 @@
-"""Byte-level golden outputs of `evaluate`, `stratify`, `plot-data` and `simulate`.
+"""Byte-level golden outputs of every tarstop command.
 
 The `evaluate` and `stratify` jsonl digests, on a seeded dataset, were
 recorded before the columnar Topic and single-pass run ingest replaced the
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import tarstop.cli
+from conftest import doc_ids
 from tarstop.cli import main
 from tarstop.simulate import ExponentialRate, gen_topic
 
@@ -46,6 +47,10 @@ EXTRA_ARGS = {"plot-data": ["--topic", "T0"]}
 # counts as a miss; the method reliabilities did not move.
 BIMODAL_SIMULATE = "b6767f2ebfcd85c7581639a7d097e8d281ff13bcb67e0ef5b882981ecec66eab"
 
+# validation.json of `validate` over the 15 run files of the dataset below,
+# recorded when only the first run file was labelled and summarized.
+VALIDATION = "0d561e105a75ff6acdb2cac4a39754997dcc60af1dd92b4bd3b24fc786fff4dc"
+
 
 def _write_dataset(root):
     """15 run files of 4 shared topics and a qrels file judging every doc.
@@ -59,7 +64,7 @@ def _write_dataset(root):
     qrels = [
         f"T{i} 0 {doc_id} {int(rel)}"
         for i, topic in enumerate(topics)
-        for doc_id, rel in zip(topic.doc_ids, topic.relevant)
+        for doc_id, rel in zip(doc_ids(topic.size), topic.relevant)
     ]
     (root / "qrels.txt").write_text("\n".join(qrels) + "\n")
     paths = []
@@ -68,6 +73,7 @@ def _write_dataset(root):
         margin = 3.0 - 0.2 * j
         lines = []
         for i, topic in enumerate(topics):
+            ids = doc_ids(topic.size)
             scores = rng.normal(size=topic.size) + margin * topic.relevant
             for rank, idx in enumerate(np.argsort(-scores, kind="stable"), start=1):
                 if j == 5:
@@ -75,7 +81,7 @@ def _write_dataset(root):
                 elif j == 7:
                     rank = (rank + 1) // 2
                 lines.append(
-                    f"T{i} NF {topic.doc_ids[idx]} {rank} {scores[idx]:.6f} run{j:02d}"
+                    f"T{i} NF {ids[idx]} {rank} {scores[idx]:.6f} run{j:02d}"
                 )
         if j == 3:
             lines = [lines[k] for k in rng.permutation(len(lines))]
@@ -110,6 +116,16 @@ def test_golden_bimodal_simulate_digest(tmp_path):
     assert main(args) == 0
     digest = hashlib.sha256((tmp_path / "simulate.jsonl").read_bytes()).hexdigest()
     assert digest == BIMODAL_SIMULATE
+
+
+def test_golden_validation_digest(tmp_path):
+    paths, qrels = _write_dataset(tmp_path)
+    args = ["validate", "--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
+    for path in paths:
+        args += ["--runs", str(path)]
+    assert main(args) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "validation.json").read_bytes())
+    assert digest.hexdigest() == VALIDATION
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))

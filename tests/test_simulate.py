@@ -10,7 +10,7 @@ from tarstop.simulate import (
     ExponentialRate,
     StepRate,
     UniformRate,
-    coverage_experiment,
+    bound_covers,
     gen_topic,
     make_rate_family,
 )
@@ -28,8 +28,10 @@ def test_uniform_full_rate():
 
 def test_gen_topic_deterministic():
     family = ExponentialRate(0.5, -0.005)
-    assert gen_topic(200, family, seed=3) == gen_topic(200, family, seed=3)
-    assert gen_topic(200, family, seed=3) != gen_topic(200, family, seed=4)
+    topic = gen_topic(200, family, seed=3)
+    assert topic.topic_id == "synthetic-3"
+    assert np.array_equal(topic.relevant, gen_topic(200, family, seed=3).relevant)
+    assert not np.array_equal(topic.relevant, gen_topic(200, family, seed=4).relevant)
 
 
 def test_exponential_mean_matches_integral():
@@ -62,16 +64,19 @@ def test_invalid_family_parameters():
         make_rate_family("exponential", {"d": 0.5})
 
 
+def _coverage(family, n, trials, seed=0):
+    """Share of trials, drawn with seeds seed..seed+trials-1, whose bound covers."""
+    params = MethodParams()
+    covered = sum(
+        bound_covers(gen_topic(n, family, seed=seed + t), params) for t in range(trials)
+    )
+    return covered / trials
+
+
 def test_coverage_degenerate_rate():
-    coverage = coverage_experiment(UniformRate(0.0), 200, 100, MethodParams())
-    assert coverage == 1.0
-
-
-def test_coverage_requires_trials():
-    with pytest.raises(ValueError):
-        coverage_experiment(UniformRate(0.1), 200, 10, MethodParams())
+    assert _coverage(UniformRate(0.0), 200, 100) == 1.0
 
 
 def test_coverage_step_family_reports_fraction():
-    coverage = coverage_experiment(StepRate(0.5, 50), 500, 100, MethodParams(), seed=2)
+    coverage = _coverage(StepRate(0.5, 50), 500, 100, seed=2)
     assert 0.0 <= coverage <= 1.0
