@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import sys
 import zlib
@@ -25,7 +24,7 @@ import click
 import numpy as np
 
 from tarstop.config import resolve_params
-from tarstop.core import MethodParams, Run, Topic
+from tarstop.core import MethodParams, Run, Topic, rel_at
 from tarstop.errors import ComputationError, ParseError, ValidationError
 from tarstop.ingest import Qrels, parse_qrels, parse_run, validate_dataset
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
@@ -39,7 +38,7 @@ from tarstop.metrics import (
 )
 from tarstop.plots import render_svg
 from tarstop.poisson import _MAX_EXP_ARG
-from tarstop.ratefit import bin_prefix, fit_exponential
+from tarstop.ratefit import fit_topic
 from tarstop.simulate import bound_covers, gen_topic, make_rate_family
 
 # name -> rule(topic, params, seed).  Key order is the order in which
@@ -83,7 +82,7 @@ def _topic_records(
                 "stop_rank": outcome.stop_rank,
                 "extra_examined": outcome.extra_examined,
                 "effort": outcome.effort,
-                "relevant_found": outcome.relevant_found,
+                "relevant_found": rel_at(topic, outcome.stop_rank),
                 "recall": round(recall_of(outcome, topic), 10),
                 "acceptable": acceptability(outcome, topic, params.target_recall),
                 "predicted": outcome.predicted,
@@ -150,8 +149,7 @@ def _gain_curve(topic: Topic, params: MethodParams) -> tuple[list, list]:
     The estimate integrates the rate fitted over the whole ranking.
     """
     n = topic.size
-    batch = max(1, math.ceil(params.beta_frac * n))
-    model = fit_exponential(bin_prefix(topic, n, batch))
+    model = fit_topic(topic, params)
     arg = model.k * np.arange(1, n + 1, dtype=float)
     if arg[-1] > _MAX_EXP_ARG:
         rank = int(np.argmax(arg > _MAX_EXP_ARG)) + 1
@@ -623,9 +621,9 @@ def validate(run_paths, qrels_path, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "validation.json").write_text(
-        json.dumps(summary.as_dict(), sort_keys=True, indent=2) + "\n"
+        json.dumps(summary, sort_keys=True, indent=2) + "\n"
     )
-    for name, status in summary.checks:
+    for name, status in summary["checks"]:
         click.echo(f"{status:>4}  {name}")
 
 

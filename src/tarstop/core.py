@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,19 +58,21 @@ class Run:
 
 @dataclass(frozen=True)
 class StopOutcome:
-    """Result of applying a stopping method to one topic.
+    """A stopping rule's decision on one topic.
 
     ``stop_rank`` is the last examined ranked position.  ``extra_examined``
     counts examined documents outside the ranked prefix (random samples past
-    the stopping rank).  ``predicted`` is False when the method fell back to
+    the stopping rank).  ``predicted`` is False when the rule fell back to
     examining everything.
+
+    The relevant documents found are ``topic.cumrel[stop_rank]``.  pp, km and
+    or examine a prefix.  tm's extra samples all lie past its deepest sampled
+    relevant rank, which is its stop rank, so none of them is relevant.
     """
 
-    topic_id: str
     stop_rank: int
-    extra_examined: int
-    relevant_found: int
-    predicted: bool
+    extra_examined: int = 0
+    predicted: bool = True
 
     @property
     def effort(self) -> int:
@@ -111,6 +114,10 @@ class MethodParams:
             raise ValidationError("target_count must be >= 1")
         if self.epsilon < 0:
             raise ValidationError("epsilon must be >= 0")
+
+    def batch_width(self, n: int) -> int:
+        """Ranks per batch on a topic of n documents."""
+        return max(1, math.ceil(self.beta_frac * n))
 
 
 def rel_at(topic: Topic, rank: int) -> int:

@@ -27,11 +27,11 @@ class ComputationError(TarstopError):
     """A numeric computation left its valid domain (overflow, divergence)."""
 
 
-class InsufficientDataError(TarstopError):
+class InsufficientDataError(ComputationError):
     """Not enough examined documents to bin or fit."""
 
 
-class NoSignalError(TarstopError):
+class NoSignalError(ComputationError):
     """All binned counts are zero; no rate can be estimated."""
 
 

@@ -12,31 +12,18 @@ import math
 import numpy as np
 
 from tarstop.core import MethodParams, StopOutcome, Topic, rel_at
-from tarstop.errors import (
-    ComputationError,
-    InsufficientDataError,
-    NoSignalError,
-)
+from tarstop.errors import ComputationError
 from tarstop.poisson import required_relevant
 from tarstop.ratefit import bin_prefix, delta_gate, fit_exponential
 
 
-def _full_review(topic: Topic) -> StopOutcome:
-    return StopOutcome(
-        topic_id=topic.topic_id,
-        stop_rank=topic.size,
-        extra_examined=0,
-        relevant_found=topic.total_relevant,
-        predicted=False,
-    )
+def _checkpoints(n: int, params: MethodParams) -> list[int]:
+    """Prefix ends at which pp and km decide, in order.
 
-
-def _schedule(topic: Topic, params: MethodParams) -> tuple[int, int]:
-    """(initial sample size, batch size) for the examination loop."""
-    n = topic.size
+    The end of the initial sample, then each batch boundary, then n.
+    """
     alpha = min(n, max(1, math.ceil(params.alpha_frac * n)))
-    batch = max(1, math.ceil(params.beta_frac * n))
-    return alpha, batch
+    return [*range(alpha, n, params.batch_width(n)), n]
 
 
 def _first_rank_reaching(topic: Topic, start: int, end: int, quota: int) -> int | None:
@@ -50,51 +37,41 @@ def _first_rank_reaching(topic: Topic, start: int, end: int, quota: int) -> int 
     return start + offset if offset < len(window) else None
 
 
+def _quota(topic: Topic, examined_end: int, params: MethodParams) -> int | None:
+    """Relevant documents pp needs after examining ranks 1..examined_end.
+
+    None when the rate fit fails or the delta gate rejects it.
+    """
+    try:
+        binned = bin_prefix(topic, examined_end, params.batch_width(topic.size))
+        model = fit_exponential(binned)
+        if delta_gate(model, topic, examined_end, params.delta):
+            return required_relevant(model, topic.size, params)
+    except ComputationError:
+        pass
+    return None
+
+
 def poisson_stop(topic: Topic, params: MethodParams) -> StopOutcome:
     """Stop once the credible-bound relevant count has been found.
 
     Examines an initial sample, fits the exponential rate, and derives the
-    number of relevant documents needed for the target recall.  Extends the
-    sample batch by batch (re-fitting at batch boundaries) until that count
-    is reached; any gate failure on a fully examined topic means no
-    prediction was made.
+    number of relevant documents needed for the target recall.  At each
+    checkpoint it re-fits and looks for that count up to the next one; too
+    few relevant documents in the initial sample, or no quota met by rank
+    n, means no prediction was made.
     """
     n = topic.size
-    alpha, batch = _schedule(topic, params)
-
-    # Too few relevant in the initial sample: rate cannot be trusted.
-    if rel_at(topic, alpha) < params.gamma:
-        return _full_review(topic)
-
-    examined_end = alpha
-    while True:
-        quota = None
-        try:
-            binned = bin_prefix(topic, examined_end, batch)
-            model = fit_exponential(binned)
-            if delta_gate(model, topic, examined_end, params.delta):
-                quota = required_relevant(model, n, params)
-        except (InsufficientDataError, NoSignalError, ComputationError):
-            quota = None
-
-        if quota is not None:
-            boundary = min(examined_end + batch, n)
-            rank = _first_rank_reaching(topic, examined_end, boundary, quota)
+    ends = _checkpoints(n, params)
+    if rel_at(topic, ends[0]) >= params.gamma:
+        for end, next_end in zip(ends, [*ends[1:], n]):
+            quota = _quota(topic, end, params)
+            if quota is None:
+                continue
+            rank = _first_rank_reaching(topic, end, next_end, quota)
             if rank is not None:
-                return StopOutcome(
-                    topic_id=topic.topic_id,
-                    stop_rank=rank,
-                    extra_examined=0,
-                    relevant_found=rel_at(topic, rank),
-                    predicted=True,
-                )
-            if boundary == examined_end:
-                return _full_review(topic)
-            examined_end = boundary
-        else:
-            if examined_end >= n:
-                return _full_review(topic)
-            examined_end = min(examined_end + batch, n)
+                return StopOutcome(rank)
+    return StopOutcome(n, predicted=False)
 
 
 def _knee_candidate(cumrel: np.ndarray) -> int | None:
@@ -123,31 +100,18 @@ def knee_stop(topic: Topic, params: MethodParams) -> StopOutcome:
     flat tails); the required ratio shrinks as more relevant documents are
     found, down to 6 once epsilon of them have been retrieved.
     """
-    n = topic.size
-    alpha, batch = _schedule(topic, params)
-    examined_end = alpha
-    while True:
-        i = examined_end
-        rel_i = rel_at(topic, i)
-        if rel_i > 0 and i >= 2:
-            knee = _knee_candidate(topic.cumrel[1 : i + 1])
-            if knee is not None and knee < i:
-                rel_knee = rel_at(topic, knee)
-                if rel_knee > 0:
-                    slope_head = rel_knee / knee
-                    slope_tail = (rel_i - rel_knee + 1) / (i - knee)
-                    threshold = params.epsilon + 6 - min(rel_i, params.epsilon)
-                    if slope_head / slope_tail >= threshold:
-                        return StopOutcome(
-                            topic_id=topic.topic_id,
-                            stop_rank=i,
-                            extra_examined=0,
-                            relevant_found=rel_i,
-                            predicted=True,
-                        )
-        if examined_end >= n:
-            return _full_review(topic)
-        examined_end = min(examined_end + batch, n)
+    for i in _checkpoints(topic.size, params):
+        knee = _knee_candidate(topic.cumrel[1 : i + 1])
+        if knee is None or knee >= i:
+            continue
+        # A knee with no relevant documents has slope 0, below any threshold.
+        rel_i, rel_knee = rel_at(topic, i), rel_at(topic, knee)
+        slope_head = rel_knee / knee
+        slope_tail = (rel_i - rel_knee + 1) / (i - knee)
+        threshold = params.epsilon + 6 - min(rel_i, params.epsilon)
+        if slope_head / slope_tail >= threshold:
+            return StopOutcome(i)
+    return StopOutcome(topic.size, predicted=False)
 
 
 # Last word of the target method's seed entropy.  It keeps tm's stream apart
@@ -172,17 +136,11 @@ def target_stop(topic: Topic, params: MethodParams, seed: int) -> StopOutcome:
     drawn = _target_rng(seed).permutation(topic.size) + 1  # ranks in sampling order
     hits = np.flatnonzero(topic.relevant[drawn - 1])[: params.target_count]
     if len(hits) < params.target_count:
-        return _full_review(topic)
+        return StopOutcome(topic.size, predicted=False)
 
     stop_rank = int(drawn[hits].max())
     extra = int(np.count_nonzero(drawn[: hits[-1] + 1] > stop_rank))
-    return StopOutcome(
-        topic_id=topic.topic_id,
-        stop_rank=stop_rank,
-        extra_examined=extra,
-        relevant_found=rel_at(topic, stop_rank),
-        predicted=True,
-    )
+    return StopOutcome(stop_rank, extra)
 
 
 def oracle_stop(topic: Topic, params: MethodParams) -> StopOutcome:
@@ -193,11 +151,4 @@ def oracle_stop(topic: Topic, params: MethodParams) -> StopOutcome:
             f"topic {topic.topic_id!r} has no relevant documents; oracle undefined"
         )
     needed = next(c for c in range(1, total + 1) if c / total >= params.target_recall)
-    stop_rank = int(np.searchsorted(topic.cumrel, needed))
-    return StopOutcome(
-        topic_id=topic.topic_id,
-        stop_rank=stop_rank,
-        extra_examined=0,
-        relevant_found=needed,
-        predicted=True,
-    )
+    return StopOutcome(int(np.searchsorted(topic.cumrel, needed)))

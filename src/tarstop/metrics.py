@@ -7,7 +7,7 @@ stratification of runs.
 
 from __future__ import annotations
 
-from tarstop.core import Run, StopOutcome, Topic
+from tarstop.core import Run, StopOutcome, Topic, rel_at
 
 
 def recall_of(outcome: StopOutcome, topic: Topic) -> float:
@@ -15,7 +15,7 @@ def recall_of(outcome: StopOutcome, topic: Topic) -> float:
     total = topic.total_relevant
     if total < 1:
         raise ValueError(f"topic {topic.topic_id!r} has no relevant documents")
-    return outcome.relevant_found / total
+    return rel_at(topic, outcome.stop_rank) / total
 
 
 def acceptability(outcome: StopOutcome, topic: Topic, target_recall: float) -> int:

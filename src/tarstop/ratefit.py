@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tarstop.core import Topic, rel_at
+from tarstop.core import MethodParams, Topic, rel_at
 from tarstop.errors import (
     ComputationError,
     FitError,
@@ -126,6 +126,12 @@ def fit_exponential(binned: BinnedCounts) -> RateModel:
     if not -_MAX_EXP_ARG < logd < _MAX_EXP_ARG:
         raise FitError("rate fit amplitude is outside double precision")
     return RateModel(d=math.exp(logd), k=k)
+
+
+def fit_topic(topic: Topic, params: MethodParams) -> RateModel:
+    """The rate fitted to the whole topic, binned at the batch width."""
+    n = topic.size
+    return fit_exponential(bin_prefix(topic, n, params.batch_width(n)))
 
 
 def _slope_root(u: np.ndarray, y: np.ndarray, t: np.ndarray, g: np.ndarray) -> float:

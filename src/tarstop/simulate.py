@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from tarstop.core import MethodParams, Topic
-from tarstop.errors import ComputationError, NoSignalError
+from tarstop.errors import ComputationError
 from tarstop.poisson import lambda_integral, upper_credible_count
-from tarstop.ratefit import bin_prefix, fit_exponential
+from tarstop.ratefit import fit_topic
 
 
 @dataclass(frozen=True)
@@ -107,20 +107,19 @@ def bound_covers(topic: Topic, params: MethodParams) -> bool:
     The rate is fitted to the whole topic, binned at the batch width, and
     the true relevant count is tested against the credible bound.  A topic
     with no relevant documents is covered trivially (bound 0).  A topic
-    whose rate fit fails is a miss, including one whose least-squares cost
-    has no finite minimiser.
+    whose rate fit fails is a miss, including one binned into a single
+    interval and one whose least-squares cost has no finite minimiser.
     """
     total = topic.total_relevant
     if total == 0:
         return True
     n = topic.size
-    batch = max(1, math.ceil(params.beta_frac * n))
     try:
-        model = fit_exponential(bin_prefix(topic, n, batch))
+        model = fit_topic(topic, params)
         mean = lambda_integral(model, n)
         # The true count never exceeds n, so any bound past n covers it.
         bound = upper_credible_count(mean, params.confidence, cap=n)
-    except (NoSignalError, ComputationError):
+    except ComputationError:
         return False
     return total <= bound
 

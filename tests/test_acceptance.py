@@ -207,7 +207,7 @@ def test_criterion_6_metric_unit_checks():
     assert aurc(make_topic("t", {3, 4}, 4)) == pytest.approx(1.5 / 3.5, abs=1e-9)
     assert aurc(make_topic("t", {2}, 2)) == pytest.approx(0.5, abs=1e-9)
     topic = make_topic("t", set(range(1, 11)), 20)
-    boundary = StopOutcome("t", 7, 0, 7, True)
+    boundary = StopOutcome(7)
     assert acceptability(boundary, topic, 0.7) == 1
     _passed("criterion 6: metric unit checks exact")
 

@@ -10,12 +10,21 @@ from pathlib import Path
 import pytest
 
 import tarstop.cli
+import tarstop.ratefit
 import tarstop.simulate
 from conftest import doc_ids, serialize_qrels, serialize_run
 from tarstop.cli import main
 from tarstop.config import parse_config, resolve_params
 from tarstop.core import MethodParams
-from tarstop.errors import ComputationError, ParseError, ValidationError
+from tarstop.errors import (
+    ComputationError,
+    FitError,
+    InsufficientDataError,
+    NoSignalError,
+    ParseError,
+    TarstopError,
+    ValidationError,
+)
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
 from tarstop.poisson import RateModel, lambda_at
 from tarstop.ratefit import bin_prefix, fit_exponential
@@ -374,7 +383,9 @@ def test_gain_csv_matches_the_per_rank_loop(dataset, tmp_path):
 
 def test_gain_curve_overflow_is_a_computation_error(monkeypatch):
     topic = gen_topic(400, ExponentialRate(0.5, -0.008), seed=100)
-    monkeypatch.setattr(tarstop.cli, "fit_exponential", lambda b: RateModel(1e-3, 2.0))
+    monkeypatch.setattr(
+        tarstop.ratefit, "fit_exponential", lambda b: RateModel(1e-3, 2.0)
+    )
     with pytest.raises(ComputationError, match="exp overflow evaluating rate at x=351"):
         tarstop.cli._gain_curve(topic, MethodParams())
 
@@ -430,3 +441,39 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg.write_text("bogus = 1\n")
     with pytest.raises(ValidationError):
         parse_config(cfg)
+
+
+def test_every_package_error_maps_to_an_exit_code():
+    # main maps ParseError and ValidationError to exit 2, ComputationError to 3.
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    found = set(subclasses(TarstopError))
+    assert {FitError, InsufficientDataError, NoSignalError} <= found
+    for cls in found:
+        assert issubclass(cls, (ParseError, ValidationError, ComputationError)), cls
+
+
+@pytest.mark.parametrize(
+    "n, flags", [(1, []), (200, ["--alpha", "1", "--beta", "1"])]
+)
+def test_simulate_counts_a_one_bin_fit_as_a_miss(tmp_path, n, flags):
+    # Binned at the batch width, each topic is one interval, which no rate
+    # fit can use: only topics without relevant documents are covered.
+    args = ["simulate", "--family", "exponential", "--trials", "100"]
+    args += ["--n", str(n), *flags, "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    record = json.loads((tmp_path / "simulate.jsonl").read_text().splitlines()[0])
+    rate = ExponentialRate(0.5, -0.005)
+    empty = sum(gen_topic(n, rate, seed=t).total_relevant == 0 for t in range(100))
+    assert record["coverage"] == empty / 100
+
+
+def test_plot_data_one_bin_gain_fit_is_a_computation_error(dataset, tmp_path, capsys):
+    paths, qrels = dataset
+    args = ["plot-data", "--runs", str(paths["run-a"]), "--qrels", str(qrels)]
+    args += ["--topic", "T0", "--alpha", "1", "--beta", "1", "--out-dir", str(tmp_path)]
+    assert main(args) == 3
+    assert "need at least 2 binned points" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from conftest import serialize_qrels, serialize_run
 from tarstop import ingest
 from tarstop.core import Topic, rel_at
 from tarstop.errors import ParseError, ValidationError
-from tarstop.ingest import parse_qrels, parse_run, validate_dataset
+from tarstop.ingest import CLEF2017_STATS, parse_qrels, parse_run, validate_dataset
 
 RUN_LINES = [
     "CD010775 NF 19307324 1 0.2715 Test-Data-Sheffield-run-2",
@@ -214,10 +214,11 @@ def test_run_round_trip():
 
 def test_validate_synthetic_dataset_warns():
     summary = validate_dataset(parse_run(RUN_LINES, QRELS))
-    assert summary.topic_count == 2
-    assert summary.total_docs == 5
-    assert (summary.relevant_min, summary.relevant_max) == (1, 2)
-    assert all(status == "warn" for _, status in summary.checks)
+    assert summary["topic_count"] == 2
+    assert summary["total_docs"] == 5
+    assert (summary["relevant_min"], summary["relevant_max"]) == (1, 2)
+    assert [name for name, _ in summary["checks"]] == list(CLEF2017_STATS)
+    assert all(status == "warn" for _, status in summary["checks"])
 
 
 @pytest.mark.parametrize(

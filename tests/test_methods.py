@@ -4,12 +4,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_topic
+from tarstop.cli import METHODS
 from tarstop.core import MethodParams, rel_at
 from tarstop.methods import (
+    _checkpoints,
     _first_rank_reaching,
     _knee_candidate,
     _target_rng,
@@ -44,7 +46,7 @@ def test_poisson_synthetic_golden():
     topic = gen_topic(2000, ExponentialRate(0.5, -0.005), seed=1)
     outcome = poisson_stop(topic, DEFAULTS)
     assert outcome.stop_rank == 600
-    assert outcome.relevant_found == 98
+    assert rel_at(topic, outcome.stop_rank) == 98
     assert outcome.predicted
     assert recall_of(outcome, topic) >= 0.7
 
@@ -55,7 +57,6 @@ def test_poisson_stops_at_initial_sample_when_quota_met():
     outcome = poisson_stop(topic, DEFAULTS)
     assert outcome.predicted
     assert outcome.stop_rank == 300  # ceil(0.3 * 1000)
-    assert outcome.relevant_found == rel_at(topic, 300)
 
 
 @given(
@@ -99,7 +100,7 @@ def test_target_seeded_golden():
     # shuffled Python list before it gave (222, 99, 34, True).
     topic = gen_topic(500, ExponentialRate(0.4, -0.01), seed=123)
     outcome = target_stop(topic, DEFAULTS, seed=7)
-    assert _as_tuple(outcome) == (283, 51, 36, True)
+    assert _as_tuple(outcome, topic) == (283, 51, 36, True)
 
 
 def test_target_deterministic_per_seed():
@@ -165,7 +166,11 @@ def test_oracle_rejects_zero_relevant():
 
 
 def _sequential_outcome(topic, params, order):
-    """(stop_rank, extra, found, predicted) drawing ``order`` one rank at a time."""
+    """(stop_rank, extra, found, predicted) drawing ``order`` one rank at a time.
+
+    ``found`` recounts the relevant documents in the examined set: the
+    ranked prefix up to the stop rank and every sampled rank.
+    """
     found, examined = [], []
     for pos in order:
         examined.append(pos)
@@ -177,7 +182,9 @@ def _sequential_outcome(topic, params, order):
         return topic.size, 0, topic.total_relevant, False
     stop_rank = max(found)
     extra = sum(1 for pos in examined if pos > stop_rank)
-    return stop_rank, extra, rel_at(topic, stop_rank), True
+    examined_set = set(range(1, stop_rank + 1)) | set(examined)
+    relevant = sum(int(topic.relevant[r - 1]) for r in examined_set)
+    return stop_rank, extra, relevant, True
 
 
 def _target_reference(topic, params, seed):
@@ -185,11 +192,11 @@ def _target_reference(topic, params, seed):
     return _sequential_outcome(topic, params, order)
 
 
-def _as_tuple(outcome):
+def _as_tuple(outcome, topic):
     return (
         outcome.stop_rank,
         outcome.extra_examined,
-        outcome.relevant_found,
+        rel_at(topic, outcome.stop_rank),
         outcome.predicted,
     )
 
@@ -204,7 +211,7 @@ def test_target_stop_matches_sequential_draws(relevant, n, target_count, seed):
     topic = make_topic("t", {r for r in relevant if r <= n}, n)
     params = MethodParams(target_count=target_count)
     outcome = target_stop(topic, params, seed)
-    assert _as_tuple(outcome) == _target_reference(topic, params, seed)
+    assert _as_tuple(outcome, topic) == _target_reference(topic, params, seed)
 
 
 # Seeds -SEEDS/2 .. SEEDS/2 - 1, shared by every case of the exact-law test.
@@ -230,7 +237,7 @@ def test_target_stop_follows_the_exact_permutation_law(n, relevant):
         params = MethodParams(target_count=target_count)
         exact = Counter(_sequential_outcome(topic, params, o) for o in orders)
         seen = Counter(
-            _as_tuple(target_stop(topic, params, seed))
+            _as_tuple(target_stop(topic, params, seed), topic)
             for seed in range(-SEEDS // 2, SEEDS // 2)
         )
         assert set(seen) <= set(exact)
@@ -267,13 +274,56 @@ def test_outcomes_hold_python_ints():
         oracle_stop(topic, DEFAULTS),
     ]
     for outcome in outcomes:
-        counts = (outcome.stop_rank, outcome.extra_examined, outcome.relevant_found)
+        counts = (outcome.stop_rank, outcome.extra_examined, outcome.effort)
         assert all(type(count) is int for count in counts), outcome
+        assert type(outcome.predicted) is bool, outcome
 
 
 def test_prefix_methods_report_prefix_relevant():
     topic = gen_topic(800, ExponentialRate(0.4, -0.004), seed=4)
-    for method in (poisson_stop, knee_stop):
+    for method in (poisson_stop, knee_stop, oracle_stop):
         outcome = method(topic, DEFAULTS)
-        assert outcome.relevant_found == rel_at(topic, outcome.stop_rank)
         assert outcome.extra_examined == 0
+
+
+@given(st.integers(1, 5000), st.floats(1e-4, 1.0), st.floats(1e-4, 1.0))
+@example(50, 1.0, 0.5)  # the initial sample is the whole topic
+@example(100, 0.6, 0.5)  # one batch reaches past n
+@example(10, 0.3, 0.01)  # batches of one rank
+def test_checkpoints_walk_the_batch_schedule(n, frac_a, frac_b):
+    alpha_frac, beta_frac = max(frac_a, frac_b), min(frac_a, frac_b)
+    params = MethodParams(alpha_frac=alpha_frac, beta_frac=beta_frac)
+    alpha = min(n, max(1, math.ceil(alpha_frac * n)))
+    batch = max(1, math.ceil(beta_frac * n))
+    ends = _checkpoints(n, params)
+    assert ends[0] == alpha and ends[-1] == n
+    assert all(type(end) is int for end in ends)
+    steps = [b - a for a, b in zip(ends, ends[1:])]
+    assert all(step == batch for step in steps[:-1])
+    assert all(0 < step <= batch for step in steps[-1:])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_examined_set_holds_the_prefix_count(seed):
+    """Every rule's examined set holds cumrel[stop_rank] relevant documents.
+
+    The set is the ranked prefix up to the stop rank; for tm it also holds
+    every rank drawn, one at a time from its permutation, until the target
+    set was found.
+    """
+    # Over these seeds pp stops and falls back, km stops and tm draws extras.
+    topic = gen_topic(600, ExponentialRate(0.6, -0.02), seed=seed)
+    params = MethodParams(target_count=5, epsilon=30)
+    for name, rule in METHODS.items():
+        outcome = rule(topic, params, seed)
+        examined = set(range(1, outcome.stop_rank + 1))
+        if name == "tm" and outcome.predicted:
+            found = 0
+            for index in _target_rng(seed).permutation(topic.size).tolist():
+                examined.add(index + 1)
+                found += int(topic.relevant[index])
+                if found == params.target_count:
+                    break
+        assert len(examined) == outcome.effort, name
+        count = sum(int(topic.relevant[r - 1]) for r in examined)
+        assert count == rel_at(topic, outcome.stop_rank), name

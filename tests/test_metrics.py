@@ -15,46 +15,39 @@ from tarstop.metrics import (
 )
 
 
-def outcome(topic_id, stop_rank, extra=0, relevant=0, predicted=True):
-    return StopOutcome(topic_id, stop_rank, extra, relevant, predicted)
+def outcome(stop_rank, extra=0, predicted=True):
+    return StopOutcome(stop_rank, extra, predicted)
 
 
 def test_recall_of_simple():
     topic = make_topic("t", set(range(1, 11)), 20)
-    assert recall_of(outcome("t", 7, relevant=7), topic) == pytest.approx(0.7)
+    assert recall_of(outcome(7), topic) == pytest.approx(0.7)
 
 
 def test_recall_of_full_review():
     topic = make_topic("t", {3, 9}, 10)
-    assert recall_of(outcome("t", 10, relevant=2), topic) == 1.0
-
-
-def test_recall_of_counts_extra_samples():
-    # Prefix holds 6 of 10; one more relevant found among extra samples.
-    topic = make_topic("t", set(range(1, 11)), 100)
-    out = outcome("t", 6, extra=3, relevant=7)
-    assert recall_of(out, topic) == pytest.approx(0.7)
+    assert recall_of(outcome(10), topic) == 1.0
 
 
 def test_recall_of_rejects_zero_relevant():
     topic = make_topic("t", set(), 5)
     with pytest.raises(ValueError):
-        recall_of(outcome("t", 5), topic)
+        recall_of(outcome(5), topic)
 
 
 def test_acceptability_boundary_non_strict():
     topic = make_topic("t", set(range(1, 11)), 20)
-    assert acceptability(outcome("t", 7, relevant=7), topic, 0.7) == 1
+    assert acceptability(outcome(7), topic, 0.7) == 1
 
 
 def test_acceptability_below():
     topic = make_topic("t", set(range(1, 1001)), 2000)
-    assert acceptability(outcome("t", 699, relevant=699), topic, 0.7) == 0
+    assert acceptability(outcome(699), topic, 0.7) == 0
 
 
 def test_acceptability_full_recall():
     topic = make_topic("t", {1}, 5)
-    assert acceptability(outcome("t", 1, relevant=1), topic, 1.0) == 1
+    assert acceptability(outcome(1), topic, 1.0) == 1
 
 
 def test_reliability_values():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tarstop import poisson
-from tarstop.core import MethodParams, StopOutcome
+from tarstop.core import MethodParams, StopOutcome, rel_at
 from tarstop.errors import ComputationError, ValidationError
 from tarstop.methods import poisson_stop
 from tarstop.poisson import (
@@ -173,7 +173,8 @@ def test_rising_rate_topic_scan_stops_at_the_cap(monkeypatch):
     monkeypatch.setattr(poisson, "upper_credible_count", recording)
     outcome = poisson_stop(topic, params)
     # Frozen from the uncapped scan, which reaches the same decisions.
-    assert outcome == StopOutcome(topic.topic_id, 8553, 0, 5864, True)
+    assert outcome == StopOutcome(8553, 0, True)
+    assert rel_at(topic, outcome.stop_rank) == 5864
     cap = 14_286  # least R with ceil(0.7 R) > 10000
     assert calls[0][0] > 1e7 and calls[0][1] == cap
     assert all(c == cap and bound <= cap for _, bound, c in calls)
