@@ -21,13 +21,12 @@ from pathlib import Path
 from typing import Callable
 
 import click
-import numpy as np
 
 from tarstop.config import resolve_params
 from tarstop.core import MethodParams, Run, Topic, rel_at
 from tarstop.errors import ComputationError, ParseError, ValidationError
 from tarstop.ingest import Qrels, parse_qrels, parse_run, validate_dataset
-from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
+from tarstop.methods import RULES
 from tarstop.metrics import (
     acceptability,
     mean_aurc,
@@ -37,19 +36,8 @@ from tarstop.metrics import (
     stratify_runs,
 )
 from tarstop.plots import render_svg
-from tarstop.poisson import _MAX_EXP_ARG
-from tarstop.ratefit import fit_topic
-from tarstop.simulate import bound_covers, gen_topic, make_rate_family
-
-# name -> rule(topic, params, seed).  Key order is the order in which
-# simulate.jsonl lists the methods.
-METHODS = {
-    "pp": lambda topic, params, seed: poisson_stop(topic, params),
-    "tm": lambda topic, params, seed: target_stop(topic, params, seed),
-    "km": lambda topic, params, seed: knee_stop(topic, params),
-    "or": lambda topic, params, seed: oracle_stop(topic, params),
-}
-METHOD_NAMES = tuple(METHODS)
+from tarstop.ratefit import fit_topic, predicted_gain
+from tarstop.simulate import FAMILIES, bound_covers, gen_topic
 
 
 def _topic_seed(base: int, run_tag: str, topic_id: str) -> int:
@@ -69,7 +57,7 @@ def _topic_records(
     """One method's topic records on a run, in topic_id order."""
     records = []
     for topic in sorted(run.topics, key=lambda t: t.topic_id):
-        outcome = METHODS[method](
+        outcome = RULES[method](
             topic, params, _topic_seed(seed, run.run_tag, topic.topic_id)
         )
         records.append(
@@ -146,16 +134,11 @@ def _assess_run(
 def _gain_curve(topic: Topic, params: MethodParams) -> tuple[list, list]:
     """(observed, estimated) cumulative gain of a topic at ranks 0..n.
 
-    The estimate integrates the rate fitted over the whole ranking.
+    The estimate is the running sum of the rate fitted over the whole
+    ranking.
     """
     n = topic.size
-    model = fit_topic(topic, params)
-    arg = model.k * np.arange(1, n + 1, dtype=float)
-    if arg[-1] > _MAX_EXP_ARG:
-        rank = int(np.argmax(arg > _MAX_EXP_ARG)) + 1
-        raise ComputationError(f"exp overflow evaluating rate at x={rank}")
-    # Summed rank by rank, in the order a running total would add them.
-    predicted = np.cumsum(model.d * np.exp(arg)).tolist()
+    predicted = predicted_gain(fit_topic(topic, params), n)
     actual = list(zip(range(n + 1), topic.cumrel.astype(float).tolist()))
     return actual, [(0, 0.0), *zip(range(1, n + 1), predicted)]
 
@@ -319,11 +302,9 @@ def _map_runs(
 
 def _parse_methods(spec: str) -> list[str]:
     methods = [m.strip() for m in spec.split(",") if m.strip()]
-    bad = [m for m in methods if m not in METHOD_NAMES]
+    bad = [m for m in methods if m not in RULES]
     if bad:
-        raise click.UsageError(
-            f"unknown methods {bad}; choose from {','.join(METHOD_NAMES)}"
-        )
+        raise click.UsageError(f"unknown methods {bad}; choose from {','.join(RULES)}")
     if not methods:
         raise click.UsageError("no methods selected")
     repeated = sorted({m for m in methods if methods.count(m) > 1})
@@ -363,7 +344,7 @@ _run_file_options = _options(
     click.option("--out-dir", type=click.Path(), default=".", show_default=True),
 )
 
-_methods_option = click.option("--methods", default="pp,tm,km,or", show_default=True)
+_methods_option = click.option("--methods", default=",".join(RULES), show_default=True)
 
 
 @click.group()
@@ -512,7 +493,7 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
 
 
 @cli.command()
-@click.option("--family", required=True, type=click.Choice(["exponential", "uniform", "step", "bimodal"]))
+@click.option("--family", required=True, type=click.Choice(list(FAMILIES)))
 @click.option("--d", type=click.FloatRange(min=0, min_open=True), default=0.5, show_default=True)
 @click.option("--k", type=float, default=-0.005, show_default=True)
 @click.option("--p", type=click.FloatRange(0, 1), default=0.1, show_default=True)
@@ -533,22 +514,22 @@ def simulate(
     """
     params = resolve_params(config_path, **flags)
     try:
-        rate = make_rate_family(
-            family, {"d": d, "k": k, "p": p, "p1": p1, "p2": p2, "cutoff": cutoff}
+        rate = FAMILIES[family](
+            {"d": d, "k": k, "p": p, "p1": p1, "p2": p2, "cutoff": cutoff}
         )
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from None
 
     # Each trial topic is drawn once and shared by coverage and the methods.
     covered = 0
-    acceptable = {m: [] for m in METHOD_NAMES}
+    acceptable = {m: [] for m in RULES}
     for trial in range(trials):
         topic = gen_topic(n_docs, rate, seed=seed + trial)
         if trials >= 100:
             covered += bound_covers(topic, params)
         if topic.total_relevant == 0:
             continue
-        for method, rule in METHODS.items():
+        for method, rule in RULES.items():
             outcome = rule(topic, params, seed + trial)
             acceptable[method].append(
                 acceptability(outcome, topic, params.target_recall)

@@ -5,18 +5,17 @@ Precedence: built-in defaults < config file < command-line flags.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from tarstop.core import MethodParams
 from tarstop.errors import ValidationError
 
-_INT_FIELDS = {"gamma", "target_count", "epsilon"}
-
 
 def parse_config(path: str | Path) -> dict[str, float | int]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
-    known = {f.name for f in fields(MethodParams)}
+    # Each parameter's type, int or float, converts its value.
+    types = get_type_hints(MethodParams)
     values: dict[str, float | int] = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -26,10 +25,10 @@ def parse_config(path: str | Path) -> dict[str, float | int]:
             raise ValidationError(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in types:
             raise ValidationError(f"{path}:{line_no}: unknown parameter {key!r}")
         try:
-            values[key] = int(value) if key in _INT_FIELDS else float(value)
+            values[key] = types[key](value)
         except ValueError as exc:
             raise ValidationError(f"{path}:{line_no}: {exc}") from exc
     return values

@@ -45,37 +45,26 @@ CLEF2017_STATS = {
 Qrels = dict[str, dict[str, int]]
 
 
-def _line_of(row: int, blank_lines: list[int]) -> int:
-    """1-based line number of the given 0-based non-blank row."""
-    line_no = row + 1
-    for blank in blank_lines:  # ascending
-        if blank > line_no:
-            break
-        line_no += 1
-    return line_no
+def _raise_first_error(block: list[tuple[int, str]]) -> None:
+    """Raise a ParseError naming the first bad line of a block of run lines.
 
-
-def _check_numbers(
-    rank_col: list[str], score_col: list[str], row0: int, blank_lines: list[int]
-) -> None:
-    """Raise a ParseError naming the first row whose rank or score is bad.
-
-    ``row0`` is the run-wide row of the first entry of the columns.
+    ``block`` pairs each line with its number.
     """
-    for row, (rank_s, score_s) in enumerate(zip(rank_col, score_col), row0):
+    for line_no, line in block:
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 6:
+            raise ParseError(f"expected 6 fields, got {len(fields)}: {line!r}", line_no)
         try:
-            rank = int(rank_s)
-            float(score_s)
+            rank = int(fields[3])
+            float(fields[4])
         except ValueError as exc:
-            raise ParseError(
-                f"bad rank/score: {exc}", _line_of(row, blank_lines)
-            ) from exc
+            raise ParseError(f"bad rank/score: {exc}", line_no) from exc
         if rank < 1:
-            raise ParseError(
-                f"rank must be >= 1, got {rank}", _line_of(row, blank_lines)
-            )
+            raise ParseError(f"rank must be >= 1, got {rank}", line_no)
         if rank > _MAX_RANK:
-            raise ParseError(f"rank too large: {rank}", _line_of(row, blank_lines))
+            raise ParseError(f"rank too large: {rank}", line_no)
 
 
 def _doc_order(doc_ids: list[str]) -> np.ndarray:
@@ -166,7 +155,6 @@ def parse_run(lines: Iterable[str] | TextIO, qrels: Qrels) -> Run:
     doc_col: list[str] = []
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     first_rows: dict[str, int] = {}
-    blank_lines: list[int] = []
     run_tag = None
     numbered = enumerate(lines, start=1)
     while block := list(itertools.islice(numbered, _BLOCK_LINES)):
@@ -174,18 +162,13 @@ def parse_run(lines: Iterable[str] | TextIO, qrels: Qrels) -> Run:
         rank_col: list[str] = []
         score_col: list[str] = []
         row0 = len(doc_col)
-        for line_no, line in block:
+        for _, line in block:
             try:
                 topic_id, _, doc_id, rank_s, score_s, tag = line.split()
             except ValueError:
-                fields = line.split()
-                if not fields:
-                    blank_lines.append(line_no)
-                    continue
-                _check_numbers(rank_col, score_col, row0, blank_lines)
-                raise ParseError(
-                    f"expected 6 fields, got {len(fields)}: {line!r}", line_no
-                ) from None
+                if line.split():
+                    _raise_first_error(block)
+                continue
             topic_col.append(topic_id)
             doc_col.append(doc_id)
             rank_col.append(rank_s)
@@ -201,7 +184,7 @@ def parse_run(lines: Iterable[str] | TextIO, qrels: Qrels) -> Run:
         except (ValueError, OverflowError):
             ranks = None
         if ranks is None or ranks.min() < 1:
-            _check_numbers(rank_col, score_col, row0, blank_lines)  # raises
+            _raise_first_error(block)
         # Row of each topic's first line: sorting rows by it groups the
         # topics in the order they first appear.
         group = np.fromiter(

@@ -1,8 +1,9 @@
 """The four stopping methods: Poisson-process, target, knee, and oracle.
 
-Each maps a Topic and MethodParams to a StopOutcome.  All methods are pure
-given (topic, params, seed); every fallback path degrades to a full review,
-which preserves recall at the cost of effort.
+Each maps a Topic and MethodParams to a StopOutcome; ``RULES`` names them
+for the command line and the simulator.  All methods are pure given
+(topic, params, seed); every fallback path degrades to a full review, which
+preserves recall at the cost of effort.
 """
 
 from __future__ import annotations
@@ -152,3 +153,13 @@ def oracle_stop(topic: Topic, params: MethodParams) -> StopOutcome:
         )
     needed = next(c for c in range(1, total + 1) if c / total >= params.target_recall)
     return StopOutcome(int(np.searchsorted(topic.cumrel, needed)))
+
+
+# name -> rule(topic, params, seed), the one registry of stopping rules.  Key
+# order is the order in which simulate.jsonl lists the methods.
+RULES = {
+    "pp": lambda topic, params, seed: poisson_stop(topic, params),
+    "tm": lambda topic, params, seed: target_stop(topic, params, seed),
+    "km": lambda topic, params, seed: knee_stop(topic, params),
+    "or": lambda topic, params, seed: oracle_stop(topic, params),
+}

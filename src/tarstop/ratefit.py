@@ -198,9 +198,20 @@ def delta_gate(model: RateModel, topic: Topic, examined_end: int, delta: float) 
     return rel_at(topic, examined_end) >= delta * predicted
 
 
+def _exp_at_ranks(model: RateModel, n: int) -> np.ndarray:
+    """exp(k * x) at ranks x = 1..n; an overflow is a ComputationError."""
+    arg = model.k * np.arange(1, n + 1, dtype=float)
+    if arg.max(initial=0.0) > _MAX_EXP_ARG:
+        rank = int(np.argmax(arg > _MAX_EXP_ARG)) + 1
+        raise ComputationError(f"exp overflow evaluating rate at x={rank}")
+    return np.exp(arg)
+
+
 def predicted_relevant(model: RateModel, examined_end: int) -> float:
     """Discrete per-rank sum of the intensity over ranks 1..examined_end."""
-    arg = model.k * np.arange(1, examined_end + 1, dtype=float)
-    if arg.max(initial=0.0) > _MAX_EXP_ARG:
-        raise ComputationError("exp overflow summing the fitted rate")
-    return float(model.d * np.exp(arg).sum())
+    return float(model.d * _exp_at_ranks(model, examined_end).sum())
+
+
+def predicted_gain(model: RateModel, n: int) -> list[float]:
+    """Running per-rank sum of the intensity at ranks 1..n, added rank by rank."""
+    return np.cumsum(model.d * _exp_at_ranks(model, n)).tolist()

@@ -32,45 +32,17 @@ class ExponentialRate:
 
     def probabilities(self, n: int) -> np.ndarray:
         ranks = np.arange(1, n + 1, dtype=float)
-        return np.clip(self.d * np.exp(self.k * ranks), 0.0, 1.0)
+        # An overflow gives inf, which the clip takes to 1.
+        with np.errstate(over="ignore"):
+            return np.clip(self.d * np.exp(self.k * ranks), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
-class UniformRate:
-    """Constant per-rank relevance probability."""
+class PiecewiseRate:
+    """Probability p1 up to the cutoff rank, p2 afterwards.
 
-    p: float
-
-    def __post_init__(self):
-        if not 0 <= self.p <= 1:
-            raise ValueError("uniform rate needs p in [0, 1]")
-
-    def probabilities(self, n: int) -> np.ndarray:
-        return np.full(n, self.p)
-
-
-@dataclass(frozen=True)
-class StepRate:
-    """Probability p up to the cutoff rank, then 0."""
-
-    p: float
-    cutoff: int
-
-    def __post_init__(self):
-        if not 0 <= self.p <= 1:
-            raise ValueError("step rate needs p in [0, 1]")
-        if self.cutoff < 0:
-            raise ValueError("step rate needs cutoff >= 0")
-
-    def probabilities(self, n: int) -> np.ndarray:
-        probs = np.zeros(n)
-        probs[: min(self.cutoff, n)] = self.p
-        return probs
-
-
-@dataclass(frozen=True)
-class BimodalRate:
-    """Probability p1 up to the cutoff rank, p2 afterwards."""
+    A uniform rate has p1 == p2, and a step rate has p2 == 0.
+    """
 
     p1: float
     p2: float
@@ -78,17 +50,28 @@ class BimodalRate:
 
     def __post_init__(self):
         if not (0 <= self.p1 <= 1 and 0 <= self.p2 <= 1):
-            raise ValueError("bimodal rate needs p1, p2 in [0, 1]")
+            raise ValueError(
+                f"rate probabilities must be in [0, 1], got {self.p1} and {self.p2}"
+            )
         if self.cutoff < 0:
-            raise ValueError("bimodal rate needs cutoff >= 0")
+            raise ValueError("rate cutoff must be >= 0")
 
     def probabilities(self, n: int) -> np.ndarray:
-        probs = np.full(n, self.p2)
+        probs = np.full(n, self.p2, dtype=float)
         probs[: min(self.cutoff, n)] = self.p1
         return probs
 
 
-RateFamily = ExponentialRate | UniformRate | StepRate | BimodalRate
+RateFamily = ExponentialRate | PiecewiseRate
+
+# --family name -> its rate, built from the simulate command's arguments
+# (d, k, p, p1, p2 and cutoff).
+FAMILIES = {
+    "exponential": lambda args: ExponentialRate(args["d"], args["k"]),
+    "uniform": lambda args: PiecewiseRate(args["p"], args["p"], 0),
+    "step": lambda args: PiecewiseRate(args["p"], 0.0, args["cutoff"]),
+    "bimodal": lambda args: PiecewiseRate(args["p1"], args["p2"], args["cutoff"]),
+}
 
 
 def gen_topic(n: int, rate_family: RateFamily, seed: int) -> Topic:
@@ -122,21 +105,3 @@ def bound_covers(topic: Topic, params: MethodParams) -> bool:
     except ComputationError:
         return False
     return total <= bound
-
-
-def make_rate_family(name: str, args: dict[str, float]) -> RateFamily:
-    """Build a rate family from a name and keyword arguments."""
-    families = {
-        "exponential": lambda: ExponentialRate(d=args["d"], k=args["k"]),
-        "uniform": lambda: UniformRate(p=args["p"]),
-        "step": lambda: StepRate(p=args["p"], cutoff=int(args["cutoff"])),
-        "bimodal": lambda: BimodalRate(
-            p1=args["p1"], p2=args["p2"], cutoff=int(args["cutoff"])
-        ),
-    }
-    if name not in families:
-        raise ValueError(f"unknown rate family {name!r}")
-    try:
-        return families[name]()
-    except KeyError as exc:
-        raise ValueError(f"rate family {name!r} missing parameter {exc}") from exc

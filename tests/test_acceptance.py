@@ -22,10 +22,8 @@ from tarstop.metrics import acceptability, aurc
 from tarstop.poisson import upper_credible_count
 from tarstop.ratefit import fit_exponential
 from tarstop.simulate import (
-    BimodalRate,
     ExponentialRate,
-    StepRate,
-    UniformRate,
+    PiecewiseRate,
     bound_covers,
     gen_topic,
 )
@@ -153,9 +151,9 @@ def _synthetic_pool(count: int, n: int = 600):
     families = [
         ExponentialRate(0.5, -0.01),
         ExponentialRate(0.2, -0.002),
-        UniformRate(0.08),
-        StepRate(0.4, 120),
-        BimodalRate(0.3, 0.02, 100),
+        PiecewiseRate(0.08, 0.08, 0),
+        PiecewiseRate(0.4, 0.0, 120),
+        PiecewiseRate(0.3, 0.02, 100),
     ]
     topics = []
     seed = 0

@@ -25,7 +25,7 @@ from tarstop.errors import (
     TarstopError,
     ValidationError,
 )
-from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
+from tarstop.methods import RULES
 from tarstop.poisson import RateModel, lambda_at
 from tarstop.ratefit import bin_prefix, fit_exponential
 from tarstop.simulate import ExponentialRate, gen_topic
@@ -290,23 +290,14 @@ def test_evaluate_accepts_negative_seed(dataset, tmp_path):
     assert negative and negative != tm_records(1)
 
 
-def test_method_registry_order_and_dispatch(tmp_path):
-    assert tarstop.cli.METHOD_NAMES == ("pp", "tm", "km", "or")
-    topic = gen_topic(400, ExponentialRate(0.5, -0.008), seed=100)
-    params = MethodParams()
-    rules = tarstop.cli.METHODS
-    assert rules["pp"](topic, params, 7) == poisson_stop(topic, params)
-    assert rules["tm"](topic, params, 7) == target_stop(topic, params, 7)
-    assert rules["tm"](topic, params, 7) != target_stop(topic, params, 8)
-    assert rules["km"](topic, params, 7) == knee_stop(topic, params)
-    assert rules["or"](topic, params, 7) == oracle_stop(topic, params)
+def test_simulate_lists_methods_in_registry_order(tmp_path):
     args = ["simulate", "--family", "exponential", "--n", "400", "--trials", "3"]
     assert main(args + ["--out-dir", str(tmp_path)]) == 0
     records = [
         json.loads(line)
         for line in (tmp_path / "simulate.jsonl").read_text().splitlines()
     ]
-    assert [r["method"] for r in records[1:]] == ["pp", "tm", "km", "or"]
+    assert [r["method"] for r in records[1:]] == list(RULES) == ["pp", "tm", "km", "or"]
 
 
 @pytest.mark.parametrize("trials", [5, 100])
@@ -434,6 +425,21 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert params.epsilon == 25
     assert parse_config(cfg) == {"epsilon": 50, "delta": 0.6}
     assert resolve_params(None) == MethodParams()
+
+
+def test_config_parses_each_field_as_its_type(tmp_path):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("gamma = 30\ntarget_count = 5\nepsilon = 50\ndelta = 1\n")
+    values = parse_config(cfg)
+    assert {k: type(v) for k, v in values.items()} == {
+        "gamma": int,
+        "target_count": int,
+        "epsilon": int,
+        "delta": float,
+    }
+    cfg.write_text("gamma = 2.5\n")
+    with pytest.raises(ValidationError, match="params.cfg:1: invalid literal for int"):
+        parse_config(cfg)
 
 
 def test_config_rejects_unknown_key(tmp_path):

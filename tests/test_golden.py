@@ -41,11 +41,19 @@ GOLDEN = {
 EXTRA_ARGS = {"plot-data": ["--topic", "T0"]}
 
 
-# simulate --family bimodal --n 400 --cutoff 20 --trials 100 --seed 0.  Its
-# coverage went from 0.97 (digest 8698be88...) to 0.17 when a rate fit whose
-# cost only falls towards a limit of the model became a fit failure, which
-# counts as a miss; the method reliabilities did not move.
-BIMODAL_SIMULATE = "b6767f2ebfcd85c7581639a7d097e8d281ff13bcb67e0ef5b882981ecec66eab"
+# family -> sha256 of simulate.jsonl from
+# simulate --family FAMILY --n 400 --cutoff 20 --trials 100 --seed 0.
+# Bimodal's coverage went from 0.97 (digest 8698be88...) to 0.17 when a rate
+# fit whose cost only falls towards a limit of the model became a fit
+# failure, which counts as a miss; the method reliabilities did not move.
+# The other three were recorded while uniform, step and bimodal rates were
+# still three classes.
+SIMULATE = {
+    "bimodal": "b6767f2ebfcd85c7581639a7d097e8d281ff13bcb67e0ef5b882981ecec66eab",
+    "exponential": "954c59777b4276eb8d3937fc7d8918f53cdfb69a795865a3593edca68c91fed9",
+    "step": "85f712c82adf0f6f77c2d902f2f2796842c880a774b508be6b563dbe0c92e154",
+    "uniform": "0ea7fec15a6d24947ed2f78859dd0f44aab6b244496511fa224ca9a267ff1808",
+}
 
 # validation.json of `validate` over the 15 run files of the dataset below,
 # recorded when only the first run file was labelled and summarized.
@@ -110,12 +118,13 @@ def test_golden_output_digest(command, tmp_path):
     assert _output_digests(command, tmp_path) == GOLDEN[command]
 
 
-def test_golden_bimodal_simulate_digest(tmp_path):
-    args = ["simulate", "--family", "bimodal", "--n", "400", "--cutoff", "20"]
+@pytest.mark.parametrize("family", sorted(SIMULATE))
+def test_golden_simulate_digest(family, tmp_path):
+    args = ["simulate", "--family", family, "--n", "400", "--cutoff", "20"]
     args += ["--trials", "100", "--seed", "0", "--out-dir", str(tmp_path)]
     assert main(args) == 0
     digest = hashlib.sha256((tmp_path / "simulate.jsonl").read_bytes()).hexdigest()
-    assert digest == BIMODAL_SIMULATE
+    assert digest == SIMULATE[family]
 
 
 def test_golden_validation_digest(tmp_path):

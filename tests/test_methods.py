@@ -8,9 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_topic
-from tarstop.cli import METHODS
 from tarstop.core import MethodParams, rel_at
 from tarstop.methods import (
+    RULES,
     _checkpoints,
     _first_rank_reaching,
     _knee_candidate,
@@ -314,7 +314,7 @@ def test_examined_set_holds_the_prefix_count(seed):
     # Over these seeds pp stops and falls back, km stops and tm draws extras.
     topic = gen_topic(600, ExponentialRate(0.6, -0.02), seed=seed)
     params = MethodParams(target_count=5, epsilon=30)
-    for name, rule in METHODS.items():
+    for name, rule in RULES.items():
         outcome = rule(topic, params, seed)
         examined = set(range(1, outcome.stop_rank + 1))
         if name == "tm" and outcome.predicted:
@@ -327,3 +327,14 @@ def test_examined_set_holds_the_prefix_count(seed):
         assert len(examined) == outcome.effort, name
         count = sum(int(topic.relevant[r - 1]) for r in examined)
         assert count == rel_at(topic, outcome.stop_rank), name
+
+
+def test_method_registry_order_and_dispatch():
+    assert tuple(RULES) == ("pp", "tm", "km", "or")
+    topic = gen_topic(400, ExponentialRate(0.5, -0.008), seed=100)
+    params = MethodParams()
+    assert RULES["pp"](topic, params, 7) == poisson_stop(topic, params)
+    assert RULES["tm"](topic, params, 7) == target_stop(topic, params, 7)
+    assert RULES["tm"](topic, params, 7) != target_stop(topic, params, 8)
+    assert RULES["km"](topic, params, 7) == knee_stop(topic, params)
+    assert RULES["or"](topic, params, 7) == oracle_stop(topic, params)

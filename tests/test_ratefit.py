@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import make_topic
 from tarstop.core import MethodParams, rel_at
-from tarstop.errors import FitError, InsufficientDataError, NoSignalError
+from tarstop.errors import (
+    ComputationError,
+    FitError,
+    InsufficientDataError,
+    NoSignalError,
+)
 from tarstop.poisson import RateModel
 from tarstop.ratefit import (
     BinnedCounts,
@@ -15,9 +20,10 @@ from tarstop.ratefit import (
     bin_prefix,
     delta_gate,
     fit_exponential,
+    predicted_gain,
     predicted_relevant,
 )
-from tarstop.simulate import BimodalRate, StepRate, gen_topic
+from tarstop.simulate import PiecewiseRate, gen_topic
 
 
 def test_bin_prefix_two_halves():
@@ -198,7 +204,7 @@ def test_fit_whose_cost_falls_towards_a_limit_raises(counts, width):
 def test_bimodal_valley_prefix_raises():
     # Bimodal topic, seed 10, prefix 600: the counts above, for which a
     # Levenberg-Marquardt solve stopped at d = 422, k = -0.144 on the valley.
-    topic = gen_topic(2000, BimodalRate(0.3, 0.01, 100), seed=10)
+    topic = gen_topic(2000, PiecewiseRate(0.3, 0.01, 100), seed=10)
     binned = bin_prefix(topic, 600, 100)
     assert [c for _, c in binned.points] == [30, 0, 1, 1, 2, 0]
     with pytest.raises(FitError, match="no finite minimiser"):
@@ -223,7 +229,7 @@ def test_fit_returns_plain_floats():
 def test_step_trial_84_with_one_relevant_document_raises():
     # The step family's coverage trial 84 at seed 0 has one relevant
     # document, at a rank inside the first 100-rank interval.
-    topic = gen_topic(2000, StepRate(0.1, 100), seed=84)
+    topic = gen_topic(2000, PiecewiseRate(0.1, 0.0, 100), seed=84)
     assert topic.total_relevant == 1 == rel_at(topic, 100)
     batch = math.ceil(MethodParams().beta_frac * topic.size)
     with pytest.raises(FitError):
@@ -331,6 +337,22 @@ def test_delta_gate_boundary_accepts():
     assert delta_gate(model, topic, 100, 0.7) is True
     topic_low = make_topic("t", set(range(1, 70)), 100)
     assert delta_gate(model, topic_low, 100, 0.7) is False
+
+
+@pytest.mark.parametrize("model", [RateModel(0.3, -0.01), RateModel(1e-3, 0.02)])
+def test_predicted_gain_runs_to_predicted_relevant(model):
+    gain = predicted_gain(model, 200)
+    assert len(gain) == 200
+    assert gain[-1] == pytest.approx(predicted_relevant(model, 200), rel=1e-12)
+    assert gain[49] == pytest.approx(predicted_relevant(model, 50), rel=1e-12)
+
+
+def test_predicted_intensity_overflow_names_the_first_rank():
+    model = RateModel(1e-3, 2.0)
+    for predict in (predicted_relevant, predicted_gain):
+        with pytest.raises(ComputationError, match="evaluating rate at x=351$"):
+            predict(model, 400)
+        assert predict(model, 350)
 
 
 def test_delta_gate_degenerate_model_accepts():

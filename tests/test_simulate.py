@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,23 +7,21 @@ import pytest
 from tarstop.core import MethodParams
 from tarstop.poisson import RateModel, lambda_integral
 from tarstop.simulate import (
-    BimodalRate,
+    FAMILIES,
     ExponentialRate,
-    StepRate,
-    UniformRate,
+    PiecewiseRate,
     bound_covers,
     gen_topic,
-    make_rate_family,
 )
 
 
 def test_uniform_zero_rate():
-    topic = gen_topic(50, UniformRate(0.0), seed=1)
+    topic = gen_topic(50, PiecewiseRate(0.0, 0.0, 0), seed=1)
     assert topic.total_relevant == 0
 
 
 def test_uniform_full_rate():
-    topic = gen_topic(50, UniformRate(1.0), seed=1)
+    topic = gen_topic(50, PiecewiseRate(1.0, 1.0, 0), seed=1)
     assert topic.total_relevant == 50
 
 
@@ -47,21 +46,42 @@ def test_exponential_mean_matches_integral():
 
 
 def test_step_and_bimodal_masses():
-    step = gen_topic(100, StepRate(1.0, 30), seed=0)
+    step = gen_topic(100, PiecewiseRate(1.0, 0.0, 30), seed=0)
     assert step.total_relevant == 30
-    bimodal = gen_topic(100, BimodalRate(1.0, 0.0, 40), seed=0)
+    bimodal = gen_topic(100, PiecewiseRate(1.0, 0.0, 40), seed=0)
     assert bimodal.total_relevant == 40
+
+
+def test_exponential_rate_overflow_clips_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        topic = gen_topic(500, ExponentialRate(0.5, 2.0), seed=0)
+    assert topic.total_relevant == 500
+
+
+def test_families_map_onto_two_shapes():
+    args = {"d": 0.5, "k": -0.01, "p": 0.2, "p1": 0.3, "p2": 0.05, "cutoff": 4}
+    expected = {
+        "exponential": 0.5 * np.exp(-0.01 * np.arange(1, 11)),
+        "uniform": [0.2] * 10,
+        "step": [0.2] * 4 + [0.0] * 6,
+        "bimodal": [0.3] * 4 + [0.05] * 6,
+    }
+    assert list(FAMILIES) == ["exponential", "uniform", "step", "bimodal"]
+    for name, probs in expected.items():
+        rate = FAMILIES[name](args)
+        shape = ExponentialRate if name == "exponential" else PiecewiseRate
+        assert type(rate) is shape
+        assert np.array_equal(rate.probabilities(10), probs), name
 
 
 def test_invalid_family_parameters():
     with pytest.raises(ValueError):
-        UniformRate(1.5)
+        PiecewiseRate(1.5, 1.5, 0)
     with pytest.raises(ValueError):
         ExponentialRate(-1.0, 0.0)
     with pytest.raises(ValueError):
-        make_rate_family("nope", {})
-    with pytest.raises(ValueError):
-        make_rate_family("exponential", {"d": 0.5})
+        PiecewiseRate(0.5, 0.0, -1)
 
 
 def _coverage(family, n, trials, seed=0):
@@ -74,9 +94,9 @@ def _coverage(family, n, trials, seed=0):
 
 
 def test_coverage_degenerate_rate():
-    assert _coverage(UniformRate(0.0), 200, 100) == 1.0
+    assert _coverage(PiecewiseRate(0.0, 0.0, 0), 200, 100) == 1.0
 
 
 def test_coverage_step_family_reports_fraction():
-    coverage = _coverage(StepRate(0.5, 50), 500, 100, seed=2)
+    coverage = _coverage(PiecewiseRate(0.5, 0.0, 50), 500, 100, seed=2)
     assert 0.0 <= coverage <= 1.0
