@@ -6,14 +6,8 @@ evaluation metrics, run/qrels ingestion, and a synthetic-topic simulator.
 
 from tarstop.core import MethodParams, Run, StopOutcome, Topic, rel_at
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
-from tarstop.poisson import (
-    RateModel,
-    lambda_at,
-    lambda_integral,
-    poisson_pmf,
-    required_relevant,
-    upper_credible_count,
-)
+from tarstop.poisson import poisson_pmf, required_relevant, upper_credible_count
+from tarstop.ratefit import RateModel, lambda_integral
 
 __all__ = [
     "MethodParams",
@@ -22,7 +16,6 @@ __all__ = [
     "StopOutcome",
     "Topic",
     "knee_stop",
-    "lambda_at",
     "lambda_integral",
     "oracle_stop",
     "poisson_pmf",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sys
 import zlib
@@ -324,6 +325,20 @@ def _options(*options):
     return decorate
 
 
+def _finite(ctx, param, value: float) -> float:
+    """Refuse NaN and +-inf, which a FloatRange lets through."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number.", ctx, param)
+    return value
+
+
+def _file_name_part(ctx, param, value: str) -> str:
+    """Refuse a value that would put a path separator into an output file name."""
+    if any(sep and sep in value for sep in (os.sep, os.altsep)):
+        raise click.BadParameter(f"{value!r} contains a path separator.", ctx, param)
+    return value
+
+
 _params_options = _options(
     click.option("--recall", "target_recall", type=float, default=None),
     click.option("--confidence", type=float, default=None),
@@ -341,7 +356,7 @@ _run_file_options = _options(
     click.option("--runs", "run_paths", multiple=True, required=True, type=click.Path(exists=True)),
     click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True)),
     click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--out-dir", type=click.Path(), default=".", show_default=True),
+    click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True),
 )
 
 _methods_option = click.option("--methods", default=",".join(RULES), show_default=True)
@@ -440,7 +455,7 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
 
 @cli.command("plot-data")
 @_run_file_options
-@click.option("--topic", "topic_id", required=True)
+@click.option("--topic", "topic_id", required=True, callback=_file_name_part)
 @_params_options
 def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **flags):
     """Emit gain-curve and effort-vs-AURC CSV/SVG plot data."""
@@ -494,16 +509,17 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
 
 @cli.command()
 @click.option("--family", required=True, type=click.Choice(list(FAMILIES)))
-@click.option("--d", type=click.FloatRange(min=0, min_open=True), default=0.5, show_default=True)
-@click.option("--k", type=float, default=-0.005, show_default=True)
-@click.option("--p", type=click.FloatRange(0, 1), default=0.1, show_default=True)
-@click.option("--p1", type=click.FloatRange(0, 1), default=0.3, show_default=True)
-@click.option("--p2", type=click.FloatRange(0, 1), default=0.01, show_default=True)
+# Finite floats in range, so every rate FAMILIES builds from them is valid.
+@click.option("--d", type=click.FloatRange(min=0, min_open=True), callback=_finite, default=0.5, show_default=True)
+@click.option("--k", type=float, callback=_finite, default=-0.005, show_default=True)
+@click.option("--p", type=click.FloatRange(0, 1), callback=_finite, default=0.1, show_default=True)
+@click.option("--p1", type=click.FloatRange(0, 1), callback=_finite, default=0.3, show_default=True)
+@click.option("--p2", type=click.FloatRange(0, 1), callback=_finite, default=0.01, show_default=True)
 @click.option("--cutoff", type=click.IntRange(min=0), default=100, show_default=True)
 @click.option("--n", "n_docs", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--out-dir", type=click.Path(), default=".", show_default=True)
+@click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
 @_params_options
 def simulate(
     family, d, k, p, p1, p2, cutoff, n_docs, trials, seed, out_dir, config_path, **flags
@@ -513,12 +529,7 @@ def simulate(
     Coverage of the credible bound is reported from 100 trials up.
     """
     params = resolve_params(config_path, **flags)
-    try:
-        rate = FAMILIES[family](
-            {"d": d, "k": k, "p": p, "p1": p1, "p2": p2, "cutoff": cutoff}
-        )
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
+    rate = FAMILIES[family]({"d": d, "k": k, "p": p, "p1": p1, "p2": p2, "cutoff": cutoff})
 
     # Each trial topic is drawn once and shared by coverage and the methods.
     covered = 0
@@ -576,7 +587,7 @@ def simulate(
 @cli.command()
 @click.option("--runs", "run_paths", multiple=True, required=True, type=click.Path(exists=True))
 @click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True))
-@click.option("--out-dir", type=click.Path(), default=".", show_default=True)
+@click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
 def validate(run_paths, qrels_path, out_dir):
     """Check ingested data against the known collection statistics.
 

@@ -15,7 +15,7 @@ import numpy as np
 from tarstop.core import MethodParams, StopOutcome, Topic, rel_at
 from tarstop.errors import ComputationError
 from tarstop.poisson import required_relevant
-from tarstop.ratefit import bin_prefix, delta_gate, fit_exponential
+from tarstop.ratefit import bin_prefix, delta_gate, fit_exponential, lambda_integral
 
 
 def _checkpoints(n: int, params: MethodParams) -> list[int]:
@@ -43,11 +43,11 @@ def _quota(topic: Topic, examined_end: int, params: MethodParams) -> int | None:
 
     None when the rate fit fails or the delta gate rejects it.
     """
+    n = topic.size
     try:
-        binned = bin_prefix(topic, examined_end, params.batch_width(topic.size))
-        model = fit_exponential(binned)
+        model = fit_exponential(bin_prefix(topic, examined_end, params.batch_width(n)))
         if delta_gate(model, topic, examined_end, params.delta):
-            return required_relevant(model, topic.size, params)
+            return required_relevant(lambda_integral(model, n), n, params)
     except ComputationError:
         pass
     return None

@@ -1,4 +1,8 @@
-"""Exponential rate estimation from an examined ranking prefix.
+"""The rate model and its estimation from an examined ranking prefix.
+
+The rate of relevant-document occurrence over ranks is modelled as an
+exponential intensity lambda(x) = d * exp(k * x); its integral over ranks
+(0, n] is the mean of the Poisson count law in ``poisson``.
 
 The examined ranks are split into contiguous sub-intervals; the per-rank
 density of relevant documents in each sub-interval, plotted at the
@@ -31,8 +35,14 @@ from tarstop.errors import (
     FitError,
     InsufficientDataError,
     NoSignalError,
+    ValidationError,
 )
-from tarstop.poisson import _MAX_EXP_ARG, RateModel
+
+# exp() overflows double precision just above this exponent.
+_MAX_EXP_ARG = 700.0
+
+# Below this |k| the closed-form integral loses precision; use the k -> 0 limit.
+_K_EPS = 1e-9
 
 # The profile is searched over t = k * span, span being the distance from the
 # first to the last midpoint, on a grid of _GRID points evenly over
@@ -49,6 +59,35 @@ _NO_MINIMISER = "the rate fit has no finite minimiser: its cost is not below its
 
 
 @dataclass(frozen=True)
+class RateModel:
+    """Fitted exponential intensity: lambda(x) = d * exp(k * x)."""
+
+    d: float
+    k: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.d) and math.isfinite(self.k)):
+            raise ValidationError("rate parameters must be finite")
+        if self.d <= 0:
+            raise ValidationError("amplitude d must be positive")
+
+
+def lambda_integral(model: RateModel, n: float) -> float:
+    """Expected event count over (0, n]: (d/k) * (exp(k*n) - 1).
+
+    Falls back to the analytic limit d*n when |k| is negligible.
+    """
+    if n < 0:
+        raise ValueError("interval length n must be >= 0")
+    if abs(model.k) < _K_EPS:
+        return model.d * n
+    arg = model.k * n
+    if arg > _MAX_EXP_ARG:
+        raise ComputationError(f"exp overflow in rate integral, k*n={arg:.3g}")
+    return (model.d / model.k) * (math.exp(arg) - 1.0)
+
+
+@dataclass(frozen=True)
 class BinnedCounts:
     """Relevant-document counts per contiguous rank sub-interval.
 
@@ -61,18 +100,14 @@ class BinnedCounts:
     widths: tuple[int, ...]
 
 
-def bin_prefix(topic: Topic, examined_end: int, interval_width: float) -> BinnedCounts:
+def bin_prefix(topic: Topic, examined_end: int, interval_width: int) -> BinnedCounts:
     """Partition ranks 1..examined_end into sub-intervals of the given width."""
     if not 1 <= examined_end <= topic.size:
         raise ValueError(f"examined_end {examined_end} out of range 1..{topic.size}")
     if interval_width < 1:
         raise ValueError("interval_width must be >= 1")
-    if examined_end < interval_width and examined_end < 2:
-        raise InsufficientDataError(
-            f"cannot bin {examined_end} ranks into intervals of width {interval_width}"
-        )
     # Interval i covers ranks edges[i] + 1 .. edges[i + 1].
-    edges = [*range(0, examined_end, int(math.ceil(interval_width))), examined_end]
+    edges = [*range(0, examined_end, interval_width), examined_end]
     found = topic.cumrel[edges].tolist()
     points, widths = [], []
     for lo, hi, found_lo, found_hi in zip(edges, edges[1:], found, found[1:]):

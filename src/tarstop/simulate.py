@@ -15,8 +15,8 @@ import numpy as np
 
 from tarstop.core import MethodParams, Topic
 from tarstop.errors import ComputationError
-from tarstop.poisson import lambda_integral, upper_credible_count
-from tarstop.ratefit import fit_topic
+from tarstop.poisson import upper_credible_count
+from tarstop.ratefit import fit_topic, lambda_integral
 
 
 @dataclass(frozen=True)

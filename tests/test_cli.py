@@ -26,8 +26,7 @@ from tarstop.errors import (
     ValidationError,
 )
 from tarstop.methods import RULES
-from tarstop.poisson import RateModel, lambda_at
-from tarstop.ratefit import bin_prefix, fit_exponential
+from tarstop.ratefit import RateModel, bin_prefix, fit_exponential
 from tarstop.simulate import ExponentialRate, gen_topic
 from test_golden import _write_dataset
 
@@ -252,6 +251,20 @@ def test_simulate_deterministic_and_usage(tmp_path):
         ("step", "--cutoff", "-1"),
         ("exponential", "--d", "0"),
         ("exponential", "--k", "inf"),
+        # Non-finite rate options, for a family that uses the option and
+        # for one that ignores it.
+        ("exponential", "--d", "nan"),
+        ("exponential", "--d", "inf"),
+        ("uniform", "--d", "inf"),
+        ("exponential", "--k", "nan"),
+        ("exponential", "--k", "-inf"),
+        ("step", "--k", "nan"),
+        ("uniform", "--p", "nan"),
+        ("exponential", "--p", "nan"),
+        ("bimodal", "--p1", "nan"),
+        ("uniform", "--p1", "nan"),
+        ("bimodal", "--p2", "nan"),
+        ("step", "--p2", "nan"),
     ],
 )
 def test_simulate_invalid_argument_is_usage_error(
@@ -264,7 +277,62 @@ def test_simulate_invalid_argument_is_usage_error(
     assert [line for line in err.splitlines() if line.startswith("Error:")] == [
         err.splitlines()[-1]
     ]
+    assert f"'{option}'" in err.splitlines()[-1]
     assert not (tmp_path / "out").exists()
+
+
+def _refuse_reading(monkeypatch):
+    """Make reading qrels or drawing a synthetic topic fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("input was read before the arguments were checked")
+
+    monkeypatch.setattr(tarstop.cli, "parse_qrels", refuse)
+    monkeypatch.setattr(tarstop.cli, "gen_topic", refuse)
+
+
+@pytest.mark.parametrize(
+    "command", ["evaluate", "stratify", "plot-data", "simulate", "validate"]
+)
+def test_out_dir_naming_a_file_is_usage_error(
+    command, dataset, tmp_path, capsys, monkeypatch
+):
+    paths, qrels = dataset
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    if command == "simulate":
+        args = [command, "--family", "uniform", "--trials", "1"]
+    else:
+        args = [command, "--qrels", str(qrels)]
+        for path in [paths["run-a"]] * (15 if command == "stratify" else 1):
+            args += ["--runs", str(path)]
+    if command == "plot-data":
+        args += ["--topic", "T0"]
+    _refuse_reading(monkeypatch)
+    assert main(args + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("Error: Invalid value for '--out-dir'")
+    assert out.read_text() == "kept\n"
+
+
+def test_plot_data_topic_with_a_path_separator_is_usage_error(
+    dataset, tmp_path, capsys, monkeypatch
+):
+    paths, qrels = dataset
+    # A run and qrels whose topic T0 is named a/b.
+    run = tmp_path / "slash.txt"
+    run.write_text(paths["run-a"].read_text().replace("T0 ", "a/b "))
+    slash_qrels = tmp_path / "slash-qrels.txt"
+    slash_qrels.write_text(qrels.read_text().replace("T0 ", "a/b "))
+    out = tmp_path / "out"
+    args = ["plot-data", "--runs", str(run), "--qrels", str(slash_qrels)]
+    _refuse_reading(monkeypatch)
+    assert main(args + ["--topic", "a/b", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("Error: Invalid value for '--topic'")
+    assert not out.exists()
 
 
 def test_simulate_rejects_negative_seed(tmp_path, capsys):
@@ -351,13 +419,13 @@ def test_plot_data_outputs(dataset, tmp_path):
 
 
 def _gain_csv_by_loop(topic, params):
-    """gain CSV bytes from a running total of lambda_at, rank by rank."""
+    """gain CSV bytes from a running total of the intensity, rank by rank."""
     batch = max(1, math.ceil(params.beta_frac * topic.size))
     model = fit_exponential(bin_prefix(topic, topic.size, batch))
     lines = ["rank,relevant_found,rate_estimate", "0,0.000000,0.000000"]
     cum = 0.0
     for rank, found in enumerate(topic.cumrel[1:].tolist(), start=1):
-        cum += lambda_at(model, rank)
+        cum += model.d * math.exp(model.k * rank)
         lines.append(f"{rank},{float(found):.6f},{cum:.6f}")
     return ("\n".join(lines) + "\n").encode()
 

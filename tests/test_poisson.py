@@ -10,15 +10,14 @@ from tarstop import poisson
 from tarstop.core import MethodParams, StopOutcome, rel_at
 from tarstop.errors import ComputationError, ValidationError
 from tarstop.methods import poisson_stop
-from tarstop.poisson import (
+from tarstop.poisson import poisson_pmf, required_relevant, upper_credible_count
+from tarstop.ratefit import (
     RateModel,
-    lambda_at,
+    bin_prefix,
+    delta_gate,
+    fit_exponential,
     lambda_integral,
-    poisson_pmf,
-    required_relevant,
-    upper_credible_count,
 )
-from tarstop.ratefit import bin_prefix, delta_gate, fit_exponential
 from tarstop.simulate import ExponentialRate, gen_topic
 
 
@@ -38,26 +37,6 @@ def credible_oracle(mean: float, confidence: float) -> int:
         if total >= confidence:
             return r
         r += 1
-
-
-def test_lambda_at_constant_rate():
-    assert lambda_at(RateModel(2.0, 0.0), 100.0) == 2.0
-
-
-def test_lambda_at_origin():
-    assert lambda_at(RateModel(1.0, -0.001), 0.0) == 1.0
-
-
-def test_lambda_at_decay():
-    # 0.5 * exp(-2), frozen from an arbitrary-precision evaluation
-    assert lambda_at(RateModel(0.5, -0.002), 1000.0) == pytest.approx(
-        0.06766764161830635, rel=1e-12
-    )
-
-
-def test_lambda_at_overflow():
-    with pytest.raises(ComputationError):
-        lambda_at(RateModel(1.0, 1.0), 800.0)
 
 
 def test_lambda_integral_small_k_limit():
@@ -151,7 +130,7 @@ def test_required_relevant_past_the_cap_is_unreachable(n, recall):
     # A mean of 1e6 per document puts the credible bound far past anything
     # n documents can hold; the capped quota is the least one above n.
     params = MethodParams(target_recall=recall)
-    assert required_relevant(RateModel(1e6, 0.0), n, params) == n + 1
+    assert required_relevant(1e6 * n, n, params) == n + 1
 
 
 def test_rising_rate_topic_scan_stops_at_the_cap(monkeypatch):
@@ -217,16 +196,18 @@ def test_lambda_integral_additivity():
 
 
 def test_required_relevant_zero_mean():
-    assert required_relevant(RateModel(1e-300, -0.5), 10, MethodParams()) == 0
+    mean = lambda_integral(RateModel(1e-300, -0.5), 10)
+    assert required_relevant(mean, 10, MethodParams()) == 0
 
 
 def test_required_relevant_composes_bound():
     # Pick (d, k) so the integral over (0, n] is exactly 10.
     model = RateModel(10.0 * 0.001 / (1 - math.exp(-0.001 * 1000)), -0.001)
     n = 1000
-    assert lambda_integral(model, n) == pytest.approx(10.0, rel=1e-12)
-    assert required_relevant(model, n, MethodParams()) == 11  # ceil(15 * 0.7)
-    assert required_relevant(model, n, MethodParams(target_recall=1.0)) == 15
+    mean = lambda_integral(model, n)
+    assert mean == pytest.approx(10.0, rel=1e-12)
+    assert required_relevant(mean, n, MethodParams()) == 11  # ceil(15 * 0.7)
+    assert required_relevant(mean, n, MethodParams(target_recall=1.0)) == 15
 
 
 def test_rate_model_invariants():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tarstop.core import MethodParams
-from tarstop.poisson import RateModel, lambda_integral
+from tarstop.ratefit import RateModel, lambda_integral
 from tarstop.simulate import (
     FAMILIES,
     ExponentialRate,
