@@ -339,6 +339,30 @@ def _file_name_part(ctx, param, value: str) -> str:
     return value
 
 
+def _out_dir(ctx, param, value: str) -> Path:
+    """Refuse an --out-dir that mkdir could not make or write in.
+
+    Runs as the arguments are parsed, before any input is read, and makes
+    nothing, so a command that fails later leaves no directory behind.  The
+    nearest existing ancestor must be a directory this process may write in.
+    """
+    path = Path(value)
+    nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not nearest.is_dir():
+        raise click.BadParameter(f"{str(nearest)!r} is not a directory.", ctx, param)
+    if not os.access(nearest, os.W_OK | os.X_OK):
+        raise click.BadParameter(f"{str(nearest)!r} is not writable.", ctx, param)
+    return path
+
+
+_out_dir_option = click.option(
+    "--out-dir",
+    type=click.Path(file_okay=False),
+    callback=_out_dir,
+    default=".",
+    show_default=True,
+)
+
 _params_options = _options(
     click.option("--recall", "target_recall", type=float, default=None),
     click.option("--confidence", type=float, default=None),
@@ -356,7 +380,7 @@ _run_file_options = _options(
     click.option("--runs", "run_paths", multiple=True, required=True, type=click.Path(exists=True)),
     click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True)),
     click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True),
+    _out_dir_option,
 )
 
 _methods_option = click.option("--methods", default=",".join(RULES), show_default=True)
@@ -379,11 +403,10 @@ def evaluate(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     results = _map_runs(qrels_path, [(path, task) for path in run_paths])
     records, aggregates = _evaluate_records(results, method_list)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_jsonl(records, out / "report.jsonl")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _dump_jsonl(records, out_dir / "report.jsonl")
     table = _aggregate_table(aggregates, f"All {len(results)} runs")
-    (out / "report.txt").write_text(table)
+    (out_dir / "report.txt").write_text(table)
     click.echo(table, nl=False)
 
 
@@ -438,9 +461,8 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
             records.append(record)
         tables.append(_aggregate_table(aggregates, f"{group_name.capitalize()} 5 runs"))
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_jsonl(records, out / "stratify.jsonl")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _dump_jsonl(records, out_dir / "stratify.jsonl")
     text = "\n".join(
         [
             "AURC sanity bands: "
@@ -449,7 +471,7 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
         ]
         + tables
     )
-    (out / "stratify.txt").write_text(text)
+    (out_dir / "stratify.txt").write_text(text)
     click.echo(text, nl=False)
 
 
@@ -466,17 +488,16 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
     jobs += [(path, task) for path in run_paths[1:]]
     results = _map_runs(qrels_path, jobs)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     actual, predicted = results[0].gain
-    with (out / f"gain_{topic_id}.csv").open("w", newline="\n") as handle:
+    with (out_dir / f"gain_{topic_id}.csv").open("w", newline="\n") as handle:
         handle.write("rank,relevant_found,rate_estimate\n")
         for (rank, a), (_, p) in zip(actual, predicted):
             handle.write(f"{rank},{a:.6f},{p:.6f}\n")
     render_svg(
         {"observed": actual, "estimated": predicted},
-        out / f"gain_{topic_id}.svg",
+        out_dir / f"gain_{topic_id}.svg",
         x_label="rank",
         y_label="relevant found",
     )
@@ -491,7 +512,7 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
         )
         for result in sorted(results, key=lambda r: r.run_tag)
     ]
-    with (out / "effort_vs_aurc.csv").open("w", newline="\n") as handle:
+    with (out_dir / "effort_vs_aurc.csv").open("w", newline="\n") as handle:
         handle.write("run,mean_aurc,oracle_effort,poisson_effort\n")
         for tag, score, or_eff, pp_eff in rows:
             handle.write(f"{tag},{score:.6f},{or_eff},{pp_eff}\n")
@@ -500,11 +521,11 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
             "oracle": [(score, or_eff) for _, score, or_eff, _ in rows],
             "poisson": [(score, pp_eff) for _, score, _, pp_eff in rows],
         },
-        out / "effort_vs_aurc.svg",
+        out_dir / "effort_vs_aurc.svg",
         x_label="mean AURC",
         y_label="effort",
     )
-    click.echo(f"wrote plot data for topic {topic_id} to {out}")
+    click.echo(f"wrote plot data for topic {topic_id} to {out_dir}")
 
 
 @cli.command()
@@ -519,7 +540,7 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
 @click.option("--n", "n_docs", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
+@_out_dir_option
 @_params_options
 def simulate(
     family, d, k, p, p1, p2, cutoff, n_docs, trials, seed, out_dir, config_path, **flags
@@ -567,9 +588,8 @@ def simulate(
             }
         )
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_jsonl(records, out / "simulate.jsonl")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _dump_jsonl(records, out_dir / "simulate.jsonl")
     lines = [f"family={family} n={n_docs} trials={trials} seed={seed}"]
     if coverage is not None:
         lines.append(f"credible-bound coverage: {coverage:.4f}")
@@ -580,14 +600,14 @@ def simulate(
             + (f"{rel:.4f} over {record['topics']} topics" if rel is not None else "n/a")
         )
     text = "\n".join(lines) + "\n"
-    (out / "simulate.txt").write_text(text)
+    (out_dir / "simulate.txt").write_text(text)
     click.echo(text, nl=False)
 
 
 @cli.command()
 @click.option("--runs", "run_paths", multiple=True, required=True, type=click.Path(exists=True))
 @click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True))
-@click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
+@_out_dir_option
 def validate(run_paths, qrels_path, out_dir):
     """Check ingested data against the known collection statistics.
 
@@ -610,9 +630,8 @@ def validate(run_paths, qrels_path, out_dir):
                 f"extra {sorted(topic_ids - first_ids)}"
             )
     summary = validate_dataset(first)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "validation.json").write_text(
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "validation.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n"
     )
     for name, status in summary["checks"]:

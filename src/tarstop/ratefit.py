@@ -20,12 +20,25 @@ limits are exact, (|dens|^2 - dens[0]^2) / 2 as k -> -inf and
 below the smaller limit by more than rounding, the cost falls towards a limit
 along a valley in (d, k) with no finite minimiser, and the fit raises
 ``FitError`` rather than return a point on that valley.
+
+f is searched on a grid of t = k * span, and its grids and their exp basis
+depend only on the bin layout (the midpoints scaled to [0, 1]), not on the
+counts.  A layout's basis is kept from the second fit that asks for it on,
+for one bin width at a time (a fit at a new width drops the kept layouts)
+and up to _KEPT_MIDPOINTS midpoints in all.  ``simulate`` fits every trial
+at one n and so reuses them, while a run of CLEF topics, each with its own
+width, keeps none.  A kept basis gives the same bits as a fresh one.
+Between grid points, the secant steps evaluate f' on Python floats; their
+sums run in another order than numpy's, so they can differ from the grid's
+f' in the last bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -128,24 +141,27 @@ def fit_exponential(binned: BinnedCounts) -> RateModel:
     if len(binned.points) < 2:
         raise InsufficientDataError("need at least 2 binned points to fit")
     x, y = np.array(binned.points, dtype=float).T
-    if not np.any(y > 0):
+    if not (y > 0).any():
         raise NoSignalError("no relevant documents in the examined prefix")
-    if np.any(np.diff(x) <= 0):
+    if (x[1:] <= x[:-1]).any():
         raise ValueError("interval midpoints must increase")
     dens = y / np.array(binned.widths, dtype=float)
     span = float(x[-1] - x[0])
     u = (x - x[0]) / span
 
-    t = _INITIAL_GRID
-    cost, grad = _profile(t, u, dens)
-    if np.argmin(cost) in (0, t.size - 1):
-        # Out to where exp(t * gap) == 0 for all midpoints but an end one.
-        t = _grid(_UNDERFLOW / min(u[1], 1.0 - u[-2]))
-        cost, grad = _profile(t, u, dens)
+    layout = _LAYOUTS.get(u, binned.widths[0])
+    grid = layout.initial
+    cost, grad = grid.profile(dens)
+    if np.argmin(cost) in (0, cost.size - 1):
+        grid = layout.wide
+        cost, grad = grid.profile(dens)
     cells = np.flatnonzero((grad[:-1] < 0) & (grad[1:] >= 0))
     if cells.size == 0:
         raise FitError(_NO_MINIMISER)
-    roots = [_slope_root(u, dens, t[i : i + 2], grad[i : i + 2]) for i in cells]
+    u_list, dens_list = u.tolist(), dens.tolist()
+    roots = [
+        _slope_root(u_list, dens_list, grid.k[i : i + 2], grad[i : i + 2]) for i in cells
+    ]
     costs = _profile(np.array(roots), u, dens)[0] if len(roots) > 1 else [0.0]
     t = roots[int(np.argmin(costs))]
 
@@ -169,7 +185,7 @@ def fit_topic(topic: Topic, params: MethodParams) -> RateModel:
     return fit_exponential(bin_prefix(topic, n, params.batch_width(n)))
 
 
-def _slope_root(u: np.ndarray, y: np.ndarray, t: np.ndarray, g: np.ndarray) -> float:
+def _slope_root(u: list[float], y: list[float], t: np.ndarray, g: np.ndarray) -> float:
     """Root of f' in the cell t, where f' is g: g[0] < 0 <= g[1].
 
     Illinois steps until one stalls at rounding or leaves the cell, at most
@@ -179,9 +195,9 @@ def _slope_root(u: np.ndarray, y: np.ndarray, t: np.ndarray, g: np.ndarray) -> f
     side, mid = 0, lo
     for _ in range(_MAX_STEPS):
         mid, last = (lo * g_hi - hi * g_lo) / (g_hi - g_lo), mid
-        if not lo < mid < hi or abs(mid - last) <= 4 * np.spacing(abs(mid) + 1.0):
+        if not lo < mid < hi or abs(mid - last) <= 4 * math.ulp(abs(mid) + 1.0):
             break
-        g_mid = _profile(np.array([mid]), u, y)[1][0]
+        g_mid = _slope(mid, u, y)
         if g_mid < 0:
             lo, g_lo = mid, g_mid
             g_hi *= 0.5 if side < 0 else 1.0
@@ -191,6 +207,19 @@ def _slope_root(u: np.ndarray, y: np.ndarray, t: np.ndarray, g: np.ndarray) -> f
             g_lo *= 0.5 if side > 0 else 1.0
             side = 1
     return float(lo if -g_lo < g_hi else hi)
+
+
+def _slope(t: float, u: list[float], y: list[float]) -> float:
+    """_profile's f' at one t, on Python floats.
+
+    The same formula term by term; only the order of the sums differs, so
+    it can differ from _profile in the last bits.
+    """
+    near = u[0] if t < 0 else u[-1]
+    dx = [ui - near for ui in u]
+    e = [math.exp(di * t) for di in dx]
+    d = sum(map(mul, y, e)) / sum(map(mul, e, e))
+    return -d * sum([di * ei * (yi - d * ei) for di, ei, yi in zip(dx, e, y)])
 
 
 def _grid(t_edge: float) -> np.ndarray:
@@ -203,20 +232,92 @@ def _grid(t_edge: float) -> np.ndarray:
 _INITIAL_GRID = _grid(64.0)
 
 
+class _Basis:
+    """The parts of the profile on a grid of k that do not depend on y.
+
+    For midpoints x (increasing), e = exp(k * x) rescaled to 1 at its
+    largest entry, one column per k, and e . e.
+    """
+
+    def __init__(self, k: np.ndarray, x: np.ndarray):
+        self.k, self.x = k, x
+        self.near = np.where(k < 0, x[0], x[-1])
+        self.e = np.exp((x[:, None] - self.near) * k)
+        self.ee = np.einsum("ij,ij->j", self.e, self.e)
+
+    def profile(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Profile cost f(k) = |r|^2 / 2 and f'(k) = -d (x * e) . r at each k.
+
+        Here d = (e . y) / (e . e) and r = y - d * e.  As e . r = 0, f'
+        measures x from where e = 1, which drops the one residual that
+        carries the rounding of d.
+        """
+        d = (y @ self.e) / self.ee
+        r = d * self.e
+        np.subtract(y[:, None], r, out=r)
+        dx_e = np.subtract(self.x[:, None], self.near)
+        dx_e *= self.e
+        return 0.5 * np.einsum("ij,ij->j", r, r), -d * np.einsum("ij,ij->j", dx_e, r)
+
+
 def _profile(
     k: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Profile cost f(k) = |r|^2 / 2 and f'(k) = -d (x * e) . r at each k.
+    """Profile cost f(k) and slope f'(k) at each k; see _Basis.profile."""
+    return _Basis(k, x).profile(y)
 
-    Here e = exp(k * x) rescaled to 1 at its largest entry (x must increase),
-    d = (e . y) / (e . e) and r = y - d * e.  As e . r = 0, f' measures x from
-    where e = 1, which drops the one residual that carries the rounding of d.
+
+class _Layout:
+    """The search grids of one layout of midpoints u, scaled to [0, 1]."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+        self.initial = _Basis(_INITIAL_GRID, u)
+
+    @cached_property
+    def wide(self) -> _Basis:
+        # Out to where exp(t * gap) == 0 for all midpoints but an end one.
+        u = self.u
+        return _Basis(_grid(_UNDERFLOW / min(u[1], 1.0 - u[-2])), u)
+
+
+# The most midpoints, summed over the kept layouts.  On topics of up to a
+# million documents a midpoint costs under 9 KB of basis, so the kept bases
+# stay under about 2 MB.
+_KEPT_MIDPOINTS = 256
+
+
+class _LayoutMemo:
+    """Layouts of one bin width, each kept from its second request on.
+
+    A layout asked for once is built and not kept, and a new bin width
+    drops the last width's layouts, so where layouts do not recur nothing
+    is kept.  Layouts past _KEPT_MIDPOINTS are built for each fit.
     """
-    dx = x[:, None] - np.where(k < 0, x[0], x[-1])
-    e = np.exp(dx * k)
-    d = (y @ e) / np.einsum("ij,ij->j", e, e)
-    r = y[:, None] - d * e
-    return 0.5 * np.einsum("ij,ij->j", r, r), -d * np.einsum("ij,ij->j", dx * e, r)
+
+    def __init__(self):
+        self.width: int | None = None
+        self.seen: set[bytes] = set()
+        self.kept: dict[bytes, _Layout] = {}
+        self.midpoints = 0  # summed over the kept layouts
+
+    def get(self, u: np.ndarray, width: int) -> _Layout:
+        if width != self.width:
+            self.width, self.midpoints = width, 0
+            self.seen.clear()
+            self.kept.clear()
+        key = u.tobytes()
+        layout = self.kept.get(key)
+        if layout is None:
+            layout = _Layout(u)
+            if key in self.seen and self.midpoints + u.size <= _KEPT_MIDPOINTS:
+                self.kept[key] = layout
+                self.midpoints += u.size
+            self.seen.add(key)
+        return layout
+
+
+_LAYOUTS = _LayoutMemo()
 
 
 def delta_gate(model: RateModel, topic: Topic, examined_end: int, delta: float) -> bool:

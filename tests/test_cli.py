@@ -291,29 +291,53 @@ def _refuse_reading(monkeypatch):
     monkeypatch.setattr(tarstop.cli, "gen_topic", refuse)
 
 
-@pytest.mark.parametrize(
-    "command", ["evaluate", "stratify", "plot-data", "simulate", "validate"]
-)
+_COMMANDS = ["evaluate", "stratify", "plot-data", "simulate", "validate"]
+
+
+def _command_args(command, dataset):
+    """Arguments, but for --out-dir, with which each command would run."""
+    paths, qrels = dataset
+    if command == "simulate":
+        return [command, "--family", "uniform", "--trials", "1"]
+    args = [command, "--qrels", str(qrels)]
+    for path in [paths["run-a"]] * (15 if command == "stratify" else 1):
+        args += ["--runs", str(path)]
+    if command == "plot-data":
+        args += ["--topic", "T0"]
+    return args
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
 def test_out_dir_naming_a_file_is_usage_error(
     command, dataset, tmp_path, capsys, monkeypatch
 ):
-    paths, qrels = dataset
     out = tmp_path / "out.txt"
     out.write_text("kept\n")
-    if command == "simulate":
-        args = [command, "--family", "uniform", "--trials", "1"]
-    else:
-        args = [command, "--qrels", str(qrels)]
-        for path in [paths["run-a"]] * (15 if command == "stratify" else 1):
-            args += ["--runs", str(path)]
-    if command == "plot-data":
-        args += ["--topic", "T0"]
     _refuse_reading(monkeypatch)
-    assert main(args + ["--out-dir", str(out)]) == 1
+    assert main(_command_args(command, dataset) + ["--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("Error: Invalid value for '--out-dir'")
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("under", ["sub", "sub/deeper"], ids=["child", "grandchild"])
+def test_out_dir_under_a_file_is_usage_error(
+    command, under, dataset, tmp_path, capsys, monkeypatch
+):
+    # Unchecked, mkdir raises NotADirectoryError here, after the pool has run.
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    _refuse_reading(monkeypatch)
+    args = _command_args(command, dataset) + ["--out-dir", str(afile / under)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"Error: Invalid value for '--out-dir': {str(afile)!r} is not a directory."
+    )
+    assert afile.read_text() == "kept\n"
 
 
 def test_plot_data_topic_with_a_path_separator_is_usage_error(

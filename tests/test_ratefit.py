@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import tarstop.ratefit
 from conftest import make_topic
 from tarstop.core import MethodParams, rel_at
 from tarstop.errors import (
@@ -16,7 +18,9 @@ from tarstop.errors import (
 from tarstop.ratefit import (
     BinnedCounts,
     RateModel,
+    _UNDERFLOW,
     _profile,
+    _slope,
     bin_prefix,
     delta_gate,
     fit_exponential,
@@ -171,6 +175,31 @@ def test_profile_derivative_matches_central_differences(k):
     assert grad[1] == pytest.approx((cost[2] - cost[0]) / (2 * h), rel=1e-6)
 
 
+@given(
+    st.lists(st.floats(0.01, 100.0), min_size=1, max_size=19),
+    st.lists(st.floats(0.0, 1.0), min_size=20, max_size=20),
+    st.floats(-1.0, 1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_float_slope_matches_profile(gaps, densities, fraction):
+    # Over increasing midpoints scaled to [0, 1] and t out to the widened
+    # grid's edge, where exp(t * gap) underflows for all but an end midpoint.
+    # The two sum their terms in different orders, so they agree to 1e-13
+    # of the sum of the terms' sizes; 1e-300 covers subnormal e.
+    x = np.cumsum([0.0, *gaps])
+    u = (x - x[0]) / (x[-1] - x[0])
+    dens = np.array(densities[: len(u)])
+    t = fraction * _UNDERFLOW / min(u[1], 1.0 - u[-2])
+    _, grad = _profile(np.array([t]), u, dens)
+    dx = u - (u[0] if t < 0 else u[-1])
+    e = np.exp(t * dx)
+    d = float(dens @ e) / float(e @ e)
+    scale = float(np.sum(np.abs(d * dx * e) * (dens + np.abs(d * e))))
+    assert _slope(t, u.tolist(), dens.tolist()) == pytest.approx(
+        grad[0], rel=0, abs=1e-13 * scale + 1e-300
+    )
+
+
 @pytest.mark.parametrize(
     "counts", [[5, 0, 0, 0], [1, 0], [12, 0, 0, 0, 0, 0], [0, 0, 3], [0, 4]]
 )
@@ -323,6 +352,180 @@ def test_fit_cost_matches_a_dense_grid_minimum(counts, width, last):
     assert abs(cost - ref) <= 1e-9 * scale
     # Below the limit by more than the cost's rounding, m ulps of the scale.
     assert cost < limit - 16 * len(dens) * np.finfo(float).eps * scale
+
+
+# (family, counts, width, last interval's width, fitted (d, k) or the error
+# raised), recorded from the fits before the search grids were reused.  Each
+# count vector is a prefix of a seeded gen_topic draw of that family binned
+# at that width; most end in a short interval.
+_PINNED_FITS = [
+    ("bimodal", "36 1 2 0", 112, 112, (1.8485120065947764, -0.03096307972587567)),
+    ("bimodal", "7 12 9 9 0 1 0 0 0 1 0", 25, 9,
+     (0.5083674922294921, -0.011332650998622148)),
+    ("bimodal", "29 0 1 2 0 1 2 1 0 1 0 0 1 0 3", 100, 100, FitError),
+    ("bimodal", "23 0 0", 96, 96, FitError),
+    ("bimodal", "5 8 14 10 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0", 25, 4,
+     (0.4396616208930069, -0.010065425725698362)),
+    ("bimodal", "28 0 2 2 2 0", 100, 15, FitError),
+    ("bimodal", "21 2 0 0 2 1 1 0 0 3 1 0", 87, 87,
+     (0.798575859454901, -0.027191023178527306)),
+    ("bimodal", "21 3 0 0 1 1 2 2 2 1 3 0 1 1 2 3 0 2 0", 100, 2,
+     (0.571061012319568, -0.019803497976158702)),
+    ("bimodal", "27 2 2 0 0", 85, 6, (1.10149025212666, -0.028929441521263057)),
+    ("bimodal", "18 19 1 1 1 0 0 2 1 2 1", 61, 61,
+     (0.4557060881127014, -0.010010152979147474)),
+    ("bimodal", "7 7 5 9 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0", 25, 1,
+     (0.39915986040588197, -0.012377436493090825)),
+    ("bimodal", "8 7 7 7 0 0 0 0 0 0 1 0", 25, 25,
+     (0.4440327752027745, -0.013275378085538692)),
+    ("bimodal", "31 4 0 1 1 2 4 0 1 0 2 1", 90, 90,
+     (0.9786676921261287, -0.02294857388177033)),
+    ("step", "8 5 0 0 0 0 0", 63, 63, (0.2078494487580995, -0.014058175365311575)),
+    ("step", "15 0 0", 134, 3, FitError),
+    ("step", "6 3 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0", 61, 15,
+     (0.1679436614588634, -0.01647627112692568)),
+    ("step", "6 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0", 94, 94,
+     (0.12217151683139073, -0.013512730139754162)),
+    ("step", "9 2 0 0 0", 80, 29, (0.25223018285483323, -0.01988890391809012)),
+    ("step", "8 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0", 89, 79,
+     (0.2612020206575447, -0.023700233306955712)),
+    ("step", "5 4 0 0 0 0 0 0 0", 61, 61, (0.13104680966673754, -0.012708977363385979)),
+    ("step", "3 3 4 1 0 0 0", 25, 24, (0.17870944861834184, -0.013604904589541942)),
+    ("step", "6 3 0 0 0 0", 61, 49, (0.1679434659212371, -0.016476301417367847)),
+    ("step", "7 0 0 0 0", 90, 90, FitError),
+    ("step", "11 0 0 0 0 0", 100, 64, FitError),
+    ("step", "7 2 0 2 0", 25, 9, (0.5193470227700773, -0.04795051141105319)),
+    ("step", "7 0 0 0 0 0 0 0 0", 102, 102, FitError),
+    ("uniform", "8 2 5", 124, 124, (0.07203691367999022, -0.0035434155040212027)),
+    ("uniform", "6 3 2", 110, 39, (0.05118834147897375, -0.0009506473788449886)),
+    ("uniform", "3 6 4 3 3 3 3", 71, 57,
+     (0.060816126157448254, -0.0006657279778155403)),
+    ("uniform", "8 1 4 6 5 6 6 2 3 8 6 4 8 6 9 6 6 5", 100, 100,
+     (0.045159795598062234, 0.00021220707986771824)),
+    ("uniform", "1 1 1 1 1 2 2 0", 25, 20,
+     (0.04301728171129501, 0.00044712416860075214)),
+    ("uniform", "1 4 5 1 5 3 0 5 3 4 1 5 1 2 2 1", 61, 25,
+     (0.05248008702846222, -0.000297751185741457)),
+    ("uniform", "1 4 2 3 5 2", 54, 54, (0.0414759100868348, 0.0014054943017214427)),
+    ("uniform", "1 0 1 3 1 3 0 1 1 0", 25, 10,
+     (0.05187890316892391, -0.0013415745907417735)),
+    ("uniform", "2 6 3 5 3 5 3 3", 74, 57,
+     (0.05083883077644885, 8.825407046349834e-05)),
+    ("uniform", "4 3 0 1 2 2 0 4 0 3 4 4 1", 54, 54,
+     (0.03445102829087595, 0.00040550101580266474)),
+    ("uniform", "4 2 8 1 5 8 2 6 6 3 3 3 2", 61, 14,
+     (0.06515024152546642, 0.00035814805067294156)),
+    ("uniform", "2 4 6 4 3 3 5 1", 82, 18,
+     (0.04115490066578099, 0.00046994634378547253)),
+    ("uniform", "4 2 1 3 2 3 4 5 3 1 4 2 3 3 3 3 2 3", 61, 61,
+     (0.04601085076216451, 1.718629480912967e-05)),
+    ("exponential", "30 13", 48, 48, (0.9577498038285974, -0.017421833837512887)),
+    ("exponential", "12 13 7 10 11 10 6 6 5 3 6 4 2", 25, 12,
+     (0.5318910862107747, -0.003941598376863695)),
+    ("exponential", "32 28 21 7 1 2 1 1 0 0 0 0 0 0 0 0 0", 100, 56,
+     (0.4451175670556089, -0.004370491608213484)),
+    ("exponential", "33 22 13", 88, 88, (0.4736054060085705, -0.005083516937637776)),
+    ("exponential", "9 7 9 3 4 5 7 4 5 2 3 4 3 4 3 1 1", 25, 17,
+     (0.3395068203496613, -0.0035517792932763747)),
+    ("exponential", "49 19 12 6 7 3 0 1 6", 100, 82,
+     (0.6868445257639758, -0.007255687258177487)),
+    ("exponential", "46 20 15 6 4 4 3", 100, 100,
+     (0.6180151730078728, -0.00636750411285185)),
+    ("exponential", "41 26 12 13 7 5 2 1 1 1 0 0 0 0 0 0 0", 86, 76,
+     (0.598341197235205, -0.005423458453317824)),
+    ("exponential", "9 9 7 10 11 4 8 6 5 4 5 3 2", 25, 7,
+     (0.39950062632176314, -0.00255544415014175)),
+    ("exponential", "34 20 19 9 7 2 2 1 1 2 0 0 0 0", 100, 100,
+     (0.4178730109907896, -0.004165319298289486)),
+    ("exponential", "36 27 15 6 6 2 1 0 0 0 0 0 0", 111, 78,
+     (0.4362646010606298, -0.004403651710255993)),
+    ("exponential", "32 20 21 6 6 3 2 1", 69, 8,
+     (0.5586498592780762, -0.005427309357401491)),
+    ("exponential", "8 15 9 8 11 4 8 3 5", 25, 25,
+     (0.49211230302982367, -0.004228600616114958)),
+    ("step", "0 0 0", 50, 50, NoSignalError),
+    ("uniform", "3", 40, 17, InsufficientDataError),
+]
+
+
+def _binned_from_row(counts, width, last):
+    """A _PINNED_FITS row's counts binned at width, the last interval last wide."""
+    counts = [int(c) for c in counts.split()]
+    edges = [*range(0, width * len(counts), width)] + [width * (len(counts) - 1) + last]
+    return BinnedCounts(
+        tuple(((lo + 1 + hi) / 2.0, c) for lo, hi, c in zip(edges, edges[1:], counts)),
+        tuple(hi - lo for lo, hi in zip(edges, edges[1:])),
+    )
+
+
+@pytest.mark.parametrize(
+    "family, counts, width, last, expected",
+    _PINNED_FITS,
+    ids=[f"{row[0]}-{i}" for i, row in enumerate(_PINNED_FITS)],
+)
+def test_fit_matches_its_pinned_result(family, counts, width, last, expected):
+    binned = _binned_from_row(counts, width, last)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            fit_exponential(binned)
+        return
+    model = fit_exponential(binned)
+    assert (model.d, model.k) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def _fresh_layouts(monkeypatch):
+    """An empty layout memo for the fits, and the list of layouts built."""
+    memo, built, make = tarstop.ratefit._LayoutMemo(), [], tarstop.ratefit._Layout
+    monkeypatch.setattr(tarstop.ratefit, "_LAYOUTS", memo)
+    monkeypatch.setattr(tarstop.ratefit, "_Layout", lambda u: built.append(u) or make(u))
+    return memo, built
+
+
+def _scaled_midpoints(binned):
+    x, _ = _xs_and_densities(binned)
+    return (x - x[0]) / (x[-1] - x[0])
+
+
+def test_fits_from_a_kept_layout_equal_cold_fits(monkeypatch):
+    for _, counts, width, last, expected in _PINNED_FITS:
+        if isinstance(expected, type):
+            continue
+        binned = _binned_from_row(counts, width, last)
+        memo, built = _fresh_layouts(monkeypatch)
+        cold = fit_exponential(binned)
+        assert memo.kept == {}  # asked for once: built, not kept
+        fit_exponential(binned)
+        (layout,) = memo.kept.values()
+        warm = fit_exponential(binned)
+        assert len(built) == 2 and list(memo.kept.values()) == [layout]
+        assert (warm.d, warm.k) == (cold.d, cold.k)
+
+
+def test_layouts_are_kept_for_one_bin_width(monkeypatch):
+    memo, _ = _fresh_layouts(monkeypatch)
+    topic = gen_topic(2000, PiecewiseRate(0.3, 0.01, 100), seed=3)
+    at_100 = [bin_prefix(topic, end, 100) for end in (650, 900, 900, 1000)]
+    at_50 = [bin_prefix(topic, end, 50) for end in (620, 620, 700)]
+    for binned in at_100:
+        fit_exponential(binned)
+    assert [layout.u.tolist() for layout in memo.kept.values()] == [
+        _scaled_midpoints(at_100[1]).tolist()
+    ]
+    for binned in at_50:
+        fit_exponential(binned)
+    assert [layout.u.tolist() for layout in memo.kept.values()] == [
+        _scaled_midpoints(at_50[0]).tolist()
+    ]
+
+
+def test_kept_layouts_stay_within_their_midpoint_budget(monkeypatch):
+    memo, _ = _fresh_layouts(monkeypatch)
+    for m in (100, 120, 60, 30):  # 100 + 120 + 60 would pass 256 midpoints
+        binned = _binned_counts([3, 1] * (m // 2), 10)
+        for _ in range(2):
+            with contextlib.suppress(FitError):
+                fit_exponential(binned)
+    assert sorted(layout.u.size for layout in memo.kept.values()) == [30, 100, 120]
 
 
 def test_delta_gate_boundary_accepts():
