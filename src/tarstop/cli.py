@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import sys
-import zlib
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -24,71 +23,28 @@ from typing import Callable
 import click
 
 from tarstop.config import resolve_params
-from tarstop.core import MethodParams, Run, Topic, rel_at
+from tarstop.core import MethodParams, Run, Topic
 from tarstop.errors import ComputationError, ParseError, ValidationError
 from tarstop.ingest import Qrels, parse_qrels, parse_run, validate_dataset
 from tarstop.methods import RULES
 from tarstop.metrics import (
-    acceptability,
+    build_report,
+    build_stratify_report,
     mean_aurc,
-    pct_effort_saved,
-    recall_of,
-    reliability,
-    stratify_runs,
+    topic_records,
 )
 from tarstop.plots import render_svg
 from tarstop.ratefit import fit_topic, predicted_gain
-from tarstop.simulate import FAMILIES, bound_covers, gen_topic
+from tarstop.simulate import FAMILIES, coverage_experiment
 
 
-def _topic_seed(base: int, run_tag: str, topic_id: str) -> int:
-    """Stable per-(run, topic) seed for the randomized target method."""
-    return base * 1_000_003 + zlib.crc32(f"{run_tag}:{topic_id}".encode())
-
-
-def _dump_jsonl(records: list[dict], path: Path) -> None:
-    with path.open("w", newline="\n") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _topic_records(
-    run: Run, method: str, params: MethodParams, seed: int
-) -> list[dict]:
-    """One method's topic records on a run, in topic_id order."""
-    records = []
-    for topic in sorted(run.topics, key=lambda t: t.topic_id):
-        outcome = RULES[method](
-            topic, params, _topic_seed(seed, run.run_tag, topic.topic_id)
-        )
-        records.append(
-            {
-                "record": "topic",
-                "run": run.run_tag,
-                "method": method,
-                "topic_id": topic.topic_id,
-                "n": topic.size,
-                "stop_rank": outcome.stop_rank,
-                "extra_examined": outcome.extra_examined,
-                "effort": outcome.effort,
-                "relevant_found": rel_at(topic, outcome.stop_rank),
-                "recall": round(recall_of(outcome, topic), 10),
-                "acceptable": acceptability(outcome, topic, params.target_recall),
-                "predicted": outcome.predicted,
-            }
-        )
-    return records
-
-
-def _summary(topics: list[dict]) -> dict:
-    """Unrounded run-record figures of one method's topic records on a run."""
-    return {
-        "total_effort": sum(t["effort"] for t in topics),
-        "reliability": reliability([t["acceptable"] for t in topics]),
-        "mean_pct_effort_saved": pct_effort_saved(
-            [(t["effort"], t["n"]) for t in topics]
-        ),
-    }
+def _write(out_dir: Path, files: dict[str, str | list[dict]]) -> None:
+    """Write text or records (sorted-key JSON lines) into out_dir with LF line ends."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if not isinstance(content, str):
+            content = "".join(json.dumps(r, sort_keys=True) + "\n" for r in content)
+        (out_dir / name).write_text(content, newline="\n")
 
 
 @dataclass(frozen=True)
@@ -127,7 +83,7 @@ def _assess_run(
     return _RunResult(
         run_tag=run.run_tag,
         mean_aurc=mean_aurc(run),
-        records={m: _topic_records(run, m, params, seed) for m in methods},
+        records={m: topic_records(run, m, params, seed) for m in methods},
         gain=gain,
     )
 
@@ -144,52 +100,9 @@ def _gain_curve(topic: Topic, params: MethodParams) -> tuple[list, list]:
     return actual, [(0, 0.0), *zip(range(1, n + 1), predicted)]
 
 
-def _evaluate_records(
-    results: list[_RunResult], methods: list[str]
-) -> tuple[list[dict], list[dict]]:
-    """(jsonl records, aggregate rows) for a set of assessed runs.
-
-    Each run's topic records are followed by its run record; one aggregate
-    row per method closes the list.
-    """
-    records: list[dict] = []
-    summaries: dict[str, list[dict]] = {m: [] for m in methods}
-    for result in sorted(results, key=lambda r: r.run_tag):
-        for method in methods:
-            topics = result.records[method]
-            summary = _summary(topics)
-            summaries[method].append(summary)
-            records += topics
-            records.append(
-                {
-                    "record": "run",
-                    "run": result.run_tag,
-                    "method": method,
-                    "topic_count": len(topics),
-                    **{key: round(value, 10) for key, value in summary.items()},
-                }
-            )
-    aggregates = []
-    for method, runs in summaries.items():
-        flags = [t["acceptable"] for r in results for t in r.records[method]]
-        aggregates.append(
-            {
-                "record": "aggregate",
-                "method": method,
-                "run_count": len(runs),
-                "mean_effort": round(
-                    sum(r["total_effort"] for r in runs) / len(runs), 10
-                ),
-                "mean_pct_effort_saved": round(
-                    sum(r["mean_pct_effort_saved"] for r in runs) / len(runs), 10
-                ),
-                "reliability": round(reliability(flags), 10),
-            }
-        )
-    return records + aggregates, aggregates
-
-
-def _aggregate_table(aggregates: list[dict], title: str) -> str:
+def _aggregate_table(records: list[dict], title: str) -> str:
+    """The aggregate records of a report as a text table."""
+    aggregates = [r for r in records if r["record"] == "aggregate"]
     lines = [
         title,
         f"{'Method':<10} {'Mean Eff.':>12} {'Mean % Eff. Saved':>19} {'Reliability':>12}",
@@ -401,12 +314,9 @@ def evaluate(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     method_list = _parse_methods(methods)
     task = partial(_assess_run, methods=method_list, params=params, seed=seed)
     results = _map_runs(qrels_path, [(path, task) for path in run_paths])
-    records, aggregates = _evaluate_records(results, method_list)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _dump_jsonl(records, out_dir / "report.jsonl")
-    table = _aggregate_table(aggregates, f"All {len(results)} runs")
-    (out_dir / "report.txt").write_text(table)
+    records = build_report({r.run_tag: r.records for r in results})
+    table = _aggregate_table(records, f"All {len(results)} runs")
+    _write(out_dir, {"report.jsonl": records, "report.txt": table})
     click.echo(table, nl=False)
 
 
@@ -422,56 +332,24 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
         raise click.UsageError("stratification needs at least 15 runs")
     task = partial(_assess_run, methods=method_list, params=params, seed=seed)
     results = _map_runs(qrels_path, [(path, task) for path in run_paths])
-    scored = [(result, result.mean_aurc) for result in results]
-    top, middle, bottom = stratify_runs(scored)
-
-    records: list[dict] = []
-    for result, score in sorted(scored, key=lambda pair: pair[0].run_tag):
-        records.append(
-            {
-                "record": "run_aurc",
-                "run": result.run_tag,
-                "mean_aurc": round(score, 10),
-            }
-        )
-    bands = []
-    for name, group, lo, hi in (
-        ("top", top, 0.91, 0.94),
-        ("bottom", bottom, 0.46, 0.62),
-    ):
-        scores = sorted(score for _, score in group)
-        bands.append(
-            {
-                "record": "sanity_band",
-                "group": name,
-                "lo": round(scores[0], 10),
-                "hi": round(scores[-1], 10),
-                "status": "pass" if lo <= scores[0] and scores[-1] <= hi else "warn",
-            }
-        )
-    records.extend(bands)
-
-    tables = []
-    for group_name, group in (("top", top), ("middle", middle), ("bottom", bottom)):
-        group_records, aggregates = _evaluate_records(
-            [result for result, _ in group], method_list
-        )
-        for record in group_records:
-            record["group"] = group_name
-            records.append(record)
-        tables.append(_aggregate_table(aggregates, f"{group_name.capitalize()} 5 runs"))
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _dump_jsonl(records, out_dir / "stratify.jsonl")
-    text = "\n".join(
-        [
-            "AURC sanity bands: "
-            + ", ".join(f"{b['group']} [{b['lo']:.3f}, {b['hi']:.3f}] {b['status']}" for b in bands),
-            "",
-        ]
-        + tables
+    records = build_stratify_report(
+        {r.run_tag: r.mean_aurc for r in results},
+        {r.run_tag: r.records for r in results},
     )
-    (out_dir / "stratify.txt").write_text(text)
+    bands = ", ".join(
+        f"{r['group']} [{r['lo']:.3f}, {r['hi']:.3f}] {r['status']}"
+        for r in records
+        if r["record"] == "sanity_band"
+    )
+    tables = [
+        _aggregate_table(
+            [r for r in records if r.get("group") == group],
+            f"{group.capitalize()} 5 runs",
+        )
+        for group in ("top", "middle", "bottom")
+    ]
+    text = "\n".join([f"AURC sanity bands: {bands}", "", *tables])
+    _write(out_dir, {"stratify.jsonl": records, "stratify.txt": text})
     click.echo(text, nl=False)
 
 
@@ -488,42 +366,38 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
     jobs += [(path, task) for path in run_paths[1:]]
     results = _map_runs(qrels_path, jobs)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     actual, predicted = results[0].gain
-    with (out_dir / f"gain_{topic_id}.csv").open("w", newline="\n") as handle:
-        handle.write("rank,relevant_found,rate_estimate\n")
-        for (rank, a), (_, p) in zip(actual, predicted):
-            handle.write(f"{rank},{a:.6f},{p:.6f}\n")
-    render_svg(
-        {"observed": actual, "estimated": predicted},
-        out_dir / f"gain_{topic_id}.svg",
-        x_label="rank",
-        y_label="relevant found",
+    gain_csv = "rank,relevant_found,rate_estimate\n" + "".join(
+        f"{rank},{a:.6f},{p:.6f}\n" for (rank, a), (_, p) in zip(actual, predicted)
     )
 
     # Per-run effort vs. AURC for the oracle and Poisson methods.
-    rows = [
-        (
-            result.run_tag,
-            result.mean_aurc,
-            _summary(result.records["or"])["total_effort"],
-            _summary(result.records["pp"])["total_effort"],
-        )
-        for result in sorted(results, key=lambda r: r.run_tag)
-    ]
-    with (out_dir / "effort_vs_aurc.csv").open("w", newline="\n") as handle:
-        handle.write("run,mean_aurc,oracle_effort,poisson_effort\n")
-        for tag, score, or_eff, pp_eff in rows:
-            handle.write(f"{tag},{score:.6f},{or_eff},{pp_eff}\n")
-    render_svg(
+    effort = {
+        (r["run"], r["method"]): r["total_effort"]
+        for r in build_report({r.run_tag: r.records for r in results})
+        if r["record"] == "run"
+    }
+    rows = sorted(
+        (r.run_tag, r.mean_aurc, effort[r.run_tag, "or"], effort[r.run_tag, "pp"])
+        for r in results
+    )
+    effort_csv = "run,mean_aurc,oracle_effort,poisson_effort\n" + "".join(
+        f"{tag},{score:.6f},{or_eff},{pp_eff}\n" for tag, score, or_eff, pp_eff in rows
+    )
+    series = {
+        "oracle": [(score, or_eff) for _, score, or_eff, _ in rows],
+        "poisson": [(score, pp_eff) for _, score, _, pp_eff in rows],
+    }
+    _write(
+        out_dir,
         {
-            "oracle": [(score, or_eff) for _, score, or_eff, _ in rows],
-            "poisson": [(score, pp_eff) for _, score, _, pp_eff in rows],
+            f"gain_{topic_id}.csv": gain_csv,
+            f"gain_{topic_id}.svg": render_svg(
+                {"observed": actual, "estimated": predicted}, "rank", "relevant found"
+            ),
+            "effort_vs_aurc.csv": effort_csv,
+            "effort_vs_aurc.svg": render_svg(series, "mean AURC", "effort"),
         },
-        out_dir / "effort_vs_aurc.svg",
-        x_label="mean AURC",
-        y_label="effort",
     )
     click.echo(f"wrote plot data for topic {topic_id} to {out_dir}")
 
@@ -551,45 +425,9 @@ def simulate(
     """
     params = resolve_params(config_path, **flags)
     rate = FAMILIES[family]({"d": d, "k": k, "p": p, "p1": p1, "p2": p2, "cutoff": cutoff})
+    records = coverage_experiment(family, rate, n_docs, trials, seed, params)
+    coverage = records[0]["coverage"]
 
-    # Each trial topic is drawn once and shared by coverage and the methods.
-    covered = 0
-    acceptable = {m: [] for m in RULES}
-    for trial in range(trials):
-        topic = gen_topic(n_docs, rate, seed=seed + trial)
-        if trials >= 100:
-            covered += bound_covers(topic, params)
-        if topic.total_relevant == 0:
-            continue
-        for method, rule in RULES.items():
-            outcome = rule(topic, params, seed + trial)
-            acceptable[method].append(
-                acceptability(outcome, topic, params.target_recall)
-            )
-    coverage = covered / trials if trials >= 100 else None
-
-    records = [
-        {
-            "record": "experiment",
-            "family": family,
-            "n": n_docs,
-            "trials": trials,
-            "seed": seed,
-            "coverage": None if coverage is None else round(coverage, 10),
-        }
-    ]
-    for method, hits in acceptable.items():
-        records.append(
-            {
-                "record": "method_reliability",
-                "method": method,
-                "topics": len(hits),
-                "reliability": round(reliability(hits), 10) if hits else None,
-            }
-        )
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _dump_jsonl(records, out_dir / "simulate.jsonl")
     lines = [f"family={family} n={n_docs} trials={trials} seed={seed}"]
     if coverage is not None:
         lines.append(f"credible-bound coverage: {coverage:.4f}")
@@ -600,7 +438,7 @@ def simulate(
             + (f"{rel:.4f} over {record['topics']} topics" if rel is not None else "n/a")
         )
     text = "\n".join(lines) + "\n"
-    (out_dir / "simulate.txt").write_text(text)
+    _write(out_dir, {"simulate.jsonl": records, "simulate.txt": text})
     click.echo(text, nl=False)
 
 
@@ -630,10 +468,8 @@ def validate(run_paths, qrels_path, out_dir):
                 f"extra {sorted(topic_ids - first_ids)}"
             )
     summary = validate_dataset(first)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "validation.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    )
+    text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    _write(out_dir, {"validation.json": text})
     for name, status in summary["checks"]:
         click.echo(f"{status:>4}  {name}")
 

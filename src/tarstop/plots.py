@@ -5,8 +5,6 @@ Hand-rolled polylines keep the output dependency-free and byte-stable.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 _WIDTH, _HEIGHT = 640, 400
 _MARGIN = 50
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e")
@@ -19,11 +17,10 @@ def _scale(values: list[float], lo: float, hi: float, out_lo: float, out_hi: flo
 
 def render_svg(
     series: dict[str, list[tuple[float, float]]],
-    path: str | Path,
     x_label: str = "",
     y_label: str = "",
-) -> None:
-    """Write named (x, y) series as an SVG line/point chart."""
+) -> str:
+    """Named (x, y) series as the text of an SVG line/point chart."""
     all_x = [x for pts in series.values() for x, _ in pts]
     all_y = [y for pts in series.values() for _, y in pts]
     if not all_x:
@@ -61,4 +58,4 @@ def render_svg(
             f'fill="{color}">{name}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -3,7 +3,8 @@
 Topics are generated by independent per-rank Bernoulli draws against a
 parameterized relevance-rate family (discrete thinning), which matches the
 at-most-one-event-per-rank data model.  ``bound_covers`` checks, one topic
-at a time, that the credible upper bound on the total relevant count holds.
+at a time, that the credible upper bound on the total relevant count holds,
+and ``coverage_experiment`` runs it and every rule over seeded trials.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 
 from tarstop.core import MethodParams, Topic
 from tarstop.errors import ComputationError
+from tarstop.methods import RULES
+from tarstop.metrics import acceptability, reliability
 from tarstop.poisson import upper_credible_count
 from tarstop.ratefit import fit_topic, lambda_integral
 
@@ -105,3 +108,48 @@ def bound_covers(topic: Topic, params: MethodParams) -> bool:
     except ComputationError:
         return False
     return total <= bound
+
+
+def coverage_experiment(
+    family: str, rate: RateFamily, n: int, trials: int, seed: int, params: MethodParams
+) -> list[dict]:
+    """The records of simulate.jsonl: an experiment, then one per rule.
+
+    Trial t's topic of n documents, drawn with seed ``seed + t``, is shared
+    by the coverage check and every rule in ``RULES``; one with no relevant
+    document counts towards coverage only.  Coverage of the credible bound
+    is reported from 100 trials up, and is None below.
+    """
+    covered = 0
+    acceptable = {m: [] for m in RULES}
+    for trial in range(trials):
+        topic = gen_topic(n, rate, seed=seed + trial)
+        if trials >= 100:
+            covered += bound_covers(topic, params)
+        if topic.total_relevant == 0:
+            continue
+        for method, rule in RULES.items():
+            outcome = rule(topic, params, seed + trial)
+            acceptable[method].append(
+                acceptability(outcome, topic, params.target_recall)
+            )
+    records = [
+        {
+            "record": "experiment",
+            "family": family,
+            "n": n,
+            "trials": trials,
+            "seed": seed,
+            "coverage": round(covered / trials, 10) if trials >= 100 else None,
+        }
+    ]
+    for method, hits in acceptable.items():
+        records.append(
+            {
+                "record": "method_reliability",
+                "method": method,
+                "topics": len(hits),
+                "reliability": round(reliability(hits), 10) if hits else None,
+            }
+        )
+    return records

@@ -288,7 +288,7 @@ def _refuse_reading(monkeypatch):
         raise AssertionError("input was read before the arguments were checked")
 
     monkeypatch.setattr(tarstop.cli, "parse_qrels", refuse)
-    monkeypatch.setattr(tarstop.cli, "gen_topic", refuse)
+    monkeypatch.setattr(tarstop.simulate, "gen_topic", refuse)
 
 
 _COMMANDS = ["evaluate", "stratify", "plot-data", "simulate", "validate"]
@@ -400,19 +400,18 @@ def test_simulate_draws_each_trial_topic_once(tmp_path, monkeypatch, trials):
         drawn.append(seed)
         return gen_topic(n, rate_family, seed)
 
-    monkeypatch.setattr(tarstop.cli, "gen_topic", counting)
     monkeypatch.setattr(tarstop.simulate, "gen_topic", counting)
     args = ["simulate", "--family", "bimodal", "--n", "200", "--seed", "9"]
     assert main(args + ["--trials", str(trials), "--out-dir", str(tmp_path)]) == 0
     assert drawn == [9 + t for t in range(trials)]
 
 
-def test_cli_import_loads_neither_scipy_nor_requests():
-    # numpy.random is loaded by the target method's first call, not at import.
+def _loaded_after_import(imports, modules):
+    """Those of modules that a fresh interpreter has loaded after imports."""
     src = str(Path(tarstop.cli.__file__).resolve().parents[1])
     code = (
-        "import sys, tarstop.cli; print(sorted(m for m in "
-        "('scipy', 'requests', 'numpy.random') if m in sys.modules))"
+        f"import sys, {imports}; print(sorted(m for m in "
+        f"{tuple(modules)!r} if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -421,7 +420,19 @@ def test_cli_import_loads_neither_scipy_nor_requests():
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_neither_scipy_nor_requests():
+    # numpy.random is loaded by the target method's first call, not at import.
+    modules = ("scipy", "requests", "numpy.random")
+    assert _loaded_after_import("tarstop.cli", modules) == "[]"
+
+
+def test_library_import_loads_no_cli():
+    # The records the commands write are built without the command line.
+    imports = "tarstop.metrics, tarstop.simulate"
+    assert _loaded_after_import(imports, ("click", "tarstop.cli")) == "[]"
 
 
 def test_plot_data_outputs(dataset, tmp_path):

@@ -11,6 +11,7 @@ say so.
 """
 
 import hashlib
+import json
 import multiprocessing
 
 import numpy as np
@@ -19,7 +20,11 @@ import pytest
 import tarstop.cli
 from conftest import doc_ids
 from tarstop.cli import main
-from tarstop.simulate import ExponentialRate, gen_topic
+from tarstop.core import MethodParams
+from tarstop.ingest import parse_qrels, parse_run
+from tarstop.methods import RULES
+from tarstop.metrics import build_report, build_stratify_report, mean_aurc, topic_records
+from tarstop.simulate import FAMILIES, ExponentialRate, coverage_experiment, gen_topic
 
 SIZES = (300, 500, 800, 1200)
 RUNS = 15
@@ -54,6 +59,16 @@ SIMULATE = {
     "step": "85f712c82adf0f6f77c2d902f2f2796842c880a774b508be6b563dbe0c92e154",
     "uniform": "0ea7fec15a6d24947ed2f78859dd0f44aab6b244496511fa224ca9a267ff1808",
 }
+# family -> sha256 of simulate.txt from the same command, recorded while the
+# text still read the unrounded coverage rather than the experiment record.
+SIMULATE_TXT = {
+    "bimodal": "b505bd2519fb1d9950418c4cc5ed2e7653a6810dd5fdfb27d69d83e92774aa40",
+    "exponential": "e2b9eff60dd1a69c101a1da973cb1ea0471c13409ebd9691fb6ae5efaadf732f",
+    "step": "b169a9f52610f994621fe55e3f53d09ebb0e4faff556a60766467e2ac871716c",
+    "uniform": "b5439d03c6a156d58fb2b8900e593844b4d538d56062799375dde7ede20121eb",
+}
+# The simulate command's defaults for the rate options it is not given.
+SIMULATE_RATE_ARGS = {"d": 0.5, "k": -0.005, "p": 0.1, "p1": 0.3, "p2": 0.01, "cutoff": 20}
 
 # validation.json of `validate` over the 15 run files of the dataset below,
 # recorded when only the first run file was labelled and summarized.
@@ -125,6 +140,36 @@ def test_golden_simulate_digest(family, tmp_path):
     assert main(args) == 0
     digest = hashlib.sha256((tmp_path / "simulate.jsonl").read_bytes()).hexdigest()
     assert digest == SIMULATE[family]
+    digest = hashlib.sha256((tmp_path / "simulate.txt").read_bytes()).hexdigest()
+    assert digest == SIMULATE_TXT[family]
+
+
+def _jsonl_digest(records):
+    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def test_library_records_equal_the_golden_outputs(tmp_path):
+    # The command's records, built in this process with no CLI and no pool.
+    paths, qrels_path = _write_dataset(tmp_path)
+    with open(qrels_path) as handle:
+        qrels = parse_qrels(handle)
+    runs = []
+    for path in paths:
+        with open(path) as handle:
+            runs.append(parse_run(handle, qrels))
+    params = MethodParams()
+    records = {
+        run.run_tag: {m: topic_records(run, m, params, 0) for m in RULES}
+        for run in runs
+    }
+    scores = {run.run_tag: mean_aurc(run) for run in runs}
+    assert _jsonl_digest(build_report(records)) == GOLDEN["evaluate"]["report.jsonl"]
+    stratify = build_stratify_report(scores, records)
+    assert _jsonl_digest(stratify) == GOLDEN["stratify"]["stratify.jsonl"]
+    for family, digest in SIMULATE.items():
+        rate = FAMILIES[family](SIMULATE_RATE_ARGS)
+        assert _jsonl_digest(coverage_experiment(family, rate, 400, 100, 0, params)) == digest
 
 
 def test_golden_validation_digest(tmp_path):

@@ -7,6 +7,7 @@ from tarstop.core import Run, StopOutcome
 from tarstop.metrics import (
     acceptability,
     aurc,
+    build_report,
     mean_aurc,
     pct_effort_saved,
     recall_of,
@@ -112,8 +113,9 @@ def _run_with_aurc(tag, good):
 
 def _stratify(runs):
     """Groups of runs from stratify_runs over each run's mean AURC."""
-    groups = stratify_runs([(run, mean_aurc(run)) for run in runs])
-    return tuple([run for run, _ in group] for group in groups)
+    by_tag = {run.run_tag: run for run in runs}
+    groups = stratify_runs({tag: mean_aurc(run) for tag, run in by_tag.items()})
+    return tuple([by_tag[tag] for tag in group] for group in groups)
 
 
 def test_stratify_15_runs():
@@ -144,3 +146,8 @@ def test_stratify_requires_15():
     runs = [_run_with_aurc(f"r{i}", good=True) for i in range(14)]
     with pytest.raises(ValueError):
         _stratify(runs)
+
+
+def test_build_report_of_no_runs_is_undefined():
+    with pytest.raises(ValueError):
+        build_report({})

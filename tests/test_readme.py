@@ -1,14 +1,16 @@
-"""The README's `## Library` example runs as written."""
+"""The README's `## Library` examples run as written."""
 
 import re
 from pathlib import Path
 
+from tarstop.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _library_example() -> str:
-    section = README.read_text().split("\n## Library\n", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+def _library_examples() -> list[str]:
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
@@ -21,5 +23,14 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
         "".join(f"T1 0 d{r} {int(r in (2, 5))}\n" for r in range(1, 11))
     )
     monkeypatch.chdir(tmp_path)
-    exec(compile(_library_example(), str(README), "exec"), {})
-    assert capsys.readouterr().out == "10 False\n"
+    examples = _library_examples()
+    assert len(examples) == 2
+    namespace = {}
+    for example in examples:
+        exec(compile(example, str(README), "exec"), namespace)
+    assert capsys.readouterr().out == "10 False\n[('pp', 10.0), ('or', 5.0)]\n"
+    # The second example's report.jsonl is the one the command writes.
+    args = ["evaluate", "--runs", "run.txt", "--qrels", "qrels.txt"]
+    assert main(args + ["--methods", "pp,or", "--out-dir", "cli"]) == 0
+    cli_report = (tmp_path / "cli" / "report.jsonl").read_bytes()
+    assert (tmp_path / "report.jsonl").read_bytes() == cli_report
