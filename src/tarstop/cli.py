@@ -18,14 +18,14 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TextIO
 
 import click
 
 from tarstop.config import resolve_params
 from tarstop.core import MethodParams, Run, Topic
 from tarstop.errors import ComputationError, ParseError, ValidationError
-from tarstop.ingest import Qrels, parse_qrels, parse_run, validate_dataset
+from tarstop.ingest import Qrels, QrelsIndex, parse_qrels, parse_run, validate_dataset
 from tarstop.methods import RULES
 from tarstop.metrics import (
     build_report,
@@ -134,22 +134,31 @@ class _KeptRecords(logging.Handler):
 
 
 # Set in each pool worker by _init_worker.
-_worker_qrels: Qrels = {}
+_worker_qrels: QrelsIndex | None = None
 _worker_log: _KeptRecords | None = None
 
 
 def _init_worker(qrels: Qrels) -> None:
     global _worker_qrels, _worker_log
-    _worker_qrels, _worker_log = qrels, _KeptRecords()
+    _worker_qrels, _worker_log = QrelsIndex(qrels), _KeptRecords()
     logger = logging.getLogger("tarstop")
     logger.handlers, logger.propagate = [_worker_log], False
+
+
+def _open_input(path: str) -> TextIO:
+    """A run or qrels file, read as UTF-8 whatever the locale.
+
+    A byte that is not valid UTF-8 reads as a lone surrogate, which ingest
+    refuses as a ParseError naming its line.
+    """
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
 
 def _run_worker(
     path: str, task: Callable[[Run], _RunResult]
 ) -> tuple[_RunResult, list[logging.LogRecord]]:
     _worker_log.records = []
-    with open(path) as handle:
+    with _open_input(path) as handle:
         run = parse_run(handle, _worker_qrels)
     for topic in run.topics:
         if topic.total_relevant < 1:
@@ -181,7 +190,7 @@ def _map_runs(
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with open(qrels_path) as handle:
+    with _open_input(qrels_path) as handle:
         qrels = parse_qrels(handle)
     context = None
     if "fork" in multiprocessing.get_all_start_methods():
@@ -452,11 +461,11 @@ def validate(run_paths, qrels_path, out_dir):
     Every run file is labelled from the qrels and must hold the topics of
     the first, whose figures are summarized.
     """
-    with open(qrels_path) as handle:
-        qrels = parse_qrels(handle)
+    with _open_input(qrels_path) as handle:
+        qrels = QrelsIndex(parse_qrels(handle))
     first = first_ids = None
     for path in run_paths:
-        with open(path) as handle:
+        with _open_input(path) as handle:
             run = parse_run(handle, qrels)
         topic_ids = {t.topic_id for t in run.topics}
         if first is None:

@@ -17,7 +17,10 @@ def parse_config(path: str | Path) -> dict[str, float | int]:
     # Each parameter's type, int or float, converts its value.
     types = get_type_hints(MethodParams)
     values: dict[str, float | int] = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    # UTF-8 whatever the locale; a byte that is not UTF-8 reads as a lone
+    # surrogate, which no key or value accepts.
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -519,6 +519,43 @@ def test_validate_checks_every_run_file(tmp_path, capsys):
     assert "topic 'T9' missing from qrels" in capsys.readouterr().err
 
 
+# A locale whose encoding is ASCII, which open() would decode with.
+_C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "validate"])
+@pytest.mark.parametrize("bad", [None, "run", "qrels"])
+def test_inputs_are_utf8_in_any_locale(tmp_path, command, bad):
+    # A non-ASCII id is read as UTF-8; a byte that is not UTF-8 is a parse
+    # error naming its line.
+    run_lines = [b"T1 NF \xc3\xa9 1 0.9 tag", b"T1 NF a 2 0.5 tag"]
+    qrels_lines = [b"T1 0 \xc3\xa9 1", b"T1 0 a 0"]
+    if bad == "run":
+        run_lines.append(b"T1 NF b\xff 3 0.1 tag")
+    elif bad == "qrels":
+        qrels_lines.append(b"T1 0 bb\xff 1")
+    run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
+    run.write_bytes(b"\n".join(run_lines) + b"\n")
+    qrels.write_bytes(b"\n".join(qrels_lines) + b"\n")
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    args = [command, "--runs", str(run), "--qrels", str(qrels)]
+    args += ["--out-dir", str(tmp_path / "out")]
+    if command == "evaluate":
+        args += ["--methods", "or"]
+    result = subprocess.run(
+        [sys.executable, "-m", "tarstop.cli", *args],
+        env={**os.environ, "PYTHONPATH": src, **_C_LOCALE},
+        capture_output=True,
+        text=True,
+    )
+    if bad is None:
+        assert (result.returncode, result.stderr) == (0, "")
+    else:
+        assert result.returncode == 2
+        message = "error: line 3: invalid UTF-8: byte 0xff at character 8\n"
+        assert result.stderr == message
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("epsilon = 50\ndelta = 0.6  # comment\n")

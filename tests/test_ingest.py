@@ -1,18 +1,24 @@
+import contextlib
 import logging
-import sys
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import serialize_qrels, serialize_run
 from tarstop import ingest
 from tarstop.core import Topic, rel_at
 from tarstop.errors import ParseError, ValidationError
-from tarstop.ingest import CLEF2017_STATS, parse_qrels, parse_run, validate_dataset
+from tarstop.ingest import (
+    CLEF2017_STATS,
+    QrelsIndex,
+    parse_qrels,
+    parse_run,
+    validate_dataset,
+)
 
 RUN_LINES = [
     "CD010775 NF 19307324 1 0.2715 Test-Data-Sheffield-run-2",
@@ -286,6 +292,7 @@ _rows = st.lists(
 )
 
 
+@settings(deadline=None)
 @given(_rows)
 def test_parse_run_orders_by_rank_score_doc(rows):
     lines = [f"{t} NF {d} {r} {s!r} tag" for t, d, r, s in rows]
@@ -324,6 +331,7 @@ _topic_ids = st.sampled_from(["A", "B"])
 _judged_ids = ["d1", "d2", "d3", "d4"]
 
 
+@settings(deadline=None)
 @given(
     st.lists(
         st.tuples(_topic_ids, st.sampled_from([*_judged_ids, "new", "shared"])),
@@ -371,15 +379,47 @@ _BLOCK_FAULTS = {
 }
 
 
-def _outcome(lines: list[str], block_lines: int):
+def _per_line_only(per_line: bool):
+    """With per_line, every block goes through the per-line reader."""
+    if not per_line:
+        return contextlib.nullcontext()
+    return mock.patch.object(ingest, "read_block", lambda block: None)
+
+
+def _outcome(lines: list[str], block_lines: int, per_line: bool = False):
     """The run tag and ranked ids parse_run gives, or its error's type, message and line."""
-    with mock.patch.object(ingest, "_BLOCK_LINES", block_lines):
+    blocks = mock.patch.object(ingest, "_BLOCK_LINES", block_lines)
+    with blocks, _per_line_only(per_line):
         try:
             return _ranked(lines)
         except (ParseError, ValidationError) as exc:
             return type(exc), str(exc), getattr(exc, "line_no", None)
 
 
+def _labelled(lines: list[str], qrels, block_lines: int, per_line: bool = False):
+    """The Run parse_run gives, as tags and labels, and its warnings; or its error."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("tarstop.ingest")
+    logger.addHandler(handler)
+    try:
+        with mock.patch.object(ingest, "_BLOCK_LINES", block_lines), _per_line_only(
+            per_line
+        ):
+            run = parse_run(lines, qrels)
+        return (
+            run.run_tag,
+            [(topic.topic_id, topic.relevant.tolist()) for topic in run.topics],
+            messages,
+        )
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None), messages
+    finally:
+        logger.removeHandler(handler)
+
+
+@settings(deadline=None)
 @given(
     fault=st.sampled_from(sorted(_BLOCK_FAULTS)),
     block_lines=st.integers(1, 4),
@@ -424,20 +464,188 @@ def test_parse_run_block_boundaries_leave_outcome(
     assert _outcome(lines, block_lines) == expected
 
 
+# What the differential test below draws from.  Each row is plain, which
+# the block reader takes, or odd, which only the per-line reader does: str
+# whitespace beyond space, tab and newline, non-ASCII ids, ids holding NUL
+# and 01 (stored escaped), ranks int() reads with a sign or an underscore,
+# and scores in every other form float() reads.
+_PLAIN = {
+    "separators": [" ", "  ", "\t", " \t "],
+    "doc_ids": [
+        *["a", "b", "d1", "z", "g0", "12345678"],
+        *["123456789", "long-doc-id-01", "long-doc-id-02"],
+    ],
+    "ranks": st.integers(1, 9).map(str) | st.sampled_from(["007", "12"]),
+    "scores": st.sampled_from(
+        ["0.5", "-0.0", "0", "3", ".5", "5.", "-.5", "0.999922", "1234567.87654321"]
+    )
+    | st.builds("{:.{}f}".format, st.floats(-100, 100), st.integers(0, 6)),
+}
+_ODD = {
+    "separators": ["\x0b", "\x1c", "\xa0", "\u3000"],
+    "doc_ids": ["é", "ü-2", "a\x00", "\x01b"],
+    "ranks": st.sampled_from(["+5", "1_0", "0", "12345678901234567"]),
+    "scores": st.sampled_from(["1e-05", "inf", "nan", "+1.5", "0.30000000000000004"])
+    | st.floats(-100, 100).map(repr),
+}
+
+
+@st.composite
+def _run_lines(draw):
+    lines = []
+    for kind in draw(st.lists(st.sampled_from("ppppoobf"), min_size=1, max_size=10)):
+        if kind == "b":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0b"])))
+        elif kind == "f":
+            lines.append(draw(st.sampled_from(sorted(_BLOCK_FAULTS.values()))))
+        else:
+            # An odd row is odd in one field or separator, drawn as plain or odd.
+            styles = [_PLAIN] * 9
+            if kind == "o":
+                styles[draw(st.integers(0, 8))] = _ODD
+            separator = [
+                draw(st.sampled_from(style["separators"])) for style in styles[:6]
+            ]
+            fields = [
+                draw(st.sampled_from(_TOPIC_IDS)),
+                "Q0",
+                draw(st.sampled_from(styles[6]["doc_ids"])),
+                draw(styles[7]["ranks"]),
+                draw(styles[8]["scores"]),
+                draw(st.sampled_from(["tag", "other-tag"])),
+            ]
+            line = "".join(s + f for s, f in zip(separator, fields))
+            lines.append(line if draw(st.booleans()) else line.lstrip())
+    if draw(st.booleans()):  # as a file hands them over
+        lines = [line + "\n" for line in lines]
+    return lines
+
+
+_TOPIC_IDS = ["T1", "T2", "topic-number-3"]
+_DOC_IDS = _PLAIN["doc_ids"] + _ODD["doc_ids"]
+_qrels_of = st.dictionaries(
+    st.sampled_from(_TOPIC_IDS),
+    st.dictionaries(st.sampled_from(_DOC_IDS), st.integers(-1, 2)),
+    min_size=2,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=_run_lines(),
+    qrels=_qrels_of,
+    block_lines=st.integers(1, 4),
+    collide=st.booleans(),
+)
+def test_block_reader_matches_per_line_reader(lines, qrels, block_lines, collide):
+    # With collide, every id longer than 8 bytes hashes to one key.
+    collisions = mock.patch.object(
+        ingest, "_hash", lambda words: np.zeros(len(words), dtype=np.uint64)
+    )
+    with collisions if collide else contextlib.nullcontext():
+        ranked = _outcome(lines, block_lines, per_line=True)
+        labelled = _labelled(lines, qrels, block_lines, per_line=True)
+        assert (_outcome(lines, block_lines), _labelled(lines, qrels, block_lines)) == (
+            ranked,
+            labelled,
+        )
+    if labelled[0] in ("tag", "other-tag"):  # parsed: check the labels by dict lookups
+        assert labelled[1] == [
+            (topic_id, [qrels[topic_id].get(doc_id, 0) > 0 for doc_id in ids])
+            for topic_id, ids in ranked[1]
+        ]
+
+
+@pytest.mark.parametrize(
+    "line, simple",
+    [
+        ("T1 NF a 1 0.5 tag", True),
+        ("  T1\tNF   a\t 007 .5 tag", True),
+        ("T1 NF a 3 5. tag", True),
+        ("T1 NF long-document-id 2 -0.25 tag", True),
+        ("T1 NF a 1 1234567.87654321 tag", True),
+        ("T1 NF a 1 -0 tag", True),
+        ("T1 NF a +5 0.5 tag", False),
+        ("T1 NF a 1_0 0.5 tag", False),
+        ("T1 NF a 0 0.5 tag", False),
+        ("T1 NF a 12345678901234567 0.5 tag", False),
+        ("T1 NF a 1 1e-05 tag", False),
+        ("T1 NF a 1 inf tag", False),
+        ("T1 NF a 1 0.30000000000000004 tag", False),
+        ("T1 NF a 1 9007199254740.99 tag", True),
+        ("T1 NF a 1 9007199254740.993 tag", False),
+        ("T1 NF a\x00 1 0.5 tag", False),
+        ("T1 NF a 1 0.5 tag\x0b", False),
+        ("T1\x1cNF a 1 0.5 tag", False),
+        ("T1 NF a 1 0.5 tag\x7f", False),
+        ("T1 NF é 1 0.5 tag", False),
+        ("T1\xa0NF a 1 0.5 tag", False),
+        ("T1 NF a 1 0.5 tag\r\n", False),
+        ("T1 NF a 1 0.5", False),
+    ],
+)
+def test_which_blocks_the_block_reader_takes(monkeypatch, line, simple):
+    # tarstop.blockreader's docstring says what makes a block simple.
+    calls = []
+    split = ingest._split_block
+    monkeypatch.setattr(ingest, "_split_block", lambda *a: calls.append(a) or split(*a))
+    with contextlib.suppress(ParseError):
+        parse_run([line], _unjudged([line]))
+    assert (not calls) == simple
+
+
+def test_one_index_builds_each_topic_once(monkeypatch):
+    built = []
+    id_words = ingest._id_words
+    monkeypatch.setattr(
+        ingest, "_id_words", lambda ids: built.append(ids) or id_words(ids)
+    )
+    index = QrelsIndex(QRELS)
+    for lines in (RUN_LINES, RUN_LINES[::-1]):
+        parse_run(lines, index)
+    assert sorted(map(sorted, built)) == sorted(map(sorted, map(list, QRELS.values())))
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_long_ids_label_by_their_bytes(monkeypatch, collide):
+    # With collide, every id longer than 8 bytes hashes to one key.
+    if collide:
+        monkeypatch.setattr(
+            ingest, "_hash", lambda words: np.zeros(len(words), np.uint64)
+        )
+    lines = [f"T1 NF long-document-{i} {i + 1} 0.5 tag" for i in range(4)]
+    qrels = parse_qrels(["T1 0 long-document-1 1", "T1 0 d 1"])
+    relevant = parse_run(lines, qrels).topics[0].relevant
+    assert relevant.tolist() == [False, True, False, False]
+    qrels = parse_qrels(["T1 0 long-document-1 1", "T1 0 long-document-3 2"])
+    relevant = parse_run(lines, qrels).topics[0].relevant
+    assert relevant.tolist() == [False, True, False, True]
+
+
+def test_ids_holding_nul_or_01_keep_their_bytes():
+    # Tied ranks and scores: the ids order as strings, NUL first.
+    lines = [f"T1 NF {doc_id} 1 0.5 tag" for doc_id in ["a\x00", "a", "\x01", "\x00"]]
+    qrels = {"T1": {"a\x00": 1, "\x00": 1, "a": 0}}
+    relevant = parse_run(lines, qrels).topics[0].relevant
+    assert relevant.tolist() == [True, False, False, True]
+    with pytest.raises(ValidationError, match=r"duplicate doc_id 'a\\x00'"):
+        parse_run([*lines, lines[0]], qrels)
+
+
 def test_parse_run_memory_is_bounded(monkeypatch):
-    # Only one block of rank, score and topic strings is held at a time.
-    # Beyond the Run returned, parse_run holds each row's doc id (its string
-    # and a list slot) until every topic is labelled, and a few numbers per
-    # row: well under 64 bytes per row more than the ids, where holding
-    # every row's strings needs about 200 more.
+    # Until every topic is labelled, parse_run holds a doc-id key, a rank
+    # and a score per row (24 bytes), beside one block of lines at work.
+    # On a CLEF-sized run (120,000 rows) that peaks under 40 bytes a row
+    # beyond the Run returned; holding each row's doc-id string needs over
+    # 100.  The qrels' keys are built first, as a worker builds them once.
     monkeypatch.setattr(ingest, "_BLOCK_LINES", DEFAULT_BLOCK_LINES)
     lines = [
-        f"T{t:02d} NF {10_000_000 + 1000 * t + r} {r} {1 / r:.6f} run-tag"
+        f"T{t:02d} NF {10_000_000 + 10_000 * t + r} {r} {1 / r:.6f} run-tag"
         for t in range(30)
-        for r in range(1, 1001)
+        for r in range(1, 4001)
     ]
-    id_bytes = sum(sys.getsizeof(line.split()[2]) + 8 for line in lines)
-    qrels = _unjudged(lines)
+    qrels = QrelsIndex(_unjudged(lines))
+    parse_run(lines, qrels)
     tracemalloc.start()
     try:
         run = parse_run(lines, qrels)
@@ -445,4 +653,4 @@ def test_parse_run_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert sum(topic.size for topic in run.topics) == len(lines)
-    assert peak - kept < 64 * len(lines) + id_bytes
+    assert peak - kept < 40 * len(lines)
