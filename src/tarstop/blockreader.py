@@ -1,15 +1,18 @@
-"""The block reader of run files: a block of lines read with numpy.
+"""The block reader: a chunk of run or qrels lines read with numpy.
 
-``read_block`` takes a block only when it can prove the block simple:
-printable ASCII with space, tab and newline as the only whitespace, six
-fields on every non-blank line, ranks of 1 to 16 digits from 1 up, and
-scores of at most 16 characters of the form ``-?digits.digits``, where
-either side of the point may be empty and the point may be left out.  For
-any other block it returns None, and ``ingest.parse_run`` reads the block
-with its per-line reader, which gives the same rows.
+A chunk is the bytes of whole lines, each ended by ``\\n`` (the last line
+of a file may have no end).  ``read_block`` takes a chunk only when it can
+prove it simple: printable ASCII with space, tab and newline as the only
+whitespace, and on every non-blank line the format's number of fields (6
+for a run, 4 for qrels).  A run's ranks must be 1 to 16 digits from 1 up,
+and its scores at most 16 characters of the form ``-?digits.digits``,
+where either side of the point may be empty and the point may be left
+out.  A qrels label must be ``-?digits`` in at most 16 characters.  For
+any other chunk it returns None, and ``ingest`` reads the chunk with its
+per-line reader, which gives the same rows.
 
 It finds the tokens with numpy and reads 8 bytes of a token at a time, as
-64-bit words read at any byte offset of the block: left-aligned at a
+64-bit words read at any byte offset of the chunk: left-aligned at a
 token's start for ids and topics (read big-endian), and right-aligned at
 its end for numbers (read little-endian, so that the token's last
 character is the top byte).
@@ -21,13 +24,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-# The bytes of a simple block: printable ASCII, tab and newline.
+# The bytes of a simple chunk: printable ASCII, tab and newline.
 _SIMPLE_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
 
-# The block reader reads ranks and scores of at most 16 characters.  A
-# score with a point then has at most 15 digits, so its mantissa and the
-# power of ten it is divided by are exact floats and the quotient is
-# float()'s correctly rounded value; without a point it divides by 1.
+# The block reader reads numbers of at most 16 characters.  A score with a
+# point then has at most 15 digits, so its mantissa and the power of ten
+# it is divided by are exact floats and the quotient is float()'s
+# correctly rounded value; without a point it divides by 1.
 _MAX_NUMBER = 16
 _POW10 = 10 ** np.arange(_MAX_NUMBER + 1, dtype=np.int64)
 
@@ -53,17 +56,17 @@ _BYTE_INDEX = np.uint64(0x0807060504030201)
 
 
 class Rows(NamedTuple):
-    """The rows of one block of run lines, as both readers hand them on."""
+    """The rows of one chunk of run or qrels lines, as both readers hand them on."""
 
     topics: list[str]  # the topic of each stretch of rows with one topic
     topic_ends: list[int]  # the row after each such stretch
     # Each row's doc id as 64-bit words: its UTF-8 bytes, read big-endian
     # and NUL-padded, so that words order as the ids do (the per-line
-    # reader first escapes NUL and 01, which a simple block never holds).
+    # reader first escapes NUL and 01, which a simple chunk never holds).
     id_words: np.ndarray
-    ranks: np.ndarray  # int64
-    scores: np.ndarray  # float64
-    run_tag: str  # the first row's
+    # A run's ranks (int64) and scores (float64); the qrels' labels (int64).
+    values: tuple[np.ndarray, ...]
+    run_tag: str | None  # a run's first row's; None for qrels
 
 
 def _top_bytes(count: np.ndarray) -> np.ndarray:
@@ -143,25 +146,39 @@ def _ranks(
     return None if ranks is None or ranks.min() < 1 else ranks
 
 
-def _scores(
-    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray
-) -> np.ndarray | None:
-    """Scores ``-?D*.?D*`` with at least one digit, or None."""
+def _signed(
+    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, point: bool
+) -> tuple[np.ndarray, ...] | None:
+    """Tokens ``-?D*.?D*`` with at least one digit, or None.
+
+    Without ``point``, a token holding a point is refused.  Returns the
+    digits, the point read as a 0, as one integer; whether each token has a
+    point, and how many characters follow it; and whether it is negative.
+    """
     columns = _right_words(words, ends, lengths)
-    points, frac = _take_byte(columns, ord("."))
+    points, frac = _take_byte(columns, ord(".")) if point else (0, 0)
     minus, after = _take_byte(columns, ord("-"))
     negative = minus > 0
     if (
-        points.max() > 1
+        np.max(points) > 1
         or np.any(minus[negative] > 1)
         or np.any(after[negative] != lengths[negative] - 1)  # a leading minus only
         or np.any(lengths - points - minus < 1)
     ):
         return None
-    # The digits, with the point read as a 0: split around it.
     whole = _number(columns)
-    if whole is None:
+    return None if whole is None else (whole, points, frac, negative)
+
+
+def _scores(
+    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray
+) -> np.ndarray | None:
+    """Scores ``-?D*.?D*`` with at least one digit, or None."""
+    read = _signed(words, ends, lengths, point=True)
+    if read is None:
         return None
+    whole, points, frac, negative = read
+    # Split the digits around the point.
     high, low = np.divmod(whole, _POW10[frac + 1])
     mantissa = np.where(points > 0, high * _POW10[frac] + low, whole)
     scores = mantissa / _POW10[frac]
@@ -169,48 +186,69 @@ def _scores(
     return scores
 
 
-def read_block(block: list[str]) -> Rows | None:
-    """A block's rows, or None unless the block is simple."""
-    lengths = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
-    # Whitespace padding, so that every token has whitespace on both sides
-    # and every word read around a token lies inside the text.
-    pad = " " * (int(lengths.max()) + 16)
-    text = "\n".join([pad, *block, pad])
-    if not text.isascii():
+def _labels(
+    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray
+) -> np.ndarray | None:
+    """Labels ``-?D+``, or None."""
+    read = _signed(words, ends, lengths, point=False)
+    if read is None:
         return None
-    raw = text.encode()
-    del text
-    if raw.translate(None, _SIMPLE_BYTES):
+    labels, _, _, negative = read
+    np.negative(labels, out=labels, where=negative)
+    return labels
+
+
+def _tokens(chunk: bytes, fields: int):
+    """The bytes and words of a simple chunk, and its tokens' starts and ends.
+
+    Starts and ends are rows of ``fields``, or the result is None when the
+    chunk is not simple.  The chunk is padded with spaces, so that every
+    word read around a token lies inside it; starts and ends count in the
+    padded bytes.
+    """
+    if not chunk or chunk.translate(None, _SIMPLE_BYTES):
         return None
-    word = np.frombuffer(raw, dtype=np.uint8) > 32
-    edges = np.flatnonzero(word[1:] ^ word[:-1])
-    del word
-    edges += 1
+    data = np.frombuffer(chunk, dtype=np.uint8)
+    edges = np.flatnonzero(np.diff(data > 32, prepend=False, append=False))
     starts, ends = edges[::2], edges[1::2]
-    # Tokens on each line, which starts after the padding and the lines before.
-    before = np.searchsorted(starts, len(pad) + np.cumsum(lengths + 1) - lengths)
-    counts = np.diff(before, append=len(starts))
-    if not len(starts) or counts.max() > 6:
+    # Tokens on each line; a line starts after each newline.
+    before = np.searchsorted(starts, np.flatnonzero(data == 10) + 1)
+    counts = np.diff(before, prepend=0, append=len(starts))
+    if not len(starts) or counts.max() > fields:
         return None
-    if 6 * np.count_nonzero(counts) != len(starts):
+    if fields * np.count_nonzero(counts) != len(starts):
         return None
-    starts, ends = starts.reshape(-1, 6), ends.reshape(-1, 6)
-    sizes = ends - starts
-    if sizes[:, 3:5].max() > _MAX_NUMBER:
-        return None
+    pad = int((ends - starts).max()) + 16
+    raw = b" " * pad + chunk + b" " * pad
     words = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
-    ranks = _ranks(words, ends[:, 3], sizes[:, 3])
-    scores = None if ranks is None else _scores(words, ends[:, 4], sizes[:, 4])
-    if scores is None:
+    return raw, words, (starts + pad).reshape(-1, fields), (ends + pad).reshape(-1, fields)
+
+
+def read_block(chunk: bytes, fields: int) -> Rows | None:
+    """A chunk's rows, ``fields`` 6 for a run and 4 for qrels; None unless simple."""
+    tokens = _tokens(chunk, fields)
+    if tokens is None:
+        return None
+    raw, words, starts, ends = tokens
+    sizes = ends - starts
+    if sizes[:, 3:5].max() > _MAX_NUMBER:  # ranks and scores, or labels
+        return None
+    if fields == 6:
+        ranks = _ranks(words, ends[:, 3], sizes[:, 3])
+        scores = None if ranks is None else _scores(words, ends[:, 4], sizes[:, 4])
+        values = None if scores is None else (ranks, scores)
+    else:
+        labels = _labels(words, ends[:, 3], sizes[:, 3])
+        values = None if labels is None else (labels,)
+    if values is None:
         return None
     topic = _left_words(words, starts[:, 0], sizes[:, 0])
     changes = np.flatnonzero(np.any(topic[1:] != topic[:-1], axis=1)) + 1
     firsts = [0, *changes.tolist()]
     return Rows(
         topics=[raw[starts[row, 0] : ends[row, 0]].decode() for row in firsts],
-        topic_ends=[*firsts[1:], len(ranks)],
+        topic_ends=[*firsts[1:], len(starts)],
         id_words=_left_words(words, starts[:, 2], sizes[:, 2]),
-        ranks=ranks,
-        scores=scores,
-        run_tag=raw[starts[0, 5] : ends[0, 5]].decode(),
+        values=values,
+        run_tag=raw[starts[0, 5] : ends[0, 5]].decode() if fields == 6 else None,
     )

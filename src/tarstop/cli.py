@@ -18,14 +18,14 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable
 
 import click
 
 from tarstop.config import resolve_params
 from tarstop.core import MethodParams, Run, Topic
 from tarstop.errors import ComputationError, ParseError, ValidationError
-from tarstop.ingest import Qrels, QrelsIndex, parse_qrels, parse_run, validate_dataset
+from tarstop.ingest import QrelsIndex, parse_qrels, parse_run, validate_dataset
 from tarstop.methods import RULES
 from tarstop.metrics import (
     build_report,
@@ -52,11 +52,11 @@ class _RunResult:
     """What a pool worker sends back for one run file.
 
     ``records`` maps each requested method to its topic records on the run;
-    ``gain`` is set when a gain curve was asked for.
+    ``mean_aurc`` and ``gain`` are set when they were asked for.
     """
 
     run_tag: str
-    mean_aurc: float
+    mean_aurc: float | None
     records: dict[str, list[dict]]
     gain: tuple[list, list] | None = None
 
@@ -66,11 +66,13 @@ def _assess_run(
     methods: list[str],
     params: MethodParams,
     seed: int,
+    aurc: bool = False,
     gain_topic: str | None = None,
 ) -> _RunResult:
     """A worker's task: assess one labelled run with the given methods.
 
-    The gain curve of ``gain_topic`` is drawn when a topic is named.
+    The run's mean AURC is computed when ``aurc`` is set, and the gain
+    curve of ``gain_topic`` is drawn when a topic is named.
     """
     gain = None
     if gain_topic is not None:
@@ -82,7 +84,7 @@ def _assess_run(
         gain = _gain_curve(topic, params)
     return _RunResult(
         run_tag=run.run_tag,
-        mean_aurc=mean_aurc(run),
+        mean_aurc=mean_aurc(run) if aurc else None,
         records={m: topic_records(run, m, params, seed) for m in methods},
         gain=gain,
     )
@@ -116,8 +118,8 @@ def _aggregate_table(records: list[dict], title: str) -> str:
 
 
 # The per-run pipeline.  Each run file is parsed, labelled and assessed in a
-# pool worker; the qrels are parsed once in the parent and handed to every
-# worker.  Records logged in a worker come back with its result and are
+# pool worker; the qrels are indexed once in the parent and handed to every
+# worker, which a forked worker inherits without a copy.  Records logged in a worker come back with its result and are
 # emitted in the parent, in --runs order.
 
 
@@ -138,27 +140,18 @@ _worker_qrels: QrelsIndex | None = None
 _worker_log: _KeptRecords | None = None
 
 
-def _init_worker(qrels: Qrels) -> None:
+def _init_worker(qrels: QrelsIndex) -> None:
     global _worker_qrels, _worker_log
-    _worker_qrels, _worker_log = QrelsIndex(qrels), _KeptRecords()
+    _worker_qrels, _worker_log = qrels, _KeptRecords()
     logger = logging.getLogger("tarstop")
     logger.handlers, logger.propagate = [_worker_log], False
-
-
-def _open_input(path: str) -> TextIO:
-    """A run or qrels file, read as UTF-8 whatever the locale.
-
-    A byte that is not valid UTF-8 reads as a lone surrogate, which ingest
-    refuses as a ParseError naming its line.
-    """
-    return open(path, encoding="utf-8", errors="surrogateescape")
 
 
 def _run_worker(
     path: str, task: Callable[[Run], _RunResult]
 ) -> tuple[_RunResult, list[logging.LogRecord]]:
     _worker_log.records = []
-    with _open_input(path) as handle:
+    with open(path, "rb") as handle:
         run = parse_run(handle, _worker_qrels)
     for topic in run.topics:
         if topic.total_relevant < 1:
@@ -190,7 +183,7 @@ def _map_runs(
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with _open_input(qrels_path) as handle:
+    with open(qrels_path, "rb") as handle:
         qrels = parse_qrels(handle)
     context = None
     if "fork" in multiprocessing.get_all_start_methods():
@@ -339,7 +332,9 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     method_list = _parse_methods(methods)
     if len(run_paths) < 15:
         raise click.UsageError("stratification needs at least 15 runs")
-    task = partial(_assess_run, methods=method_list, params=params, seed=seed)
+    task = partial(
+        _assess_run, methods=method_list, params=params, seed=seed, aurc=True
+    )
     results = _map_runs(qrels_path, [(path, task) for path in run_paths])
     records = build_stratify_report(
         {r.run_tag: r.mean_aurc for r in results},
@@ -369,7 +364,9 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
 def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **flags):
     """Emit gain-curve and effort-vs-AURC CSV/SVG plot data."""
     params = resolve_params(config_path, **flags)
-    task = partial(_assess_run, methods=["or", "pp"], params=params, seed=seed)
+    task = partial(
+        _assess_run, methods=["or", "pp"], params=params, seed=seed, aurc=True
+    )
     # The gain curve is drawn for the topic in the first run file.
     jobs = [(run_paths[0], partial(task, gain_topic=topic_id))]
     jobs += [(path, task) for path in run_paths[1:]]
@@ -461,11 +458,11 @@ def validate(run_paths, qrels_path, out_dir):
     Every run file is labelled from the qrels and must hold the topics of
     the first, whose figures are summarized.
     """
-    with _open_input(qrels_path) as handle:
-        qrels = QrelsIndex(parse_qrels(handle))
+    with open(qrels_path, "rb") as handle:
+        qrels = parse_qrels(handle)
     first = first_ids = None
     for path in run_paths:
-        with _open_input(path) as handle:
+        with open(path, "rb") as handle:
             run = parse_run(handle, qrels)
         topic_ids = {t.topic_id for t in run.topics}
         if first is None:

@@ -1,38 +1,40 @@
-"""Parsing of run and qrels files into labelled Runs and Topics.
+"""Parsing of run and qrels files into labelled Runs and a qrels index.
 
 Run files carry 6 whitespace-separated columns
 (``topic_id flag doc_id rank score run_tag``); qrels carry 4
-(``topic_id unused doc_id label``), with label > 0 meaning relevant.  A
-line holding a character UTF-8 cannot encode, which is how a byte that is
-not UTF-8 reads from a file opened with ``errors="surrogateescape"``, is a
-ParseError.
+(``topic_id unused doc_id label``), with label > 0 meaning relevant.
 
-``parse_run`` reads a run in blocks of lines.  ``blockreader.read_block``
-reads a block that is simple with numpy (see that module); every other
-block goes through the per-line reader here, which splits each line with
-``str.split``, ``int`` and ``float``: a block with a non-ASCII character,
-other whitespace (such as ``\x0b``, ``\x1c``, ``\r``, ``\xa0`` or U+3000)
-or a control character, a rank such as ``+5``, ``1_0`` or ``0``, a score
-such as ``1e-05``, ``inf``, ``nan`` or ``+1.5``, a rank or score longer
-than 16 characters, or a non-blank line without six fields.  Both readers
-hand the same ``Rows`` to one downstream, so a Run, its warnings and its
-errors do not depend on which reader read a block; errors are always found
-and numbered by the per-line reader.
+Both are read as bytes, in chunks of whole lines: a binary file
+``_CHUNK_BYTES`` at a time, with ``\\r\\n`` and a lone ``\\r`` read as a
+line end, as a text file reads them; lines of ``str`` (a text file, a
+list) are encoded into the same chunks.  ``blockreader.read_block`` reads
+a chunk that is simple with numpy (see that module); every other chunk
+goes through the per-line reader here, which decodes it as UTF-8 and
+splits each line with ``str.split``, ``int`` and ``float``: a chunk with a
+non-ASCII byte, other whitespace (such as ``\\x0b``, ``\\x1c``, ``\\xa0``
+or U+3000) or a control character, a rank such as ``+5``, ``1_0`` or
+``0``, a score such as ``1e-05``, ``inf``, ``nan`` or ``+1.5``, a label
+such as ``+1`` or ``1_0``, a number longer than 16 characters, or a
+non-blank line with the wrong number of fields.  Both readers hand the
+same ``Rows`` to one downstream, so a Run, its warnings and its errors do
+not depend on which reader read a chunk; errors are always found and
+numbered by the per-line reader.  A byte that is not UTF-8 is a
+ParseError naming its line.
 
 A doc id is held as a 64-bit key: the id's UTF-8 bytes read big-endian
 when they fit in 8, so such keys order as the ids do, else a hash,
-re-checked against the id's bytes on any match.  A ``QrelsIndex`` keeps
-each topic's judged ids as sorted keys, and a run is labelled by a binary
-search in them.
+re-checked against the id's bytes on any match.  ``parse_qrels`` returns a
+``QrelsIndex``, which keeps each topic's judged ids as sorted keys and
+their relevance, and ``parse_run`` labels a run by a binary search in them.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import logging
-import operator
 import re
-from typing import Iterable, TextIO
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -42,17 +44,13 @@ from tarstop.errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
 
-# Ranks are held as int64.
+# Ranks and labels are held as int64.
 _MAX_RANK = np.iinfo(np.int64).max
 
-# Lines of a run file that parse_run reads and converts at once.  A block
-# costs a fixed hundred-odd numpy calls, so small blocks are slow: on a
-# 99,918-line run (median of 15 runs, the sizes alternated in one
-# process), 512 lines took 168 ms, 1,024 took 119, 2,048 took 96, 4,096
-# took 93 and 8,192 or 16,384 took 89-90.  A block at work holds about 280
-# bytes a line, so 4,096 lines hold about 1.1 MB, half of what the
-# slightly faster 8,192 do.
-_BLOCK_LINES = 4096
+# Bytes read from a file at once, cut at the last line end.  A chunk costs a
+# fixed hundred-odd numpy calls, and at work it holds about 7 bytes per
+# byte of the chunk, so XXX.
+_CHUNK_BYTES = 1 << 17
 
 # Multipliers of the doc-id hash (odd, so that multiplying loses nothing).
 _HASH_A = np.uint64(0x9E3779B97F4A7C15)
@@ -72,14 +70,50 @@ CLEF2017_STATS = {
 }
 
 
-# topic_id -> doc_id -> integer label, as parse_qrels returns them.
-Qrels = dict[str, dict[str, int]]
+def _chunks(source: IO | Iterable[str]) -> Iterator[bytes]:
+    """Chunks of whole lines, each ended by ``\\n`` but perhaps the last.
+
+    A file, binary or text, is read ``_CHUNK_BYTES`` at a time, and text
+    is encoded, a lone surrogate from ``errors="surrogateescape"`` back to
+    its byte.  Other lines of str are encoded so, each but the last ended
+    by ``\\n`` if it is not.
+    """
+    read = getattr(source, "read", None)
+    if read is None:
+        batch, size = [], 0
+        for line in source:
+            if batch and not batch[-1].endswith("\n"):
+                batch[-1] += "\n"
+                size += 1
+            if size >= _CHUNK_BYTES:
+                yield "".join(batch).encode("utf-8", "surrogateescape")
+                batch, size = [], 0
+            batch.append(line)
+            size += len(line)
+        if batch:
+            yield "".join(batch).encode("utf-8", "surrogateescape")
+        return
+    rest = b""
+    while data := read(_CHUNK_BYTES):
+        if isinstance(data, str):
+            data = data.encode("utf-8", "surrogateescape")
+        data = rest + data
+        if b"\r" in data:
+            # A \r at the end may start a \r\n: it waits for the next chunk.
+            end = len(data) - data.endswith(b"\r")
+            data = data[:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n") + data[end:]
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]
+        rest = data[cut:]
+    if rest:
+        yield rest.replace(b"\r", b"\n")
 
 
 def _require_utf8(line: str, line_no: int) -> None:
     """Refuse a line holding a character UTF-8 cannot encode.
 
-    Files opened with ``errors="surrogateescape"`` turn each byte that is
+    Bytes decoded with ``errors="surrogateescape"`` turn each byte that is
     not valid UTF-8 into such a character (a lone surrogate).
     """
     try:
@@ -95,27 +129,91 @@ def _require_utf8(line: str, line_no: int) -> None:
         ) from exc
 
 
-def _raise_first_error(block: list[str], first_line: int) -> None:
-    """Raise a ParseError naming the first bad line of a block of run lines.
+def _fields(line: str, line_no: int, fields: int) -> tuple | None:
+    """A line's (topic, doc id, values, run tag), or None when it is blank.
 
-    ``first_line`` is the number of the block's first line.
+    The values are a run line's (rank, score) or a qrels line's (label,),
+    and only a run line has a tag.  A bad line is a ParseError.
     """
-    for line_no, line in enumerate(block, start=first_line):
+    if not line.isascii():
         _require_utf8(line, line_no)
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 6:
-            raise ParseError(f"expected 6 fields, got {len(fields)}: {line!r}", line_no)
+    parts = line.split()
+    if len(parts) != fields:
+        if not parts:
+            return None
+        raise ParseError(f"expected {fields} fields, got {len(parts)}: {line!r}", line_no)
+    if fields == 4:
         try:
-            rank = int(fields[3])
-            float(fields[4])
+            label = int(parts[3])
         except ValueError as exc:
-            raise ParseError(f"bad rank/score: {exc}", line_no) from exc
-        if rank < 1:
-            raise ParseError(f"rank must be >= 1, got {rank}", line_no)
-        if rank > _MAX_RANK:
-            raise ParseError(f"rank too large: {rank}", line_no)
+            raise ParseError(f"bad label: {exc}", line_no) from exc
+        if abs(label) > _MAX_RANK:
+            raise ParseError(f"label too large: {label}", line_no)
+        return parts[0], parts[2], (label,), None
+    try:
+        rank, score = int(parts[3]), float(parts[4])
+    except ValueError as exc:
+        raise ParseError(f"bad rank/score: {exc}", line_no) from exc
+    if rank < 1:
+        raise ParseError(f"rank must be >= 1, got {rank}", line_no)
+    if rank > _MAX_RANK:
+        raise ParseError(f"rank too large: {rank}", line_no)
+    return parts[0], parts[2], (rank, score), parts[5]
+
+
+def _split_block(
+    chunk: bytes, first_line: int, fields: int
+) -> tuple[Rows | None, ParseError | None]:
+    """The per-line reader: a chunk's rows up to its first bad line, and its error.
+
+    The rows are None when no line before the error has fields.
+    ``first_line`` is the number of the chunk's first line.
+    """
+    rows, error = [], None
+    text = chunk.decode("utf-8", "surrogateescape")
+    for line_no, line in enumerate(io.StringIO(text, newline="\n"), first_line):
+        try:
+            row = _fields(line, line_no, fields)
+        except ParseError as exc:
+            error = exc
+            break
+        if row is not None:
+            rows.append(row)
+    if not rows:
+        return None, error
+    topics, doc_ids, values, tags = zip(*rows)
+    stretches = [(topic, len(list(run))) for topic, run in itertools.groupby(topics)]
+    return (
+        Rows(
+            topics=[topic for topic, _ in stretches],
+            topic_ends=list(itertools.accumulate(n for _, n in stretches)),
+            id_words=_id_words(doc_ids),
+            values=tuple(
+                np.array(column, dtype=dtype)
+                for column, dtype in zip(zip(*values), (np.int64, np.float64))
+            ),
+            run_tag=tags[0],
+        ),
+        error,
+    )
+
+
+def _blocks(source: IO[bytes] | Iterable[str], fields: int) -> Iterator[Rows]:
+    """The rows of each chunk of a file of ``fields``-field lines.
+
+    A ParseError names the first bad line; it is raised after the rows of
+    the lines before it.
+    """
+    first_line = 1
+    for chunk in _chunks(source):
+        read, error = read_block(chunk, fields), None
+        if read is None:
+            read, error = _split_block(chunk, first_line, fields)
+        if read is not None:
+            yield read
+        if error is not None:
+            raise error
+        first_line += chunk.count(b"\n") + (not chunk.endswith(b"\n"))
 
 
 # Doc ids.  An id is stored as its UTF-8 bytes with NUL written 01 01 and
@@ -189,51 +287,74 @@ def _id_strings(keys: np.ndarray, ids: np.ndarray | None) -> list[str]:
     return [_unescape(r) for r in raw.tolist()]
 
 
-def _split_block(block: list[str], first_line: int) -> Rows | None:
-    """The per-line reader: a block's rows, or None when all its lines are blank.
+class _Columns:
+    """A file's rows, chunk by chunk, as a doc-id key and values per row.
 
-    A ParseError names the first bad line; ``first_line`` is the number of
-    the block's first line.
+    A row takes 8 bytes for its key and 8 for each value, and an id longer
+    than 8 bytes its bytes too.
     """
-    text = "".join(block)
-    if not text.isascii():
-        try:
-            text.encode()
-        except UnicodeEncodeError:
-            _raise_first_error(block, first_line)
-    topic_col: list[str] = []
-    doc_col: list[str] = []
-    rank_col: list[str] = []
-    score_col: list[str] = []
-    run_tag = None
-    for line in block:
-        try:
-            topic_id, _, doc_id, rank_s, score_s, tag = line.split()
-        except ValueError:
-            if line.split():
-                _raise_first_error(block, first_line)
-            continue
-        topic_col.append(topic_id)
-        doc_col.append(doc_id)
-        rank_col.append(rank_s)
-        score_col.append(score_s)
-        if run_tag is None:
-            run_tag = tag
-    if run_tag is None:
-        return None
-    n = len(rank_col)
-    try:
-        ranks = np.fromiter(map(int, rank_col), dtype=np.int64, count=n)
-        scores = np.fromiter(map(float, score_col), dtype=np.float64, count=n)
-    except (ValueError, OverflowError):
-        ranks = None
-    if ranks is None or ranks.min() < 1:
-        _raise_first_error(block, first_line)
-    topics, topic_ends = [], []
-    for topic_id, rows in itertools.groupby(topic_col):
-        topics.append(topic_id)
-        topic_ends.append((topic_ends[-1] if topic_ends else 0) + len(list(rows)))
-    return Rows(topics, topic_ends, _id_words(doc_col), ranks, scores, run_tag)
+
+    def __init__(self):
+        self.topic_ids: dict[str, int] = {}  # in the order they first appear
+        self.stretch_topics: list[int] = []  # each stretch of rows with one topic
+        self.stretch_ends: list[int] = []
+        # Keys, the rows whose key is a hash, their ids' bytes and each value:
+        # each column's arrays, one per chunk.
+        self.columns: list[list[np.ndarray]] = []
+        self.rows = 0
+        self.run_tag: str | None = None
+
+    def add(self, read: Rows) -> None:
+        for topic_id, end in zip(read.topics, read.topic_ends):
+            topic = self.topic_ids.setdefault(topic_id, len(self.topic_ids))
+            if self.stretch_topics and self.stretch_topics[-1] == topic:
+                self.stretch_ends[-1] = self.rows + end
+            else:
+                self.stretch_topics.append(topic)
+                self.stretch_ends.append(self.rows + end)
+        keys, hashed = _keys(read.id_words)
+        arrays = (keys, hashed + self.rows, _id_bytes(read.id_words[hashed]), *read.values)
+        self.columns = self.columns or [[] for _ in arrays]
+        for column, array in zip(self.columns, arrays):
+            column.append(array)
+        self.rows += len(keys)
+        self.run_tag = self.run_tag or read.run_tag
+
+    def by_topic(self) -> Iterator[tuple]:
+        """Each topic's (topic_id, file rows, keys, ids, *values), as first seen.
+
+        The file rows number each row in the file from 0.  The ids are
+        every id's stored bytes when some key of the topic is a hash, else
+        None.
+        """
+        if not self.rows:
+            return
+        # One column at a time, so that its chunks are freed before the next.
+        keys, hashed, hashed_ids, *values = (
+            np.concatenate(self.columns.pop(0)) for _ in range(len(self.columns))
+        )
+        rows, ends = None, self.stretch_ends
+        if len(self.stretch_topics) > len(self.topic_ids):  # topics interleaved
+            topic = np.repeat(self.stretch_topics, np.diff(ends, prepend=0))
+            rows = np.argsort(topic, kind="stable")
+            keys, values = keys[rows], [value[rows] for value in values]
+            if len(hashed):
+                position = np.empty(self.rows, dtype=np.intp)
+                position[rows] = np.arange(self.rows)
+                moved = position[hashed]
+                by_row = np.argsort(moved)
+                hashed, hashed_ids = moved[by_row], hashed_ids[by_row]
+            ends = np.cumsum(np.bincount(topic, minlength=len(self.topic_ids))).tolist()
+        lo = 0
+        for topic_id, hi in zip(self.topic_ids, ends):
+            ids = None
+            first, last = np.searchsorted(hashed, (lo, hi))
+            if first < last:
+                ids = _id_bytes(keys[lo:hi, None]).astype(hashed_ids.dtype)
+                ids[hashed[first:last] - lo] = hashed_ids[first:last]
+            at = np.arange(lo, hi) if rows is None else rows[lo:hi]
+            yield topic_id, at, keys[lo:hi], ids, *(v[lo:hi] for v in values)
+            lo = hi
 
 
 def _ranked(
@@ -273,41 +394,19 @@ def _ranked(
 
 
 class QrelsIndex:
-    """The qrels with each topic's judged doc ids as sorted 64-bit keys.
+    """The qrels: each topic's judged doc ids as sorted 64-bit keys.
 
-    A topic's keys are built on its first lookup and kept, so a process
-    that labels many runs from one qrels builds them once.  The qrels must
-    not change once indexed.
+    ``parse_qrels`` builds it, and ``parse_run`` labels runs from it.  It
+    holds arrays alone, no string per judgement, and is not changed once
+    built, so pool workers forked after it was built share its memory.
     """
 
-    def __init__(self, qrels: Qrels):
-        self.qrels = qrels
+    def __init__(self, topics: dict[str, tuple]):
         # topic_id -> (keys, relevant, hashed, ids), sorted by key: whether
         # each key is a hash, and when some is, every id's stored bytes
-        # (else None).  None where two ids share a key, or the topic judges
-        # nothing: its lookups go by string.
-        self._topics: dict[str, tuple | None] = {}
-
-    def _topic(self, topic_id: str, labels: dict[str, int]) -> tuple | None:
-        if topic_id in self._topics:
-            return self._topics[topic_id]
-        entry = None
-        if labels:
-            words = _id_words(list(labels))
-            keys, hashed = _keys(words)
-            order = np.argsort(keys)
-            if not np.any(keys[order[1:]] == keys[order[:-1]]):
-                relevant = np.fromiter(
-                    map(operator.gt, labels.values(), itertools.repeat(0)),
-                    dtype=bool,
-                    count=len(labels),
-                )
-                flags = np.zeros(len(keys), dtype=bool)
-                flags[hashed] = True
-                ids = _id_bytes(words[order]) if len(hashed) else None
-                entry = (keys[order], relevant[order], flags[order], ids)
-        self._topics[topic_id] = entry
-        return entry
+        # (else None).  Where two ids share a key, keys and hashed are None
+        # and the ids are sorted by their bytes, in which lookups go.
+        self._topics = topics
 
     def label(
         self, run_tag: str, topic_id: str, keys: np.ndarray, ids: np.ndarray | None
@@ -317,18 +416,18 @@ class QrelsIndex:
         A document absent from the qrels is non-relevant (counted and
         logged once per topic).
         """
-        labels = self.qrels.get(topic_id)
-        if labels is None:
-            raise ValidationError(f"topic {topic_id!r} missing from qrels")
-        entry = self._topic(topic_id, labels)
+        entry = self._topics.get(topic_id)
         if entry is None:
-            found = list(map(labels.get, _id_strings(keys, ids)))
-            judged = np.array([label is not None for label in found], dtype=bool)
-            relevant = np.array(
-                [label is not None and label > 0 for label in found], dtype=bool
-            )
+            raise ValidationError(f"topic {topic_id!r} missing from qrels")
+        judged_keys, judged_relevant, judged_hashed, judged_ids = entry
+        if judged_keys is None:
+            probe = _id_bytes(keys[:, None]) if ids is None else ids
+            width = f"S{max(probe.itemsize, judged_ids.itemsize)}"
+            probe, judged_ids = probe.astype(width), judged_ids.astype(width)
+            at = np.searchsorted(judged_ids, probe)
+            np.minimum(at, len(judged_ids) - 1, out=at)
+            judged = judged_ids[at] == probe
         else:
-            judged_keys, judged_relevant, judged_hashed, judged_ids = entry
             # Searching in key order is several times faster than in rank order.
             order = np.argsort(keys)
             at = np.empty_like(order)
@@ -345,7 +444,7 @@ class QrelsIndex:
                 if judged_ids is not None:
                     both = np.flatnonzero(judged & hashed)
                     judged[both] = ids[both] == judged_ids[at[both]]
-            relevant = judged & judged_relevant[at]
+        relevant = judged & judged_relevant[at]
         missing_count = len(keys) - int(np.count_nonzero(judged))
         if missing_count:
             logger.warning(
@@ -359,130 +458,91 @@ class QrelsIndex:
         return Topic(topic_id, relevant)
 
 
-def parse_run(lines: Iterable[str] | TextIO, qrels: Qrels | QrelsIndex) -> Run:
+def parse_run(source: IO[bytes] | Iterable[str], qrels: QrelsIndex) -> Run:
     """Parse a run file into a Run of Topics labelled from the qrels.
 
+    ``source`` is a file opened in binary mode, or lines of str.
     Documents are ordered by ascending rank (ties broken by descending score
     then doc_id); non-contiguous ranks are repaired by re-ranking in sorted
     order, with a warning.  Topics keep the order of their first line.  A
     document is relevant when its qrels label is > 0; one the qrels do not
     judge is non-relevant, with one warning per topic.  The doc ids live
-    only here: a Topic keeps its labels alone.  Pass a ``QrelsIndex`` to
-    label several runs from one qrels without indexing it each time.
+    only here: a Topic keeps its labels alone.
 
-    Lines are read in blocks of ``_BLOCK_LINES``, each by the block reader
-    when it is simple and else by the per-line reader (see the module
-    docstring).  A block becomes a doc-id key, a rank and a score per row
-    before the next is read, so beside the result parse_run holds about
-    24 bytes a row, plus the bytes of ids longer than 8 bytes.  A
-    ParseError names the first bad line by its number.  Every topic is
-    ordered and checked for a repeated doc id before any is labelled, so
-    parse errors come first, then duplicates, then topics missing from the
-    qrels.
+    A chunk becomes a doc-id key, a rank and a score per row before the
+    next is read, so beside the result parse_run holds about 24 bytes a
+    row, plus the bytes of ids longer than 8 bytes.  A ParseError names the
+    first bad line by its number.  Every topic is ordered and checked for a
+    repeated doc id before any is labelled, so parse errors come first,
+    then duplicates, then topics missing from the qrels.
     """
-    index = qrels if isinstance(qrels, QrelsIndex) else QrelsIndex(qrels)
-    # Each column's arrays, one per block.
-    columns: dict[str, list[np.ndarray]] = {
-        name: [] for name in ("keys", "hashed", "hashed_ids", "ranks", "scores")
-    }
-    run_tag = None
-    topic_ids: dict[str, int] = {}  # in the order they first appear
-    stretch_topics: list[int] = []  # each stretch of rows with one topic
-    stretch_ends: list[int] = []
-    rows = 0
-    lines = iter(lines)
-    first_line = 1
-    while block := list(itertools.islice(lines, _BLOCK_LINES)):
-        read = read_block(block) or _split_block(block, first_line)
-        first_line += len(block)
-        if read is None:
-            continue
-        for topic_id, end in zip(read.topics, read.topic_ends):
-            topic = topic_ids.setdefault(topic_id, len(topic_ids))
-            if stretch_topics and stretch_topics[-1] == topic:
-                stretch_ends[-1] = rows + end
-            else:
-                stretch_topics.append(topic)
-                stretch_ends.append(rows + end)
-        keys, hashed = _keys(read.id_words)
-        for name, array in (
-            ("keys", keys),
-            ("hashed", hashed + rows),
-            ("hashed_ids", _id_bytes(read.id_words[hashed])),
-            ("ranks", read.ranks),
-            ("scores", read.scores),
-        ):
-            columns[name].append(array)
-        rows += len(keys)
-        run_tag = run_tag or read.run_tag
+    columns = _Columns()
+    for read in _blocks(source, 6):
+        columns.add(read)
+    run_tag = columns.run_tag
     if run_tag is None:
         raise ParseError("empty run file")
-    # One column at a time, so that its blocks are freed before the next.
-    keys, hashed, hashed_ids, ranks, scores = (
-        np.concatenate(columns.pop(name)) for name in list(columns)
-    )
-
-    if len(stretch_topics) > len(topic_ids):  # topics interleaved
-        topic = np.repeat(stretch_topics, np.diff(stretch_ends, prepend=0))
-        order = np.argsort(topic, kind="stable")
-        keys, ranks, scores = keys[order], ranks[order], scores[order]
-        if len(hashed):
-            position = np.empty(rows, dtype=np.intp)
-            position[order] = np.arange(rows)
-            moved = position[hashed]
-            by_row = np.argsort(moved)
-            hashed, hashed_ids = moved[by_row], hashed_ids[by_row]
-        stretch_ends = np.cumsum(np.bincount(topic, minlength=len(topic_ids))).tolist()
-
-    ranked = []
-    lo = 0
-    for topic_id, hi in zip(topic_ids, stretch_ends):
-        ids = None
-        first, last = np.searchsorted(hashed, (lo, hi))
-        if first < last:
-            ids = _id_bytes(keys[lo:hi, None]).astype(hashed_ids.dtype)
-            ids[hashed[first:last] - lo] = hashed_ids[first:last]
-        ranked.append(
-            _ranked(run_tag, topic_id, keys[lo:hi], ranks[lo:hi], scores[lo:hi], ids)
-        )
-        lo = hi
-    topics = tuple(
-        index.label(run_tag, topic_id, *ids)
-        for topic_id, ids in zip(topic_ids, ranked)
-    )
-    return Run(run_tag=run_tag, topics=topics)
+    ranked = [
+        (topic_id, *_ranked(run_tag, topic_id, keys, ranks, scores, ids))
+        for topic_id, _, keys, ids, ranks, scores in columns.by_topic()
+    ]
+    return Run(run_tag, tuple(qrels.label(run_tag, *topic) for topic in ranked))
 
 
-def parse_qrels(lines: Iterable[str] | TextIO) -> Qrels:
-    """Parse a qrels file into ``{topic_id: {doc_id: label}}``, in one pass.
+def parse_qrels(source: IO[bytes] | Iterable[str]) -> QrelsIndex:
+    """Parse a qrels file into a ``QrelsIndex``.
 
-    A label > 0 means relevant.  The same (topic, doc) pair may repeat only
-    with the same label.
+    ``source`` is a file opened in binary mode, or lines of str.  A label
+    > 0 means relevant.  The same (topic, doc) pair may repeat only with
+    the same label.  Errors are those of reading line by line: a pair
+    given another label on a line before the first bad line is reported,
+    else the bad line.
     """
-    qrels: Qrels = {}
-    for line_no, line in enumerate(lines, start=1):
-        if not line.isascii():
-            _require_utf8(line, line_no)
-        parts = line.split()
-        if len(parts) != 4:
-            if not parts:
-                continue
-            raise ParseError(
-                f"expected 4 fields, got {len(parts)}: {line!r}", line_no
-            )
-        topic_id, _, doc_id, label_s = parts
-        try:
-            label = int(label_s)
-        except ValueError as exc:
-            raise ParseError(f"bad label: {exc}", line_no) from exc
-        labels = qrels.get(topic_id)
-        if labels is None:
-            labels = qrels[topic_id] = {}
-        if labels.setdefault(doc_id, label) != label:
-            raise ValidationError(
-                f"conflicting labels for topic {topic_id!r} doc {doc_id!r}"
-            )
-    return qrels
+    columns = _Columns()
+    try:
+        for read in _blocks(source, 4):
+            columns.add(read)
+    except ParseError:
+        _index(columns)
+        raise
+    return _index(columns)
+
+
+def _index(columns: _Columns) -> QrelsIndex:
+    """The index of a qrels file's rows; a pair given two labels is refused.
+
+    The pair named is the one whose other label comes first in the file.
+    """
+    topics, conflicts = {}, []
+    for topic_id, rows, keys, ids, labels in columns.by_topic():
+        # Each id's rows together, in file order.
+        order = np.argsort(keys if ids is None else ids, kind="stable")
+        keys, labels, rows = keys[order], labels[order], rows[order]
+        same = keys if ids is None else ids[order]
+        first = np.ones(len(order), dtype=bool)  # each id's first row
+        first[1:] = same[1:] != same[:-1]
+        other = np.flatnonzero(labels != labels[first][np.cumsum(first) - 1])
+        if len(other):
+            at = other[np.argmin(rows[other])]
+            doc_id = _id_strings(keys[at : at + 1], None if ids is None else same[at : at + 1])
+            conflicts.append((rows[at], topic_id, doc_id[0]))
+        keys, relevant = keys[first], labels[first] > 0
+        if ids is None:  # distinct keys, in order
+            topics[topic_id] = (keys, relevant, np.zeros(len(keys), dtype=bool), None)
+            continue
+        ids = same[first]
+        order = np.argsort(keys)
+        if np.any(keys[order][1:] == keys[order][:-1]):  # two ids share a key
+            topics[topic_id] = (None, relevant, None, ids)
+        else:
+            ids = ids[order]
+            topics[topic_id] = (keys[order], relevant[order], _hashed_rows(ids), ids)
+    if conflicts:
+        _, topic_id, doc_id = min(conflicts)
+        raise ValidationError(
+            f"conflicting labels for topic {topic_id!r} doc {doc_id!r}"
+        )
+    return QrelsIndex(topics)
 
 
 def _median(values: list[int]) -> float:

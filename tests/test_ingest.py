@@ -1,4 +1,5 @@
 import contextlib
+import io
 import logging
 import tracemalloc
 from unittest import mock
@@ -12,13 +13,7 @@ from conftest import serialize_qrels, serialize_run
 from tarstop import ingest
 from tarstop.core import Topic, rel_at
 from tarstop.errors import ParseError, ValidationError
-from tarstop.ingest import (
-    CLEF2017_STATS,
-    QrelsIndex,
-    parse_qrels,
-    parse_run,
-    validate_dataset,
-)
+from tarstop.ingest import CLEF2017_STATS, parse_qrels, parse_run, validate_dataset
 
 RUN_LINES = [
     "CD010775 NF 19307324 1 0.2715 Test-Data-Sheffield-run-2",
@@ -36,24 +31,63 @@ QREL_LINES = [
     "CD008122 0 22222222 0",
 ]
 
-QRELS = parse_qrels(QREL_LINES)
+# {topic: {doc: label}} of QREL_LINES.
+LABELS = {
+    "CD010775": {"18850670": 1, "10503898": 0, "19307324": 1},
+    "CD008122": {"11111111": 1, "22222222": 0},
+}
 
-DEFAULT_BLOCK_LINES = ingest._BLOCK_LINES
+QRELS = parse_qrels(QREL_LINES)
+EMPTY = parse_qrels([])
+
+DEFAULT_CHUNK_BYTES = ingest._CHUNK_BYTES
 
 
 @pytest.fixture(autouse=True)
-def _small_blocks(monkeypatch):
-    """Blocks of two lines, so that multi-line runs cross block boundaries."""
-    monkeypatch.setattr(ingest, "_BLOCK_LINES", 2)
+def _small_chunks(monkeypatch):
+    """Chunks of a line or two, so that multi-line files cross chunk boundaries."""
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 40)
 
 
-def _unjudged(lines) -> dict[str, dict[str, int]]:
-    """Qrels judging every (topic, doc) of the well-formed lines non-relevant."""
+def _index(qrels: dict[str, dict[str, int]]):
+    """The QrelsIndex of {topic: {doc: label}}, read from qrels lines."""
+    return parse_qrels(
+        [f"{t} 0 {d} {label}" for t, labels in qrels.items() for d, label in labels.items()]
+    )
+
+
+def _relevance(index) -> dict[str, dict[str, bool]]:
+    """{topic: {doc: relevant}} of a QrelsIndex."""
+    return {
+        topic_id: dict(zip(ingest._id_strings(keys, ids), relevant.tolist()))
+        for topic_id, (keys, relevant, _, ids) in index._topics.items()
+    }
+
+
+def _source(lines):
+    """A fresh source of the lines; bytes are read as a binary file."""
+    return io.BytesIO(lines) if isinstance(lines, bytes) else lines
+
+
+def _text_lines(lines) -> list[str]:
+    """The lines as str; bytes are read as a text file reads them."""
+    if not isinstance(lines, bytes):
+        return lines
+    return list(io.TextIOWrapper(io.BytesIO(lines), "utf-8", "surrogateescape"))
+
+
+def _judged(lines) -> dict[str, dict[str, int]]:
+    """{topic: {doc: 0}} of every (topic, doc) of the well-formed lines."""
     qrels: dict[str, dict[str, int]] = {}
-    for fields in map(str.split, lines):
+    for fields in map(str.split, _text_lines(lines)):
         if len(fields) == 6:
             qrels.setdefault(fields[0], {})[fields[2]] = 0
     return qrels
+
+
+def _unjudged(lines):
+    """A QrelsIndex judging every (topic, doc) of the well-formed lines non-relevant."""
+    return _index(_judged(lines))
 
 
 def _ranked(lines):
@@ -62,14 +96,14 @@ def _ranked(lines):
     Topics keep labels alone, so each doc id gets a parse of its own whose
     qrels mark only it relevant: its rank is the one relevant position.
     """
-    unjudged = _unjudged(lines)
-    run = parse_run(lines, unjudged)
+    judged = _judged(lines)
+    run = parse_run(_source(lines), _index(judged))
     ranked = []
     for index, topic in enumerate(run.topics):
         ids = [None] * topic.size
-        for doc_id in unjudged[topic.topic_id]:
-            qrels = {**unjudged, topic.topic_id: {**unjudged[topic.topic_id], doc_id: 1}}
-            (rank,) = np.flatnonzero(parse_run(lines, qrels).topics[index].relevant)
+        for doc_id in judged[topic.topic_id]:
+            qrels = _index({**judged, topic.topic_id: {**judged[topic.topic_id], doc_id: 1}})
+            (rank,) = np.flatnonzero(parse_run(_source(lines), qrels).topics[index].relevant)
             ids[rank] = doc_id
         ranked.append((topic.topic_id, tuple(ids)))
     return run.run_tag, tuple(ranked)
@@ -152,16 +186,16 @@ def test_parse_run_reports_duplicate_before_missing_qrels_topic():
 
 
 def test_parse_qrels_labels():
-    assert parse_qrels(QREL_LINES) == {
-        "CD010775": {"18850670": 1, "10503898": 0, "19307324": 1},
-        "CD008122": {"11111111": 1, "22222222": 0},
+    assert _relevance(parse_qrels(QREL_LINES)) == {
+        "CD010775": {"18850670": True, "10503898": False, "19307324": True},
+        "CD008122": {"11111111": True, "22222222": False},
     }
 
 
 def test_parse_qrels_repeated_label_keeps_one_row():
-    assert parse_qrels(["T1 0 a 2", "T1 0 b 0", "T1 0 a 2"]) == {
-        "T1": {"a": 2, "b": 0}
-    }
+    index = parse_qrels(["T1 0 a 2", "T1 0 b 0", "T1 0 a 2"])
+    assert _relevance(index) == {"T1": {"a": True, "b": False}}
+    assert len(index._topics["T1"][0]) == 2
 
 
 def test_parse_qrels_conflicting_duplicate():
@@ -205,7 +239,7 @@ def test_join_preserves_order():
     assert run.run_tag == tag
     for (topic_id, ids), topic in zip(ranked, run.topics, strict=True):
         assert topic.topic_id == topic_id
-        assert topic.relevant.tolist() == [QRELS[topic_id][d] > 0 for d in ids]
+        assert topic.relevant.tolist() == [LABELS[topic_id][d] > 0 for d in ids]
 
 
 def test_run_round_trip():
@@ -248,18 +282,18 @@ def test_parse_run_error_in_second_topic_reports_line(bad_line, message):
     ]
     # Parse errors come before any qrels lookup, so no qrels are needed.
     with pytest.raises(ParseError, match=f"line 5: {message}"):
-        parse_run(lines, {})
+        parse_run(lines, EMPTY)
 
 
 def test_parse_run_counts_leading_blank_lines():
     with pytest.raises(ParseError, match="line 3: bad rank/score"):
-        parse_run(["", "  ", "T1 NF a x 0.9 tag"], {})
+        parse_run(["", "  ", "T1 NF a x 0.9 tag"], EMPTY)
 
 
 def test_parse_run_reports_first_bad_line():
     # A bad rank on line 2 comes before a short line 3.
     with pytest.raises(ParseError, match="line 2: bad rank/score"):
-        parse_run(["T1 NF a 1 0.9 tag", "T1 NF b x 0.8 tag", "T1 NF c 3"], {})
+        parse_run(["T1 NF a 1 0.9 tag", "T1 NF b x 0.8 tag", "T1 NF c 3"], EMPTY)
 
 
 def _warns(caplog, lines) -> bool:
@@ -365,7 +399,9 @@ def test_join_matches_reference_loop(run_pairs, judgements):
         assert topic.relevant.tolist() == [judged.get(d, False) for d in ids]
 
 
-# One line per fault that parse_run must report the same way wherever block
+
+
+# One line per fault that parse_run must report the same way wherever chunk
 # boundaries fall; "interleaved topic" is no fault and parses.
 _BLOCK_FAULTS = {
     "five fields": "T1 NF z 2 0.5",
@@ -380,50 +416,57 @@ _BLOCK_FAULTS = {
 
 
 def _per_line_only(per_line: bool):
-    """With per_line, every block goes through the per-line reader."""
+    """With per_line, every chunk goes through the per-line reader."""
     if not per_line:
         return contextlib.nullcontext()
-    return mock.patch.object(ingest, "read_block", lambda block: None)
+    return mock.patch.object(ingest, "read_block", lambda *args: None)
 
 
-def _outcome(lines: list[str], block_lines: int, per_line: bool = False):
+def _error(exc: Exception) -> tuple:
+    return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def _outcome(lines, chunk_bytes: int, per_line: bool = False):
     """The run tag and ranked ids parse_run gives, or its error's type, message and line."""
-    blocks = mock.patch.object(ingest, "_BLOCK_LINES", block_lines)
-    with blocks, _per_line_only(per_line):
+    chunks = mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes)
+    with chunks, _per_line_only(per_line):
         try:
             return _ranked(lines)
         except (ParseError, ValidationError) as exc:
-            return type(exc), str(exc), getattr(exc, "line_no", None)
+            return _error(exc)
 
 
-def _labelled(lines: list[str], qrels, block_lines: int, per_line: bool = False):
+def _labelled(lines, qrels: dict, chunk_bytes: int, per_line: bool = False):
     """The Run parse_run gives, as tags and labels, and its warnings; or its error."""
     messages = []
     handler = logging.Handler()
     handler.emit = lambda record: messages.append(record.getMessage())
     logger = logging.getLogger("tarstop.ingest")
     logger.addHandler(handler)
+    chunks = mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes)
     try:
-        with mock.patch.object(ingest, "_BLOCK_LINES", block_lines), _per_line_only(
-            per_line
-        ):
-            run = parse_run(lines, qrels)
+        with chunks, _per_line_only(per_line):
+            run = parse_run(_source(lines), _index(qrels))
         return (
             run.run_tag,
             [(topic.topic_id, topic.relevant.tolist()) for topic in run.topics],
             messages,
         )
     except (ParseError, ValidationError) as exc:
-        return type(exc), str(exc), getattr(exc, "line_no", None), messages
+        return (*_error(exc), messages)
     finally:
         logger.removeHandler(handler)
+
+
+def _chunk_after(lines: list[str], count: int) -> int:
+    """The chunk size that ends the first chunk after ``count`` of the lines."""
+    return max(1, sum(len(line.encode()) + 1 for line in lines[:count]))
 
 
 @settings(deadline=None)
 @given(
     fault=st.sampled_from(sorted(_BLOCK_FAULTS)),
-    block_lines=st.integers(1, 4),
-    full_blocks=st.integers(1, 2),
+    rows_before=st.integers(0, 4),
     first_of_next=st.booleans(),
     blank_before=st.integers(0, 2),
     blank_after=st.integers(0, 2),
@@ -432,39 +475,39 @@ def _labelled(lines: list[str], qrels, block_lines: int, per_line: bool = False)
 )
 def test_parse_run_block_boundaries_leave_outcome(
     fault,
-    block_lines,
-    full_blocks,
+    rows_before,
     first_of_next,
     blank_before,
     blank_after,
     rows_after,
     short_line_last,
 ):
-    # The fault sits on the last line of a block or the first line of the
+    # The fault sits on the last line of a chunk or the first line of the
     # next, with blank lines beside it; a short last line is a later fault.
-    at = block_lines * full_blocks - 1 + first_of_next
-    blank_before = min(blank_before, at)
-    row = at - blank_before
-    good = [f"T1 NF g{i} {i + 1} 0.5 tag" for i in range(row + rows_after)]
+    at = rows_before + blank_before
+    good = [f"T1 NF g{i} {i + 1} 0.5 tag" for i in range(rows_before + rows_after)]
     lines = [
-        *good[:row],
+        *good[:rows_before],
         *[""] * blank_before,
         _BLOCK_FAULTS[fault],
         *[""] * blank_after,
-        *good[row:],
+        *good[rows_before:],
         *["T1 NF late 9"] * short_line_last,
     ]
-    expected = _outcome(lines, DEFAULT_BLOCK_LINES)
+    expected = _outcome(lines, DEFAULT_CHUNK_BYTES)
     if fault in ("duplicate doc", "interleaved topic"):
         parses = fault == "interleaved topic" and not short_line_last
         assert (expected[0] == "tag") == parses
     else:
         assert expected[0] is ParseError
         assert expected[2] == at + 1  # the first bad line
-    assert _outcome(lines, block_lines) == expected
+    chunk_bytes = _chunk_after(lines, at + (not first_of_next))
+    assert _outcome(lines, chunk_bytes) == expected
+    # A binary file is cut at the same line.
+    assert _outcome("\n".join(lines).encode(), chunk_bytes) == expected
 
 
-# What the differential test below draws from.  Each row is plain, which
+# What the differential tests below draw from.  Each row is plain, which
 # the block reader takes, or odd, which only the per-line reader does: str
 # whitespace beyond space, tab and newline, non-ASCII ids, ids holding NUL
 # and 01 (stored escaped), ranks int() reads with a sign or an underscore,
@@ -480,14 +523,34 @@ _PLAIN = {
         ["0.5", "-0.0", "0", "3", ".5", "5.", "-.5", "0.999922", "1234567.87654321"]
     )
     | st.builds("{:.{}f}".format, st.floats(-100, 100), st.integers(0, 6)),
+    "labels": st.sampled_from(["0", "1", "2", "-1", "007", "-0"]),
 }
 _ODD = {
-    "separators": ["\x0b", "\x1c", "\xa0", "\u3000"],
+    "separators": ["\x0b", "\x1c", "\xa0", "　"],
     "doc_ids": ["é", "ü-2", "a\x00", "\x01b"],
     "ranks": st.sampled_from(["+5", "1_0", "0", "12345678901234567"]),
     "scores": st.sampled_from(["1e-05", "inf", "nan", "+1.5", "0.30000000000000004"])
     | st.floats(-100, 100).map(repr),
+    "labels": st.sampled_from(["+1", "1_0", "12345678901234567"]),
 }
+
+
+def _row(draw, odd: bool, fields: list) -> str:
+    """A line of the fields, odd in one field or separator when odd is set.
+
+    Each field is a value or the _PLAIN/_ODD key to draw it from.
+    """
+    styles = [_PLAIN] * (2 * len(fields))
+    if odd:
+        styles[draw(st.integers(0, len(styles) - 1))] = _ODD
+    line = ""
+    for i, field in enumerate(fields):
+        line += draw(st.sampled_from(styles[2 * i]["separators"]))
+        if field in _PLAIN:
+            pick = styles[2 * i + 1][field]
+            field = draw(st.sampled_from(pick) if isinstance(pick, list) else pick)
+        line += field
+    return line if draw(st.booleans()) else line.lstrip()
 
 
 @st.composite
@@ -499,29 +562,22 @@ def _run_lines(draw):
         elif kind == "f":
             lines.append(draw(st.sampled_from(sorted(_BLOCK_FAULTS.values()))))
         else:
-            # An odd row is odd in one field or separator, drawn as plain or odd.
-            styles = [_PLAIN] * 9
-            if kind == "o":
-                styles[draw(st.integers(0, 8))] = _ODD
-            separator = [
-                draw(st.sampled_from(style["separators"])) for style in styles[:6]
-            ]
-            fields = [
-                draw(st.sampled_from(_TOPIC_IDS)),
-                "Q0",
-                draw(st.sampled_from(styles[6]["doc_ids"])),
-                draw(styles[7]["ranks"]),
-                draw(styles[8]["scores"]),
-                draw(st.sampled_from(["tag", "other-tag"])),
-            ]
-            line = "".join(s + f for s, f in zip(separator, fields))
-            lines.append(line if draw(st.booleans()) else line.lstrip())
+            topic, tag = draw(st.sampled_from(_TOPIC_IDS)), draw(st.sampled_from(_TAGS))
+            fields = [topic, "Q0", "doc_ids", "ranks", "scores", tag]
+            lines.append(_row(draw, kind == "o", fields))
     if draw(st.booleans()):  # as a file hands them over
         lines = [line + "\n" for line in lines]
     return lines
 
 
+def _file(lines: list[str], line_end: str, last_end: bool) -> bytes:
+    """The lines as a file's bytes, each ended by line_end, the last if last_end."""
+    text = line_end.join(line.removesuffix("\n") for line in lines)
+    return (text + line_end * last_end).encode("utf-8", "surrogateescape")
+
+
 _TOPIC_IDS = ["T1", "T2", "topic-number-3"]
+_TAGS = ["tag", "other-tag"]
 _DOC_IDS = _PLAIN["doc_ids"] + _ODD["doc_ids"]
 _qrels_of = st.dictionaries(
     st.sampled_from(_TOPIC_IDS),
@@ -530,30 +586,180 @@ _qrels_of = st.dictionaries(
 )
 
 
+def _colliding(collide: bool):
+    """With collide, every id longer than 8 bytes hashes to one key."""
+    if not collide:
+        return contextlib.nullcontext()
+    return mock.patch.object(
+        ingest, "_hash", lambda words: np.zeros(len(words), dtype=np.uint64)
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     lines=_run_lines(),
     qrels=_qrels_of,
-    block_lines=st.integers(1, 4),
+    chunk_bytes=st.integers(1, 80),
     collide=st.booleans(),
+    line_end=st.sampled_from([None, "\n", "\r\n", "\r"]),
+    last_end=st.booleans(),
 )
-def test_block_reader_matches_per_line_reader(lines, qrels, block_lines, collide):
-    # With collide, every id longer than 8 bytes hashes to one key.
-    collisions = mock.patch.object(
-        ingest, "_hash", lambda words: np.zeros(len(words), dtype=np.uint64)
-    )
-    with collisions if collide else contextlib.nullcontext():
-        ranked = _outcome(lines, block_lines, per_line=True)
-        labelled = _labelled(lines, qrels, block_lines, per_line=True)
-        assert (_outcome(lines, block_lines), _labelled(lines, qrels, block_lines)) == (
-            ranked,
-            labelled,
-        )
-    if labelled[0] in ("tag", "other-tag"):  # parsed: check the labels by dict lookups
+def test_block_reader_matches_per_line_reader(
+    lines, qrels, chunk_bytes, collide, line_end, last_end
+):
+    # With a line end, the lines are read as a binary file, and must read
+    # as a text file reads them.
+    if line_end is not None:
+        lines = _file(lines, line_end, last_end)
+    with _colliding(collide):
+        ranked = _outcome(lines, chunk_bytes, per_line=True)
+        labelled = _labelled(lines, qrels, chunk_bytes, per_line=True)
+        assert (
+            _outcome(lines, chunk_bytes),
+            _labelled(lines, qrels, chunk_bytes),
+        ) == (ranked, labelled)
+        if line_end is not None:
+            text = _text_lines(lines)
+            assert _labelled(text, qrels, chunk_bytes, per_line=True) == labelled
+    if labelled[0] in _TAGS:  # parsed: check the labels by dict lookups
         assert labelled[1] == [
             (topic_id, [qrels[topic_id].get(doc_id, 0) > 0 for doc_id in ids])
             for topic_id, ids in ranked[1]
         ]
+
+
+# Qrels lines that reading must refuse; the last is not UTF-8.
+_QRELS_FAULTS = [
+    "T1 0 a",
+    "T1 0 a 1 extra",
+    "T1 0 a 1.0",
+    "T1 0 a one",
+    "T1 0 a -",
+    "T1 0 b\udcff 1",
+]
+
+
+@st.composite
+def _qrels_lines(draw):
+    lines = []
+    for kind in draw(st.lists(st.sampled_from("ppppoobf"), min_size=1, max_size=12)):
+        if kind == "b":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0b"])))
+        elif kind == "f":
+            lines.append(draw(st.sampled_from(_QRELS_FAULTS)))
+        else:
+            fields = [draw(st.sampled_from(_TOPIC_IDS)), "0", "doc_ids", "labels"]
+            lines.append(_row(draw, kind == "o", fields))
+    return [line + "\n" for line in lines]
+
+
+def _reference_qrels(lines: list[str]):
+    """{topic: {doc: relevant}} read line by line into a dict of labels, or the error."""
+    qrels: dict[str, dict[str, int]] = {}
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            ingest._require_utf8(line, line_no)
+            parts = line.split()
+            if len(parts) != 4:
+                if not parts:
+                    continue
+                raise ParseError(f"expected 4 fields, got {len(parts)}: {line!r}", line_no)
+            try:
+                label = int(parts[3])
+            except ValueError as exc:
+                raise ParseError(f"bad label: {exc}", line_no) from exc
+            if qrels.setdefault(parts[0], {}).setdefault(parts[2], label) != label:
+                raise ValidationError(
+                    f"conflicting labels for topic {parts[0]!r} doc {parts[2]!r}"
+                )
+    except (ParseError, ValidationError) as exc:
+        return _error(exc)
+    return {t: {d: label > 0 for d, label in labels.items()} for t, labels in qrels.items()}
+
+
+def _qrels_outcome(lines, chunk_bytes: int, per_line: bool = False):
+    """{topic: {doc: relevant}} of the index parse_qrels gives, or its error."""
+    chunks = mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes)
+    with chunks, _per_line_only(per_line):
+        try:
+            return _relevance(parse_qrels(_source(lines)))
+        except (ParseError, ValidationError) as exc:
+            return _error(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=_qrels_lines(),
+    chunk_bytes=st.integers(1, 80),
+    collide=st.booleans(),
+    line_end=st.sampled_from([None, "\r\n", "\r"]),
+)
+def test_qrels_block_reader_matches_per_line_reader(
+    lines, chunk_bytes, collide, line_end
+):
+    expected = _reference_qrels(lines)
+    if line_end is not None:
+        lines = _file(lines, line_end, True)
+    with _colliding(collide):
+        assert _qrels_outcome(lines, chunk_bytes, per_line=True) == expected
+        assert _qrels_outcome(lines, chunk_bytes) == expected
+
+
+def test_qrels_label_past_int64_is_a_parse_error():
+    with pytest.raises(ParseError, match="line 2: label too large: 9223372036854775808"):
+        parse_qrels(["T1 0 a 1", "T1 0 b 9223372036854775808"])
+    index = parse_qrels(["T1 0 a -9223372036854775807", "T1 0 b 9223372036854775807"])
+    assert _relevance(index) == {"T1": {"a": False, "b": True}}
+
+
+def test_qrels_conflict_before_a_bad_line_is_reported():
+    # Line by line, the conflict on line 2 is met before the bad line 3.
+    lines = ["T1 0 a 1", "T1 0 a 0", "T1 0 b x", "T2 0 c 1", "T2 0 c 2"]
+    with pytest.raises(ValidationError, match="topic 'T1' doc 'a'"):
+        parse_qrels(lines)
+    with pytest.raises(ParseError, match="line 2: bad label"):
+        parse_qrels([lines[0], *lines[2:]])
+    # Of two conflicts, the one whose other label comes first.
+    with pytest.raises(ValidationError, match="topic 'T2' doc 'c'"):
+        parse_qrels([lines[3], lines[0], lines[4], lines[1]])
+
+
+# Run and qrels files with each line end a text file reads, and a fault:
+# rank gaps and an unjudged document (two warnings), or a short line 3.
+_RUN_FILE = ["T1 NF a 1 0.9 tag", "T1 NF long-document-id-of-forty-bytes-000 3 0.5 tag"]
+_QRELS_FILE = ["T1 0 a 1", "T1 0 b 0", "T1 0 long-document-id-of-forty-bytes-001 1"]
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("last_end", [True, False])
+@pytest.mark.parametrize("short_line", [False, True])
+def test_line_ends_read_as_a_text_file_reads_them(line_end, last_end, short_line):
+    run_lines = [*_RUN_FILE, "T1 NF b 4"] if short_line else _RUN_FILE
+    qrels_lines = [*_QRELS_FILE, "T1 0 c"] if short_line else _QRELS_FILE
+    run, qrels = _file(run_lines, line_end, last_end), _file(qrels_lines, line_end, last_end)
+    short_line_text = "T1 NF b 4" + "\n" * last_end  # as a text file reads it
+    expected_run = (
+        (ParseError, f"line 3: expected 6 fields, got 4: {short_line_text!r}", 3, [])
+        if short_line
+        else (
+            "tag",
+            [("T1", [True, False])],
+            [
+                "run tag topic T1: non-contiguous ranks repaired by re-ranking",
+                "run tag topic T1: 1 of 2 documents not in the qrels, treated as non-relevant",
+            ],
+        )
+    )
+    expected_qrels = _reference_qrels(_text_lines(qrels))
+    if short_line:
+        assert expected_qrels[2] == 4
+    judged = {"T1": {"a": 1, "b": 0}}
+    # Every chunk size up to past the longest line: chunk boundaries fall
+    # between \r and \n, and inside the long ids.
+    for chunk_bytes in range(1, 64):
+        assert _labelled(run, judged, chunk_bytes) == expected_run
+        assert _labelled(_text_lines(run), judged, chunk_bytes) == expected_run
+        assert _qrels_outcome(qrels, chunk_bytes) == expected_qrels
 
 
 @pytest.mark.parametrize(
@@ -585,47 +791,74 @@ def test_block_reader_matches_per_line_reader(lines, qrels, block_lines, collide
     ],
 )
 def test_which_blocks_the_block_reader_takes(monkeypatch, line, simple):
-    # tarstop.blockreader's docstring says what makes a block simple.
+    # tarstop.blockreader's docstring says what makes a chunk simple.  A
+    # \r inside a str line is whitespace, as str.split reads it; a file's
+    # \r ends its line.
+    qrels = _unjudged([line])
     calls = []
     split = ingest._split_block
     monkeypatch.setattr(ingest, "_split_block", lambda *a: calls.append(a) or split(*a))
     with contextlib.suppress(ParseError):
-        parse_run([line], _unjudged([line]))
+        parse_run([line], qrels)
+    assert (not calls) == simple
+
+
+@pytest.mark.parametrize(
+    "line, simple",
+    [
+        ("T1 0 a 1", True),
+        ("T1\t0  long-document-id -12", True),
+        ("T1 0 a 007", True),
+        ("T1 0 a +1", False),
+        ("T1 0 a 1_0", False),
+        ("T1 0 a 1.0", False),
+        ("T1 0 a 12345678901234567", False),
+        ("T1 0 é 1", False),
+        ("T1 0 a", False),
+    ],
+)
+def test_which_qrels_blocks_the_block_reader_takes(monkeypatch, line, simple):
+    calls = []
+    split = ingest._split_block
+    monkeypatch.setattr(ingest, "_split_block", lambda *a: calls.append(a) or split(*a))
+    with contextlib.suppress(ParseError):
+        parse_qrels([line])
     assert (not calls) == simple
 
 
 def test_one_index_builds_each_topic_once(monkeypatch):
+    # parse_qrels builds every topic's keys; labelling runs reads them and
+    # builds nothing more.
+    index = parse_qrels(QREL_LINES)
+    entries = dict(index._topics)
     built = []
-    id_words = ingest._id_words
-    monkeypatch.setattr(
-        ingest, "_id_words", lambda ids: built.append(ids) or id_words(ids)
-    )
-    index = QrelsIndex(QRELS)
+    monkeypatch.setattr(ingest, "_index", lambda *args: built.append(args))
+    monkeypatch.setattr(ingest, "QrelsIndex", lambda *args: built.append(args))
     for lines in (RUN_LINES, RUN_LINES[::-1]):
         parse_run(lines, index)
-    assert sorted(map(sorted, built)) == sorted(map(sorted, map(list, QRELS.values())))
+    assert not built
+    assert index._topics.keys() == entries.keys()
+    assert all(index._topics[t] is entry for t, entry in entries.items())
 
 
 @pytest.mark.parametrize("collide", [False, True])
-def test_long_ids_label_by_their_bytes(monkeypatch, collide):
-    # With collide, every id longer than 8 bytes hashes to one key.
-    if collide:
-        monkeypatch.setattr(
-            ingest, "_hash", lambda words: np.zeros(len(words), np.uint64)
-        )
-    lines = [f"T1 NF long-document-{i} {i + 1} 0.5 tag" for i in range(4)]
-    qrels = parse_qrels(["T1 0 long-document-1 1", "T1 0 d 1"])
-    relevant = parse_run(lines, qrels).topics[0].relevant
-    assert relevant.tolist() == [False, True, False, False]
-    qrels = parse_qrels(["T1 0 long-document-1 1", "T1 0 long-document-3 2"])
-    relevant = parse_run(lines, qrels).topics[0].relevant
-    assert relevant.tolist() == [False, True, False, True]
+def test_long_ids_label_by_their_bytes(collide):
+    with _colliding(collide):
+        lines = [f"T1 NF long-document-{i} {i + 1} 0.5 tag" for i in range(4)]
+        qrels = parse_qrels(["T1 0 long-document-1 1", "T1 0 d 1"])
+        relevant = parse_run(lines, qrels).topics[0].relevant
+        assert relevant.tolist() == [False, True, False, False]
+        qrels = parse_qrels(["T1 0 long-document-1 1", "T1 0 long-document-3 2"])
+        # With collide, the two ids share a key and are looked up by bytes.
+        assert (qrels._topics["T1"][0] is None) == collide
+        relevant = parse_run(lines, qrels).topics[0].relevant
+        assert relevant.tolist() == [False, True, False, True]
 
 
 def test_ids_holding_nul_or_01_keep_their_bytes():
     # Tied ranks and scores: the ids order as strings, NUL first.
     lines = [f"T1 NF {doc_id} 1 0.5 tag" for doc_id in ["a\x00", "a", "\x01", "\x00"]]
-    qrels = {"T1": {"a\x00": 1, "\x00": 1, "a": 0}}
+    qrels = _index({"T1": {"a\x00": 1, "\x00": 1, "a": 0}})
     relevant = parse_run(lines, qrels).topics[0].relevant
     assert relevant.tolist() == [True, False, False, True]
     with pytest.raises(ValidationError, match=r"duplicate doc_id 'a\\x00'"):
@@ -634,17 +867,17 @@ def test_ids_holding_nul_or_01_keep_their_bytes():
 
 def test_parse_run_memory_is_bounded(monkeypatch):
     # Until every topic is labelled, parse_run holds a doc-id key, a rank
-    # and a score per row (24 bytes), beside one block of lines at work.
+    # and a score per row (24 bytes), beside one chunk of lines at work.
     # On a CLEF-sized run (120,000 rows) that peaks under 40 bytes a row
     # beyond the Run returned; holding each row's doc-id string needs over
-    # 100.  The qrels' keys are built first, as a worker builds them once.
-    monkeypatch.setattr(ingest, "_BLOCK_LINES", DEFAULT_BLOCK_LINES)
+    # 100.  The qrels' keys are built first, as a worker is handed them.
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNK_BYTES)
     lines = [
         f"T{t:02d} NF {10_000_000 + 10_000 * t + r} {r} {1 / r:.6f} run-tag"
         for t in range(30)
         for r in range(1, 4001)
     ]
-    qrels = QrelsIndex(_unjudged(lines))
+    qrels = _unjudged(lines)
     parse_run(lines, qrels)
     tracemalloc.start()
     try:
@@ -654,3 +887,24 @@ def test_parse_run_memory_is_bounded(monkeypatch):
         tracemalloc.stop()
     assert sum(topic.size for topic in run.topics) == len(lines)
     assert peak - kept < 40 * len(lines)
+
+
+def test_parse_qrels_memory_is_bounded(monkeypatch):
+    # The index keeps a doc-id key and two flags per judgement (10 bytes);
+    # reading a file of 120,000 judgements into it peaks under 36 bytes a
+    # judgement, the index included.  A dict of the labels held about 86.
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNK_BYTES)
+    data = "".join(
+        f"T{t:02d} 0 {10_000_000 + 10_000 * t + r} {int(r % 7 == 0)}\n"
+        for t in range(30)
+        for r in range(1, 4001)
+    ).encode()
+    tracemalloc.start()
+    try:
+        index = parse_qrels(io.BytesIO(data))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(entry[0]) for entry in index._topics.values()) == 120_000
+    assert kept < 12 * 120_000
+    assert peak < 36 * 120_000
