@@ -24,9 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# The bytes of a simple chunk: printable ASCII, tab and newline.
-_SIMPLE_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
-
 # The block reader reads numbers of at most 16 characters.  A score with a
 # point then has at most 15 digits, so its mantissa and the power of ten
 # it is divided by are exact floats and the quotient is float()'s
@@ -67,6 +64,7 @@ class Rows(NamedTuple):
     # A run's ranks (int64) and scores (float64); the qrels' labels (int64).
     values: tuple[np.ndarray, ...]
     run_tag: str | None  # a run's first row's; None for qrels
+    lines: int  # the lines of the chunk, blank ones included
 
 
 def _top_bytes(count: np.ndarray) -> np.ndarray:
@@ -147,34 +145,38 @@ def _ranks(
 
 
 def _signed(
-    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, point: bool
-) -> tuple[np.ndarray, ...] | None:
+    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, point: bool, signs: bool
+) -> tuple | None:
     """Tokens ``-?D*.?D*`` with at least one digit, or None.
 
-    Without ``point``, a token holding a point is refused.  Returns the
-    digits, the point read as a 0, as one integer; whether each token has a
-    point, and how many characters follow it; and whether it is negative.
+    Without ``point``, a token holding a point is refused, and without
+    ``signs``, one holding a minus.  Returns the digits, the point read as
+    a 0, as one integer; whether each token has a point, and how many
+    characters follow it; and which tokens are negative (None without
+    ``signs``).
     """
     columns = _right_words(words, ends, lengths)
     points, frac = _take_byte(columns, ord(".")) if point else (0, 0)
-    minus, after = _take_byte(columns, ord("-"))
-    negative = minus > 0
-    if (
-        np.max(points) > 1
-        or np.any(minus[negative] > 1)
-        or np.any(after[negative] != lengths[negative] - 1)  # a leading minus only
-        or np.any(lengths - points - minus < 1)
-    ):
+    negative = None
+    if signs:
+        minus, after = _take_byte(columns, ord("-"))
+        negative = minus > 0
+        if np.any(minus[negative] > 1) or np.any(
+            after[negative] != lengths[negative] - 1  # a leading minus only
+        ):
+            return None
+        lengths = lengths - minus
+    if np.max(points) > 1 or np.any(lengths - points < 1):
         return None
     whole = _number(columns)
     return None if whole is None else (whole, points, frac, negative)
 
 
 def _scores(
-    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray
+    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, signs: bool
 ) -> np.ndarray | None:
     """Scores ``-?D*.?D*`` with at least one digit, or None."""
-    read = _signed(words, ends, lengths, point=True)
+    read = _signed(words, ends, lengths, True, signs)
     if read is None:
         return None
     whole, points, frac, negative = read
@@ -182,46 +184,58 @@ def _scores(
     high, low = np.divmod(whole, _POW10[frac + 1])
     mantissa = np.where(points > 0, high * _POW10[frac] + low, whole)
     scores = mantissa / _POW10[frac]
-    np.negative(scores, out=scores, where=negative)
+    if negative is not None:
+        np.negative(scores, out=scores, where=negative)
     return scores
 
 
 def _labels(
-    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray
+    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, signs: bool
 ) -> np.ndarray | None:
     """Labels ``-?D+``, or None."""
-    read = _signed(words, ends, lengths, point=False)
+    read = _signed(words, ends, lengths, False, signs)
     if read is None:
         return None
     labels, _, _, negative = read
-    np.negative(labels, out=labels, where=negative)
+    if negative is not None:
+        np.negative(labels, out=labels, where=negative)
     return labels
 
 
 def _tokens(chunk: bytes, fields: int):
     """The bytes and words of a simple chunk, and its tokens' starts and ends.
 
-    Starts and ends are rows of ``fields``, or the result is None when the
-    chunk is not simple.  The chunk is padded with spaces, so that every
-    word read around a token lies inside it; starts and ends count in the
-    padded bytes.
+    Starts and ends are rows of ``fields``, one row a line, or the result
+    is None when the chunk is not simple.  The chunk is padded with spaces
+    as long as its longest line and 16 more, so that every word read around
+    a token lies inside it; starts and ends count in the padded bytes.
     """
-    if not chunk or chunk.translate(None, _SIMPLE_BYTES):
-        return None
     data = np.frombuffer(chunk, dtype=np.uint8)
-    edges = np.flatnonzero(np.diff(data > 32, prepend=False, append=False))
-    starts, ends = edges[::2], edges[1::2]
-    # Tokens on each line; a line starts after each newline.
-    before = np.searchsorted(starts, np.flatnonzero(data == 10) + 1)
-    counts = np.diff(before, prepend=0, append=len(starts))
-    if not len(starts) or counts.max() > fields:
+    newlines = np.flatnonzero(data == 10)
+    # Printable ASCII, tab and newline only.
+    if not len(data) or data.max() > 126:
         return None
-    if fields * np.count_nonzero(counts) != len(starts):
+    if np.count_nonzero(data < 32) != len(newlines) + np.count_nonzero(data == 9):
         return None
-    pad = int((ends - starts).max()) + 16
+    pad = int(np.diff(newlines, prepend=-1, append=len(chunk)).max()) + 16
     raw = b" " * pad + chunk + b" " * pad
+    word = np.frombuffer(raw, dtype=np.uint8) > 32
+    edges = np.flatnonzero(word[1:] ^ word[:-1])
+    del word
+    edges += 1
+    if not len(edges) or len(edges) % (2 * fields):
+        return None
+    starts, ends = edges[::2].reshape(-1, fields), edges[1::2].reshape(-1, fields)
+    # Each row of tokens ends by the end of the line it starts on, and the
+    # next row starts after it.  Without blank lines, row i is on line i.
+    ends_at = np.append(newlines + pad, len(raw))
+    line = np.arange(len(starts))
+    if len(starts) - len(newlines) not in (0, 1):
+        line = np.searchsorted(ends_at, starts[:, 0])
+    if np.any(ends[:, -1] > ends_at[line]) or np.any(starts[1:, 0] <= ends_at[line[:-1]]):
+        return None
     words = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
-    return raw, words, (starts + pad).reshape(-1, fields), (ends + pad).reshape(-1, fields)
+    return raw, words, starts, ends, len(newlines)
 
 
 def read_block(chunk: bytes, fields: int) -> Rows | None:
@@ -229,16 +243,17 @@ def read_block(chunk: bytes, fields: int) -> Rows | None:
     tokens = _tokens(chunk, fields)
     if tokens is None:
         return None
-    raw, words, starts, ends = tokens
+    raw, words, starts, ends, newlines = tokens
     sizes = ends - starts
     if sizes[:, 3:5].max() > _MAX_NUMBER:  # ranks and scores, or labels
         return None
+    signs = b"-" in chunk
     if fields == 6:
         ranks = _ranks(words, ends[:, 3], sizes[:, 3])
-        scores = None if ranks is None else _scores(words, ends[:, 4], sizes[:, 4])
+        scores = None if ranks is None else _scores(words, ends[:, 4], sizes[:, 4], signs)
         values = None if scores is None else (ranks, scores)
     else:
-        labels = _labels(words, ends[:, 3], sizes[:, 3])
+        labels = _labels(words, ends[:, 3], sizes[:, 3], signs)
         values = None if labels is None else (labels,)
     if values is None:
         return None
@@ -251,4 +266,5 @@ def read_block(chunk: bytes, fields: int) -> Rows | None:
         id_words=_left_words(words, starts[:, 2], sizes[:, 2]),
         values=values,
         run_tag=raw[starts[0, 5] : ends[0, 5]].decode() if fields == 6 else None,
+        lines=newlines + (not chunk.endswith(b"\n")),
     )

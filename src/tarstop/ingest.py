@@ -193,6 +193,7 @@ def _split_block(
                 for column, dtype in zip(zip(*values), (np.int64, np.float64))
             ),
             run_tag=tags[0],
+            lines=line_no - first_line + 1,
         ),
         error,
     )
@@ -213,7 +214,10 @@ def _blocks(source: IO[bytes] | Iterable[str], fields: int) -> Iterator[Rows]:
             yield read
         if error is not None:
             raise error
-        first_line += chunk.count(b"\n") + (not chunk.endswith(b"\n"))
+        if read is None:  # blank lines only
+            first_line += chunk.count(b"\n") + (not chunk.endswith(b"\n"))
+        else:
+            first_line += read.lines
 
 
 # Doc ids.  An id is stored as its UTF-8 bytes with NUL written 01 01 and
