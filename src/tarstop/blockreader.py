@@ -136,14 +136,6 @@ def _take_byte(columns: list[np.ndarray], byte: int) -> tuple[np.ndarray, np.nda
     return count, after
 
 
-def _ranks(
-    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray
-) -> np.ndarray | None:
-    """Digit-only ranks from 1 up, or None."""
-    ranks = _number(_right_words(words, ends, lengths))
-    return None if ranks is None or ranks.min() < 1 else ranks
-
-
 def _signed(
     words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, point: bool, signs: bool
 ) -> tuple | None:
@@ -189,17 +181,17 @@ def _scores(
     return scores
 
 
-def _labels(
+def _integers(
     words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, signs: bool
 ) -> np.ndarray | None:
-    """Labels ``-?D+``, or None."""
+    """Integers ``-?D+`` (``D+`` without ``signs``), or None."""
     read = _signed(words, ends, lengths, False, signs)
     if read is None:
         return None
-    labels, _, _, negative = read
+    whole, _, _, negative = read
     if negative is not None:
-        np.negative(labels, out=labels, where=negative)
-    return labels
+        np.negative(whole, out=whole, where=negative)
+    return whole
 
 
 def _tokens(chunk: bytes, fields: int):
@@ -249,11 +241,13 @@ def read_block(chunk: bytes, fields: int) -> Rows | None:
         return None
     signs = b"-" in chunk
     if fields == 6:
-        ranks = _ranks(words, ends[:, 3], sizes[:, 3])
-        scores = None if ranks is None else _scores(words, ends[:, 4], sizes[:, 4], signs)
+        ranks = _integers(words, ends[:, 3], sizes[:, 3], False)
+        if ranks is None or ranks.min() < 1:
+            return None
+        scores = _scores(words, ends[:, 4], sizes[:, 4], signs)
         values = None if scores is None else (ranks, scores)
     else:
-        labels = _labels(words, ends[:, 3], sizes[:, 3], signs)
+        labels = _integers(words, ends[:, 3], sizes[:, 3], signs)
         values = None if labels is None else (labels,)
     if values is None:
         return None

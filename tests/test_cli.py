@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import tarstop.cli
+import tarstop.ingest
 import tarstop.ratefit
 import tarstop.simulate
 from conftest import doc_ids, serialize_qrels, serialize_run
@@ -201,6 +202,35 @@ def test_dead_worker_is_computation_error(dataset, tmp_path, monkeypatch, capsys
     assert err.startswith("computation error: a worker process died")
     assert str(paths["run-a"]) in err and "Traceback" not in err
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "validate"])
+def test_qrels_are_indexed_once_in_the_parent(command, dataset, tmp_path, monkeypatch):
+    # Each process that builds a qrels index writes its pid; forked workers
+    # inherit the patch, and must label from the index they are handed.
+    paths, qrels = dataset
+    pids = tmp_path / "pids"
+    index = tarstop.ingest._index
+
+    def logged(columns):
+        with pids.open("a") as out:
+            out.write(f"{os.getpid()}\n")
+        return index(columns)
+
+    monkeypatch.setattr(tarstop.ingest, "_index", logged)
+    args = _evaluate_args(paths, qrels, tmp_path / "out")
+    assert main([command, *args[1 : args.index("--seed")], *args[-2:]]) == 0
+    assert pids.read_text() == f"{os.getpid()}\n"
+
+
+def test_evaluate_computes_no_aurc(dataset, tmp_path, monkeypatch):
+    # evaluate writes no AURC, so its workers compute none.
+    def refuse(run):
+        raise AssertionError("mean AURC computed")
+
+    monkeypatch.setattr(tarstop.cli, "mean_aurc", refuse)
+    paths, qrels = dataset
+    assert main(_evaluate_args(paths, qrels, tmp_path / "out")) == 0
 
 
 def test_worker_warnings_reach_stderr(dataset, tmp_path, capfd):

@@ -133,6 +133,21 @@ def test_golden_output_digest(command, tmp_path):
     assert _output_digests(command, tmp_path) == GOLDEN[command]
 
 
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"])
+def test_golden_digest_of_other_line_ends(line_end, tmp_path):
+    # The dataset's run and qrels files rewritten with CRLF or CR line ends
+    # give the bytes of the LF ones.
+    paths, qrels = _write_dataset(tmp_path)
+    for path in [*paths, qrels]:
+        path.write_bytes(path.read_bytes().replace(b"\n", line_end))
+    args = ["evaluate", "--qrels", str(qrels), "--seed", "0"]
+    for path in paths:
+        args += ["--runs", str(path)]
+    assert main(args + ["--out-dir", str(tmp_path / "out")]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "report.jsonl").read_bytes())
+    assert digest.hexdigest() == GOLDEN["evaluate"]["report.jsonl"]
+
+
 @pytest.mark.parametrize("family", sorted(SIMULATE))
 def test_golden_simulate_digest(family, tmp_path):
     args = ["simulate", "--family", family, "--n", "400", "--cutoff", "20"]
