@@ -64,7 +64,7 @@ class Rows(NamedTuple):
     # A run's ranks (int64) and scores (float64); the qrels' labels (int64).
     values: tuple[np.ndarray, ...]
     run_tag: str | None  # a run's first row's; None for qrels
-    lines: int  # the lines of the chunk, blank ones included
+    newlines: int  # the line ends in the chunk
 
 
 def _top_bytes(count: np.ndarray) -> np.ndarray:
@@ -260,5 +260,5 @@ def read_block(chunk: bytes, fields: int) -> Rows | None:
         id_words=_left_words(words, starts[:, 2], sizes[:, 2]),
         values=values,
         run_tag=raw[starts[0, 5] : ends[0, 5]].decode() if fields == 6 else None,
-        lines=newlines + (not chunk.endswith(b"\n")),
+        newlines=newlines,
     )

@@ -7,15 +7,10 @@ Run files carry 6 whitespace-separated columns
 Both are read as bytes, in chunks of whole lines: a file ``_CHUNK_BYTES``
 at a time, cut at its last line end, with ``\\r\\n`` and a lone ``\\r``
 read as ``\\n``, as a text file reads them; other lines of ``str`` are
-encoded into the same chunks.  ``blockreader.read_block`` reads
-a chunk that is simple with numpy (see that module); every other chunk
-goes through the per-line reader here, which decodes it as UTF-8 and
-splits each line with ``str.split``, ``int`` and ``float``: a chunk with a
-non-ASCII byte, other whitespace (such as ``\\x0b``, ``\\x1c``, ``\\xa0``
-or U+3000) or a control character, a rank such as ``+5``, ``1_0`` or
-``0``, a score such as ``1e-05``, ``inf``, ``nan`` or ``+1.5``, a label
-such as ``+1`` or ``1_0``, a number longer than 16 characters, or a
-non-blank line with the wrong number of fields.  Both readers hand the
+encoded into the same chunks.  ``blockreader.read_block`` reads a chunk
+that is simple (see that module) with numpy; every other chunk goes
+through the per-line reader here, which decodes it as UTF-8 and splits
+each line with ``str.split``, ``int`` and ``float``.  Both readers hand the
 same ``Rows`` to one downstream, so a Run, its warnings and its errors do
 not depend on which reader read a chunk; errors are always found and
 numbered by the per-line reader.  A byte that is not UTF-8 is a
@@ -196,7 +191,7 @@ def _split_block(
                 for column, dtype in zip(zip(*values), (np.int64, np.float64))
             ),
             run_tag=tags[0],
-            lines=line_no - first_line + 1,
+            newlines=text.count("\n"),
         ),
         error,
     )
@@ -217,10 +212,7 @@ def _blocks(source: IO[bytes] | Iterable[str], fields: int) -> Iterator[Rows]:
             yield read
         if error is not None:
             raise error
-        if read is None:  # blank lines only
-            first_line += chunk.count(b"\n") + (not chunk.endswith(b"\n"))
-        else:
-            first_line += read.lines
+        first_line += chunk.count(b"\n") if read is None else read.newlines
 
 
 # Doc ids.  An id is stored as its UTF-8 bytes with NUL written 01 01 and

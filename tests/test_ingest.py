@@ -1,6 +1,7 @@
 import contextlib
 import io
 import logging
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -406,6 +407,8 @@ def test_join_matches_reference_loop(run_pairs, judgements):
 _BLOCK_FAULTS = {
     "five fields": "T1 NF z 2 0.5",
     "seven fields": "T1 NF z 2 0.5 tag extra",
+    "twelve fields": "T1 NF z 2 0.5 tag T1 NF y 3 0.5 tag",
+    "three fields": "T1 NF z",
     "bad rank": "T1 NF z two 0.5 tag",
     "bad score": "T1 NF z 2 high tag",
     "rank 0": "T1 NF z 0 0.5 tag",
@@ -529,9 +532,11 @@ _ODD = {
     "separators": ["\x0b", "\x1c", "\xa0", "　"],
     "doc_ids": ["é", "ü-2", "a\x00", "\x01b"],
     "ranks": st.sampled_from(["+5", "1_0", "0", "12345678901234567"]),
-    "scores": st.sampled_from(["1e-05", "inf", "nan", "+1.5", "0.30000000000000004"])
+    "scores": st.sampled_from(
+        ["1e-05", "inf", "nan", "+1.5", "0.30000000000000004", "5-", "1-2", "--1"]
+    )
     | st.floats(-100, 100).map(repr),
-    "labels": st.sampled_from(["+1", "1_0", "12345678901234567"]),
+    "labels": st.sampled_from(["+1", "1_0", "12345678901234567", "1-", "--1"]),
 }
 
 
@@ -631,6 +636,8 @@ def test_block_reader_matches_per_line_reader(
 # Qrels lines that reading must refuse; the last is not UTF-8.
 _QRELS_FAULTS = [
     "T1 0 a",
+    "T1 0 a 1 T1 0 b 1",
+    "T1 0",
     "T1 0 a 1 extra",
     "T1 0 a 1.0",
     "T1 0 a one",
@@ -777,6 +784,7 @@ def test_line_ends_read_as_a_text_file_reads_them(line_end, last_end, short_line
         ("T1 NF a 12345678901234567 0.5 tag", False),
         ("T1 NF a 1 1e-05 tag", False),
         ("T1 NF a 1 inf tag", False),
+        ("T1 NF a 1 1-2 tag", False),
         ("T1 NF a 1 0.30000000000000004 tag", False),
         ("T1 NF a 1 9007199254740.99 tag", True),
         ("T1 NF a 1 9007199254740.993 tag", False),
@@ -812,6 +820,7 @@ def test_which_blocks_the_block_reader_takes(monkeypatch, line, simple):
         ("T1 0 a +1", False),
         ("T1 0 a 1_0", False),
         ("T1 0 a 1.0", False),
+        ("T1 0 a 1-", False),
         ("T1 0 a 12345678901234567", False),
         ("T1 0 é 1", False),
         ("T1 0 a", False),
@@ -824,6 +833,17 @@ def test_which_qrels_blocks_the_block_reader_takes(monkeypatch, line, simple):
     with contextlib.suppress(ParseError):
         parse_qrels([line])
     assert (not calls) == simple
+
+
+def test_qrels_index_pickles():
+    # A pool that spawns its workers hands them the index pickled.
+    copy = pickle.loads(pickle.dumps(QRELS))
+    assert _relevance(copy) == _relevance(QRELS)
+    assert _labelled(RUN_LINES, LABELS, 40) == (
+        "Test-Data-Sheffield-run-2",
+        [(t.topic_id, t.relevant.tolist()) for t in parse_run(RUN_LINES, copy).topics],
+        [],
+    )
 
 
 def test_one_index_builds_each_topic_once(monkeypatch):
