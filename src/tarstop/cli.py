@@ -119,8 +119,9 @@ def _aggregate_table(records: list[dict], title: str) -> str:
 
 # The per-run pipeline.  Each run file is parsed, labelled and assessed in a
 # pool worker; the qrels are indexed once in the parent and handed to every
-# worker, which a forked worker inherits without a copy.  Records logged in a worker come back with its result and are
-# emitted in the parent, in --runs order.
+# worker, which a forked worker inherits without a copy.  Files are read as
+# bytes, so as UTF-8 whatever the locale.  Records logged in a worker come
+# back with its result and are emitted in the parent, in --runs order.
 
 
 class _KeptRecords(logging.Handler):
