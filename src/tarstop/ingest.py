@@ -49,6 +49,8 @@ _MAX_RANK = np.iinfo(np.int64).max
 # 120,000-line run, 128 KiB peak at 29 bytes a line beyond the Run and
 # 256 KiB at 38 (tracemalloc), against a test bound of 40.
 _CHUNK_BYTES = 1 << 17
+# Lines of str encoded into one chunk: about as many bytes for 32-byte lines.
+_CHUNK_LINES = 4096
 
 # Multipliers of the doc-id hash (odd, so that multiplying loses nothing).
 _HASH_A = np.uint64(0x9E3779B97F4A7C15)
@@ -69,27 +71,23 @@ CLEF2017_STATS = {
 
 
 def _chunks(source: IO | Iterable[str]) -> Iterator[bytes]:
-    """Chunks of whole lines, each ended by ``\\n`` but perhaps the last.
+    """Chunks of whole lines, each ended by ``\\n`` but perhaps a file's last.
 
     A file, binary or text, is read ``_CHUNK_BYTES`` at a time, and text
     is encoded, a lone surrogate from ``errors="surrogateescape"`` back to
-    its byte.  Other lines of str are encoded so, each but the last ended
-    by ``\\n`` if it is not.
+    its byte.  Other lines of str are encoded so ``_CHUNK_LINES`` at a
+    time, each ended by ``\\n`` if it is not.
     """
     read = getattr(source, "read", None)
     if read is None:
-        batch, size = [], 0
-        for line in source:
-            if batch and not batch[-1].endswith("\n"):
-                batch[-1] += "\n"
-                size += 1
-            if size >= _CHUNK_BYTES:
-                yield "".join(batch).encode("utf-8", "surrogateescape")
-                batch, size = [], 0
-            batch.append(line)
-            size += len(line)
-        if batch:
-            yield "".join(batch).encode("utf-8", "surrogateescape")
+        lines = iter(source)
+        while batch := list(itertools.islice(lines, _CHUNK_LINES)):
+            text = "".join(batch)
+            if "\n" not in text:
+                text = "\n".join(batch) + "\n"
+            elif text.count("\n") != len(batch):
+                text = "".join([line.removesuffix("\n") + "\n" for line in batch])
+            yield text.encode("utf-8", "surrogateescape")
         return
     rest = b""
     while data := read(_CHUNK_BYTES):

@@ -41,13 +41,19 @@ LABELS = {
 QRELS = parse_qrels(QREL_LINES)
 EMPTY = parse_qrels([])
 
-DEFAULT_CHUNK_BYTES = ingest._CHUNK_BYTES
+DEFAULT_CHUNKS = (ingest._CHUNK_BYTES, ingest._CHUNK_LINES)
+
+
+def _chunked(chunks: tuple[int, int]):
+    """Files read in chunks of ``chunks[0]`` bytes, str lines ``chunks[1]`` at a time."""
+    return mock.patch.multiple(ingest, _CHUNK_BYTES=chunks[0], _CHUNK_LINES=chunks[1])
 
 
 @pytest.fixture(autouse=True)
-def _small_chunks(monkeypatch):
-    """Chunks of a line or two, so that multi-line files cross chunk boundaries."""
-    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 40)
+def _small_chunks():
+    """Chunks of a line or two, so that multi-line runs cross chunk boundaries."""
+    with _chunked((40, 2)):
+        yield
 
 
 def _index(qrels: dict[str, dict[str, int]]):
@@ -65,8 +71,14 @@ def _relevance(index) -> dict[str, dict[str, bool]]:
     }
 
 
+class _Text(bytes):
+    """A file's bytes, to be read as a text file."""
+
+
 def _source(lines):
     """A fresh source of the lines; bytes are read as a binary file."""
+    if isinstance(lines, _Text):
+        return io.TextIOWrapper(io.BytesIO(lines), "utf-8", "surrogateescape")
     return io.BytesIO(lines) if isinstance(lines, bytes) else lines
 
 
@@ -429,26 +441,24 @@ def _error(exc: Exception) -> tuple:
     return type(exc), str(exc), getattr(exc, "line_no", None)
 
 
-def _outcome(lines, chunk_bytes: int, per_line: bool = False):
+def _outcome(lines, chunks: tuple[int, int], per_line: bool = False):
     """The run tag and ranked ids parse_run gives, or its error's type, message and line."""
-    chunks = mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes)
-    with chunks, _per_line_only(per_line):
+    with _chunked(chunks), _per_line_only(per_line):
         try:
             return _ranked(lines)
         except (ParseError, ValidationError) as exc:
             return _error(exc)
 
 
-def _labelled(lines, qrels: dict, chunk_bytes: int, per_line: bool = False):
+def _labelled(lines, qrels: dict, chunks: tuple[int, int], per_line: bool = False):
     """The Run parse_run gives, as tags and labels, and its warnings; or its error."""
     messages = []
     handler = logging.Handler()
     handler.emit = lambda record: messages.append(record.getMessage())
     logger = logging.getLogger("tarstop.ingest")
     logger.addHandler(handler)
-    chunks = mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes)
     try:
-        with chunks, _per_line_only(per_line):
+        with _chunked(chunks), _per_line_only(per_line):
             run = parse_run(_source(lines), _index(qrels))
         return (
             run.run_tag,
@@ -497,17 +507,18 @@ def test_parse_run_block_boundaries_leave_outcome(
         *good[rows_before:],
         *["T1 NF late 9"] * short_line_last,
     ]
-    expected = _outcome(lines, DEFAULT_CHUNK_BYTES)
+    expected = _outcome(lines, DEFAULT_CHUNKS)
     if fault in ("duplicate doc", "interleaved topic"):
         parses = fault == "interleaved topic" and not short_line_last
         assert (expected[0] == "tag") == parses
     else:
         assert expected[0] is ParseError
         assert expected[2] == at + 1  # the first bad line
-    chunk_bytes = _chunk_after(lines, at + (not first_of_next))
-    assert _outcome(lines, chunk_bytes) == expected
+    before = at + (not first_of_next)  # the lines before the boundary
+    chunks = (_chunk_after(lines, before), max(1, before))
+    assert _outcome(lines, chunks) == expected
     # A binary file is cut at the same line.
-    assert _outcome("\n".join(lines).encode(), chunk_bytes) == expected
+    assert _outcome("".join(line + "\n" for line in lines).encode(), chunks) == expected
 
 
 # What the differential tests below draw from.  Each row is plain, which
@@ -605,27 +616,28 @@ def _colliding(collide: bool):
     lines=_run_lines(),
     qrels=_qrels_of,
     chunk_bytes=st.integers(1, 80),
+    chunk_lines=st.integers(1, 4),
     collide=st.booleans(),
     line_end=st.sampled_from([None, "\n", "\r\n", "\r"]),
     last_end=st.booleans(),
 )
 def test_block_reader_matches_per_line_reader(
-    lines, qrels, chunk_bytes, collide, line_end, last_end
+    lines, qrels, chunk_bytes, chunk_lines, collide, line_end, last_end
 ):
+    chunks = (chunk_bytes, chunk_lines)
     # With a line end, the lines are read as a binary file, and must read
     # as a text file reads them.
     if line_end is not None:
         lines = _file(lines, line_end, last_end)
     with _colliding(collide):
-        ranked = _outcome(lines, chunk_bytes, per_line=True)
-        labelled = _labelled(lines, qrels, chunk_bytes, per_line=True)
-        assert (
-            _outcome(lines, chunk_bytes),
-            _labelled(lines, qrels, chunk_bytes),
-        ) == (ranked, labelled)
+        ranked = _outcome(lines, chunks, per_line=True)
+        labelled = _labelled(lines, qrels, chunks, per_line=True)
+        assert (_outcome(lines, chunks), _labelled(lines, qrels, chunks)) == (
+            ranked,
+            labelled,
+        )
         if line_end is not None:
-            text = _text_lines(lines)
-            assert _labelled(text, qrels, chunk_bytes, per_line=True) == labelled
+            assert _labelled(_Text(lines), qrels, chunks, per_line=True) == labelled
     if labelled[0] in _TAGS:  # parsed: check the labels by dict lookups
         assert labelled[1] == [
             (topic_id, [qrels[topic_id].get(doc_id, 0) > 0 for doc_id in ids])
@@ -684,10 +696,9 @@ def _reference_qrels(lines: list[str]):
     return {t: {d: label > 0 for d, label in labels.items()} for t, labels in qrels.items()}
 
 
-def _qrels_outcome(lines, chunk_bytes: int, per_line: bool = False):
+def _qrels_outcome(lines, chunks: tuple[int, int], per_line: bool = False):
     """{topic: {doc: relevant}} of the index parse_qrels gives, or its error."""
-    chunks = mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes)
-    with chunks, _per_line_only(per_line):
+    with _chunked(chunks), _per_line_only(per_line):
         try:
             return _relevance(parse_qrels(_source(lines)))
         except (ParseError, ValidationError) as exc:
@@ -698,18 +709,20 @@ def _qrels_outcome(lines, chunk_bytes: int, per_line: bool = False):
 @given(
     lines=_qrels_lines(),
     chunk_bytes=st.integers(1, 80),
+    chunk_lines=st.integers(1, 4),
     collide=st.booleans(),
     line_end=st.sampled_from([None, "\r\n", "\r"]),
 )
 def test_qrels_block_reader_matches_per_line_reader(
-    lines, chunk_bytes, collide, line_end
+    lines, chunk_bytes, chunk_lines, collide, line_end
 ):
+    chunks = (chunk_bytes, chunk_lines)
     expected = _reference_qrels(lines)
     if line_end is not None:
         lines = _file(lines, line_end, True)
     with _colliding(collide):
-        assert _qrels_outcome(lines, chunk_bytes, per_line=True) == expected
-        assert _qrels_outcome(lines, chunk_bytes) == expected
+        assert _qrels_outcome(lines, chunks, per_line=True) == expected
+        assert _qrels_outcome(lines, chunks) == expected
 
 
 def test_qrels_label_past_int64_is_a_parse_error():
@@ -764,9 +777,9 @@ def test_line_ends_read_as_a_text_file_reads_them(line_end, last_end, short_line
     # Every chunk size up to past the longest line: chunk boundaries fall
     # between \r and \n, and inside the long ids.
     for chunk_bytes in range(1, 64):
-        assert _labelled(run, judged, chunk_bytes) == expected_run
-        assert _labelled(_text_lines(run), judged, chunk_bytes) == expected_run
-        assert _qrels_outcome(qrels, chunk_bytes) == expected_qrels
+        assert _labelled(run, judged, (chunk_bytes, 2)) == expected_run
+        assert _labelled(_Text(run), judged, (chunk_bytes, 2)) == expected_run
+        assert _qrels_outcome(qrels, (chunk_bytes, 2)) == expected_qrels
 
 
 @pytest.mark.parametrize(
@@ -839,7 +852,7 @@ def test_qrels_index_pickles():
     # A pool that spawns its workers hands them the index pickled.
     copy = pickle.loads(pickle.dumps(QRELS))
     assert _relevance(copy) == _relevance(QRELS)
-    assert _labelled(RUN_LINES, LABELS, 40) == (
+    assert _labelled(RUN_LINES, LABELS, (40, 2)) == (
         "Test-Data-Sheffield-run-2",
         [(t.topic_id, t.relevant.tolist()) for t in parse_run(RUN_LINES, copy).topics],
         [],
@@ -891,7 +904,8 @@ def test_parse_run_memory_is_bounded(monkeypatch):
     # On a CLEF-sized run (120,000 rows) that peaks under 40 bytes a row
     # beyond the Run returned; holding each row's doc-id string needs over
     # 100.  The qrels' keys are built first, as a worker is handed them.
-    monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNK_BYTES)
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNKS[0])
+    monkeypatch.setattr(ingest, "_CHUNK_LINES", DEFAULT_CHUNKS[1])
     lines = [
         f"T{t:02d} NF {10_000_000 + 10_000 * t + r} {r} {1 / r:.6f} run-tag"
         for t in range(30)
@@ -913,7 +927,8 @@ def test_parse_qrels_memory_is_bounded(monkeypatch):
     # The index keeps a doc-id key and two flags per judgement (10 bytes);
     # reading a file of 120,000 judgements into it peaks under 36 bytes a
     # judgement, the index included.  A dict of the labels held about 86.
-    monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNK_BYTES)
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNKS[0])
+    monkeypatch.setattr(ingest, "_CHUNK_LINES", DEFAULT_CHUNKS[1])
     data = "".join(
         f"T{t:02d} 0 {10_000_000 + 10_000 * t + r} {int(r % 7 == 0)}\n"
         for t in range(30)
