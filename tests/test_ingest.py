@@ -76,7 +76,7 @@ class _Text(bytes):
 
 
 def _source(lines):
-    """A fresh source of the lines; bytes are read as a binary file."""
+    """A fresh source of the lines: bytes as a binary file, _Text as a text file."""
     if isinstance(lines, _Text):
         return io.TextIOWrapper(io.BytesIO(lines), "utf-8", "surrogateescape")
     return io.BytesIO(lines) if isinstance(lines, bytes) else lines
@@ -412,8 +412,6 @@ def test_join_matches_reference_loop(run_pairs, judgements):
         assert topic.relevant.tolist() == [judged.get(d, False) for d in ids]
 
 
-
-
 # One line per fault that parse_run must report the same way wherever chunk
 # boundaries fall; "interleaved topic" is no fault and parses.
 _BLOCK_FAULTS = {
@@ -472,7 +470,7 @@ def _labelled(lines, qrels: dict, chunks: tuple[int, int], per_line: bool = Fals
 
 
 def _chunk_after(lines: list[str], count: int) -> int:
-    """The chunk size that ends the first chunk after ``count`` of the lines."""
+    """The chunk size in bytes that ends the first chunk after ``count`` lines."""
     return max(1, sum(len(line.encode()) + 1 for line in lines[:count]))
 
 
@@ -540,7 +538,7 @@ _PLAIN = {
     "labels": st.sampled_from(["0", "1", "2", "-1", "007", "-0"]),
 }
 _ODD = {
-    "separators": ["\x0b", "\x1c", "\xa0", "　"],
+    "separators": ["\x0b", "\x1c", "\xa0", "\u3000"],
     "doc_ids": ["é", "ü-2", "a\x00", "\x01b"],
     "ranks": st.sampled_from(["+5", "1_0", "0", "12345678901234567"]),
     "scores": st.sampled_from(
