@@ -518,11 +518,13 @@ def _index(columns: _Columns) -> QrelsIndex:
         same = keys if ids is None else ids[order]
         first = np.ones(len(order), dtype=bool)  # each id's first row
         first[1:] = same[1:] != same[:-1]
+        # The rows whose label is not their id's first row's label.
         other = np.flatnonzero(labels != labels[first][np.cumsum(first) - 1])
         if len(other):
             at = other[np.argmin(rows[other])]
-            doc_id = _id_strings(keys[at : at + 1], None if ids is None else same[at : at + 1])
-            conflicts.append((rows[at], topic_id, doc_id[0]))
+            id_bytes = None if ids is None else same[at : at + 1]
+            (doc_id,) = _id_strings(keys[at : at + 1], id_bytes)
+            conflicts.append((rows[at], topic_id, doc_id))
         keys, relevant = keys[first], labels[first] > 0
         if ids is None:  # distinct keys, in order
             topics[topic_id] = (keys, relevant, np.zeros(len(keys), dtype=bool), None)
