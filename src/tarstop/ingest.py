@@ -16,11 +16,12 @@ not depend on which reader read a chunk; errors are always found and
 numbered by the per-line reader.  A byte that is not UTF-8 is a
 ParseError naming its line.
 
-A doc id is held as a 64-bit key: the id's UTF-8 bytes read big-endian
-when they fit in 8, so such keys order as the ids do, else a hash,
-re-checked against the id's bytes on any match.  ``parse_qrels`` returns a
-``QrelsIndex``, which keeps each topic's judged ids as sorted keys and
-their relevance, and ``parse_run`` labels a run by a binary search in them.
+A doc id is held as its own bytes, NUL-padded (see ``_escape``): one
+64-bit word read big-endian when every id of the file fits in 8 bytes,
+else an ``S`` array.  Either orders and compares as the ids' bytes do.
+``parse_qrels`` returns a ``QrelsIndex``, which keeps each topic's judged
+ids sorted, with their relevance, and ``parse_run`` labels a run by a
+binary search in them.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ _MAX_RANK = np.iinfo(np.int64).max
 _CHUNK_BYTES = 1 << 17
 # Lines of str encoded into one chunk: about as many bytes for 32-byte lines.
 _CHUNK_LINES = 4096
-
-# Multipliers of the doc-id hash (odd, so that multiplying loses nothing).
-_HASH_A = np.uint64(0x9E3779B97F4A7C15)
-_HASH_B = np.uint64(0xBF58476D1CE4E5B9)
 
 # Sanity statistics of the CLEF 2017 e-Health Task 2 test collection.
 CLEF2017_STATS = {
@@ -216,7 +213,7 @@ def _blocks(source: IO[bytes] | Iterable[str], fields: int) -> Iterator[Rows]:
 # Doc ids.  An id is stored as its UTF-8 bytes with NUL written 01 01 and
 # 01 written 01 02: that keeps the bytes' order and leaves no NUL, so an id
 # NUL-padded to a fixed width still reads back, and compares, as itself.
-# Ids are handled as rows of 64-bit words, the stored bytes read
+# The readers hand ids on as rows of 64-bit words, the stored bytes read
 # big-endian and NUL-padded, so that words order as the ids do.
 
 
@@ -240,62 +237,39 @@ def _id_words(doc_ids: list[str]) -> np.ndarray:
     return array.view(">u8").reshape(len(raw), width // 8).astype(np.uint64)
 
 
-def _hash(words: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of id words.
-
-    Each word is mixed on its own and the results summed, so a word of
-    padding adds nothing and the hash does not depend on the row width.
-    """
-    hashes = np.zeros(len(words), dtype=np.uint64)
-    for column in range(words.shape[1]):
-        word = words[:, column] * _HASH_A
-        word *= np.uint64(2 * column + 1)
-        word ^= word >> np.uint64(29)
-        word *= _HASH_B
-        hashes += word
-    return hashes
-
-
-def _keys(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each id's 64-bit key, and the rows whose key is a hash.
-
-    An id of at most 8 bytes is its own key, its one word, so such keys
-    order as their ids do; a longer id is keyed by its hash.
-    """
-    keys = words[:, 0].copy()
-    hashed = np.flatnonzero(np.any(words[:, 1:], axis=1))
-    keys[hashed] = _hash(words[hashed])
-    return keys, hashed
-
-
-def _id_bytes(words: np.ndarray) -> np.ndarray:
-    """Rows of id words as NUL-padded bytes (S dtype)."""
+def _id_bytes(ids: np.ndarray) -> np.ndarray:
+    """Ids as NUL-padded bytes (S dtype), from bytes, words or rows of words."""
+    if ids.dtype.kind == "S":
+        return ids
+    words = ids if ids.ndim == 2 else ids[:, None]
     return words.astype(">u8").view(f"S{8 * words.shape[1]}").ravel()
 
 
-def _hashed_rows(ids: np.ndarray) -> np.ndarray:
-    """Which ids, given as NUL-padded bytes, are longer than 8 bytes."""
-    return ids.view(np.uint8).reshape(len(ids), ids.itemsize)[:, 8:].any(axis=1)
+def _common(ids: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two topics' ids in one dtype: words if both are, else bytes of one width."""
+    if ids.dtype == other.dtype:
+        return ids, other
+    width = f"S{max(ids.itemsize, other.itemsize)}"
+    return _id_bytes(ids).astype(width), _id_bytes(other).astype(width)
 
 
-def _id_strings(keys: np.ndarray, ids: np.ndarray | None) -> list[str]:
-    """The doc ids as strings, from their keys or, when some is hashed, bytes."""
-    raw = _id_bytes(keys[:, None]) if ids is None else ids
-    return [_unescape(r) for r in raw.tolist()]
+def _id_strings(ids: np.ndarray) -> list[str]:
+    """The doc ids as strings."""
+    return [_unescape(raw) for raw in _id_bytes(ids).tolist()]
 
 
 class _Columns:
-    """A file's rows, chunk by chunk, as a doc-id key and values per row.
+    """A file's rows, chunk by chunk, as a doc id and values per row.
 
-    A row takes 8 bytes for its key and 8 for each value, and an id longer
-    than 8 bytes its bytes too.
+    A row takes 8 bytes for each value and its id's bytes, NUL-padded to
+    the multiple of 8 that holds the chunk's longest id.
     """
 
     def __init__(self):
         self.topic_ids: dict[str, int] = {}  # in the order they first appear
         self.stretch_topics: list[int] = []  # each stretch of rows with one topic
         self.stretch_ends: list[int] = []
-        # Keys, the rows whose key is a hash, their ids' bytes and each value:
+        # Ids (words, or bytes in a chunk with a longer id) and each value:
         # each column's arrays, one per chunk.
         self.columns: list[list[np.ndarray]] = []
         self.rows = 0
@@ -309,105 +283,80 @@ class _Columns:
             else:
                 self.stretch_topics.append(topic)
                 self.stretch_ends.append(self.rows + end)
-        keys, hashed = _keys(read.id_words)
-        arrays = (keys, hashed + self.rows, _id_bytes(read.id_words[hashed]), *read.values)
+        words = read.id_words
+        ids = words[:, 0] if words.shape[1] == 1 else _id_bytes(words)
+        arrays = (ids, *read.values)
         self.columns = self.columns or [[] for _ in arrays]
         for column, array in zip(self.columns, arrays):
             column.append(array)
-        self.rows += len(keys)
+        self.rows += len(ids)
         self.run_tag = self.run_tag or read.run_tag
 
     def by_topic(self) -> Iterator[tuple]:
-        """Each topic's (topic_id, file rows, keys, ids, *values), as first seen.
+        """Each topic's (topic_id, file rows, ids, *values), as first seen.
 
         The file rows number each row in the file from 0.  The ids are
-        every id's stored bytes when some key of the topic is a hash, else
-        None.
+        words when every id of the file fits in 8 bytes, else bytes.
         """
         if not self.rows:
             return
+        if len({chunk.dtype for chunk in self.columns[0]}) > 1:  # words and bytes
+            self.columns[0] = list(map(_id_bytes, self.columns[0]))
         # One column at a time, so that its chunks are freed before the next.
-        keys, hashed, hashed_ids, *values = (
+        ids, *values = (
             np.concatenate(self.columns.pop(0)) for _ in range(len(self.columns))
         )
         rows, ends = None, self.stretch_ends
         if len(self.stretch_topics) > len(self.topic_ids):  # topics interleaved
             topic = np.repeat(self.stretch_topics, np.diff(ends, prepend=0))
             rows = np.argsort(topic, kind="stable")
-            keys, values = keys[rows], [value[rows] for value in values]
-            if len(hashed):
-                position = np.empty(self.rows, dtype=np.intp)
-                position[rows] = np.arange(self.rows)
-                moved = position[hashed]
-                by_row = np.argsort(moved)
-                hashed, hashed_ids = moved[by_row], hashed_ids[by_row]
+            ids, values = ids[rows], [value[rows] for value in values]
             ends = np.cumsum(np.bincount(topic, minlength=len(self.topic_ids))).tolist()
         lo = 0
         for topic_id, hi in zip(self.topic_ids, ends):
-            ids = None
-            first, last = np.searchsorted(hashed, (lo, hi))
-            if first < last:
-                ids = _id_bytes(keys[lo:hi, None]).astype(hashed_ids.dtype)
-                ids[hashed[first:last] - lo] = hashed_ids[first:last]
             at = np.arange(lo, hi) if rows is None else rows[lo:hi]
-            yield topic_id, at, keys[lo:hi], ids, *(v[lo:hi] for v in values)
+            yield topic_id, at, *(column[lo:hi] for column in (ids, *values))
             lo = hi
 
 
 def _ranked(
-    run_tag: str,
-    topic_id: str,
-    keys: np.ndarray,
-    ranks: np.ndarray,
-    scores: np.ndarray,
-    ids: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """A topic's doc ids in (rank, -score, doc_id) order; a repeated id is refused.
-
-    The ids are their keys, and also their bytes (``ids``) when some key
-    is a hash; both come back in rank order.
-    """
+    run_tag: str, topic_id: str, ids: np.ndarray, ranks: np.ndarray, scores: np.ndarray
+) -> np.ndarray:
+    """A topic's doc ids in (rank, -score, doc_id) order; a repeated id is refused."""
     if np.any(ranks[1:] <= ranks[:-1]):
-        order = np.lexsort((keys if ids is None else ids, -scores, ranks))
-        ranks, keys = ranks[order], keys[order]
-        if ids is not None:
-            ids = ids[order]
+        order = np.lexsort((ids, -scores, ranks))
+        ranks, ids = ranks[order], ids[order]
     if not np.array_equal(ranks, np.arange(1, len(ranks) + 1)):
         logger.warning(
             "run %s topic %s: non-contiguous ranks repaired by re-ranking",
             run_tag,
             topic_id,
         )
-    in_order = np.sort(keys)
-    if np.any(in_order[1:] == in_order[:-1]):  # a repeated id, or two ids share a hash
+    in_order = np.sort(ids)
+    if np.any(in_order[1:] == in_order[:-1]):
         seen = set()
-        for doc_id in _id_strings(keys, ids):
+        for doc_id in _id_strings(ids):
             if doc_id in seen:
                 raise ValidationError(
                     f"topic {topic_id!r} has duplicate doc_id {doc_id!r}"
                 )
             seen.add(doc_id)
-    return keys, ids
+    return ids
 
 
 class QrelsIndex:
-    """The qrels: each topic's judged doc ids as sorted 64-bit keys.
+    """The qrels: each topic's judged doc ids, sorted, and their relevance.
 
     ``parse_qrels`` builds it, and ``parse_run`` labels runs from it.  It
-    holds arrays alone, no string per judgement, and does not change once
-    built, so pool workers forked after it was built share its memory.
+    holds arrays alone, 9 bytes a judgement when the ids fit in 8 bytes,
+    no string per judgement, and does not change once built, so pool
+    workers forked after it was built share its memory.
     """
 
-    def __init__(self, topics: dict[str, tuple]):
-        # topic_id -> (keys, relevant, hashed, ids), sorted by key: whether
-        # each key is a hash, and when some is, every id's stored bytes
-        # (else None).  Where two ids share a key, keys and hashed are None
-        # and the ids are sorted by their bytes, in which lookups go.
-        self._topics = topics
+    def __init__(self, topics: dict[str, tuple[np.ndarray, np.ndarray]]):
+        self._topics = topics  # topic_id -> (ids, relevant), sorted by id
 
-    def label(
-        self, run_tag: str, topic_id: str, keys: np.ndarray, ids: np.ndarray | None
-    ) -> Topic:
+    def label(self, run_tag: str, topic_id: str, ids: np.ndarray) -> Topic:
         """The Topic of a ranked id list (as ``_ranked`` gives it), labelled.
 
         A document absent from the qrels is non-relevant (counted and
@@ -416,33 +365,16 @@ class QrelsIndex:
         entry = self._topics.get(topic_id)
         if entry is None:
             raise ValidationError(f"topic {topic_id!r} missing from qrels")
-        judged_keys, judged_relevant, judged_hashed, judged_ids = entry
-        if judged_keys is None:
-            probe = _id_bytes(keys[:, None]) if ids is None else ids
-            width = f"S{max(probe.itemsize, judged_ids.itemsize)}"
-            probe, judged_ids = probe.astype(width), judged_ids.astype(width)
-            at = np.searchsorted(judged_ids, probe)
-            np.minimum(at, len(judged_ids) - 1, out=at)
-            judged = judged_ids[at] == probe
-        else:
-            # Searching in key order is several times faster than in rank order.
-            order = np.argsort(keys)
-            at = np.empty_like(order)
-            at[order] = np.searchsorted(judged_keys, keys[order])
-            np.minimum(at, len(judged_keys) - 1, out=at)
-            judged = judged_keys[at] == keys
-            # A packed key and a hash never name one id, and two equal
-            # hashes do only when the ids' bytes are equal.
-            if ids is None:
-                judged &= ~judged_hashed[at]
-            else:
-                hashed = _hashed_rows(ids)
-                judged &= hashed == judged_hashed[at]
-                if judged_ids is not None:
-                    both = np.flatnonzero(judged & hashed)
-                    judged[both] = ids[both] == judged_ids[at[both]]
+        judged_ids, judged_relevant = entry
+        ids, judged_ids = _common(ids, judged_ids)
+        # Searching in id order is several times faster than in rank order.
+        order = np.argsort(ids)
+        at = np.empty_like(order)
+        at[order] = np.searchsorted(judged_ids, ids[order])
+        np.minimum(at, len(judged_ids) - 1, out=at)
+        judged = judged_ids[at] == ids
         relevant = judged & judged_relevant[at]
-        missing_count = len(keys) - int(np.count_nonzero(judged))
+        missing_count = len(ids) - int(np.count_nonzero(judged))
         if missing_count:
             logger.warning(
                 "run %s topic %s: %d of %d documents not in the qrels, "
@@ -450,7 +382,7 @@ class QrelsIndex:
                 run_tag,
                 topic_id,
                 missing_count,
-                len(keys),
+                len(ids),
             )
         return Topic(topic_id, relevant)
 
@@ -466,12 +398,12 @@ def parse_run(source: IO[bytes] | Iterable[str], qrels: QrelsIndex) -> Run:
     judge is non-relevant, with one warning per topic.  The doc ids live
     only here: a Topic keeps its labels alone.
 
-    A chunk becomes a doc-id key, a rank and a score per row before the
-    next is read, so beside the result parse_run holds about 24 bytes a
-    row, plus the bytes of ids longer than 8 bytes.  A ParseError names the
-    first bad line by its number.  Every topic is ordered and checked for a
-    repeated doc id before any is labelled, so parse errors come first,
-    then duplicates, then topics missing from the qrels.
+    A chunk becomes a doc id, a rank and a score per row before the next
+    is read, so beside the result parse_run holds about 24 bytes a row
+    when the ids fit in 8 bytes.  A ParseError names the first bad line by
+    its number.  Every topic is ordered and checked for a repeated doc id
+    before any is labelled, so parse errors come first, then duplicates,
+    then topics missing from the qrels.
     """
     columns = _Columns()
     for read in _blocks(source, 6):
@@ -480,8 +412,8 @@ def parse_run(source: IO[bytes] | Iterable[str], qrels: QrelsIndex) -> Run:
     if run_tag is None:
         raise ParseError("empty run file")
     ranked = [
-        (topic_id, *_ranked(run_tag, topic_id, keys, ranks, scores, ids))
-        for topic_id, _, keys, ids, ranks, scores in columns.by_topic()
+        (topic_id, _ranked(run_tag, topic_id, ids, ranks, scores))
+        for topic_id, _, ids, ranks, scores in columns.by_topic()
     ]
     return Run(run_tag, tuple(qrels.label(run_tag, *topic) for topic in ranked))
 
@@ -511,45 +443,25 @@ def _index(columns: _Columns) -> QrelsIndex:
     The pair named is the one whose other label comes first in the file.
     """
     topics, conflicts = {}, []
-    for topic_id, rows, keys, ids, labels in columns.by_topic():
+    for topic_id, rows, ids, labels in columns.by_topic():
         # Each id's rows together, in file order.
-        order = np.argsort(keys if ids is None else ids, kind="stable")
-        keys, labels, rows = keys[order], labels[order], rows[order]
-        same = keys if ids is None else ids[order]
+        order = np.argsort(ids, kind="stable")
+        ids, labels, rows = ids[order], labels[order], rows[order]
         first = np.ones(len(order), dtype=bool)  # each id's first row
-        first[1:] = same[1:] != same[:-1]
+        first[1:] = ids[1:] != ids[:-1]
         # The rows whose label is not their id's first row's label.
         other = np.flatnonzero(labels != labels[first][np.cumsum(first) - 1])
         if len(other):
             at = other[np.argmin(rows[other])]
-            id_bytes = None if ids is None else same[at : at + 1]
-            (doc_id,) = _id_strings(keys[at : at + 1], id_bytes)
+            (doc_id,) = _id_strings(ids[at : at + 1])
             conflicts.append((rows[at], topic_id, doc_id))
-        keys, relevant = keys[first], labels[first] > 0
-        if ids is None:  # distinct keys, in order
-            topics[topic_id] = (keys, relevant, np.zeros(len(keys), dtype=bool), None)
-            continue
-        ids = same[first]
-        order = np.argsort(keys)
-        if np.any(keys[order][1:] == keys[order][:-1]):  # two ids share a key
-            topics[topic_id] = (None, relevant, None, ids)
-        else:
-            ids = ids[order]
-            topics[topic_id] = (keys[order], relevant[order], _hashed_rows(ids), ids)
+        topics[topic_id] = (ids[first], labels[first] > 0)
     if conflicts:
         _, topic_id, doc_id = min(conflicts)
         raise ValidationError(
             f"conflicting labels for topic {topic_id!r} doc {doc_id!r}"
         )
     return QrelsIndex(topics)
-
-
-def _median(values: list[int]) -> float:
-    values = sorted(values)
-    m = len(values) // 2
-    if len(values) % 2:
-        return float(values[m])
-    return (values[m - 1] + values[m]) / 2.0
 
 
 def validate_dataset(run: Run) -> dict:
@@ -566,10 +478,10 @@ def validate_dataset(run: Run) -> dict:
         "total_docs": sum(sizes),
         "size_min": min(sizes),
         "size_max": max(sizes),
-        "size_median": _median(sizes),
+        "size_median": float(np.median(sizes)),
         "relevant_min": min(relevant),
         "relevant_max": max(relevant),
-        "relevant_median": _median(relevant),
+        "relevant_median": float(np.median(relevant)),
         "relevant_fraction": sum(relevant) / sum(sizes),
     }
     checks = []

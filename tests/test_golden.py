@@ -13,6 +13,7 @@ say so.
 import hashlib
 import json
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,8 @@ GOLDEN = {
     },
 }
 EXTRA_ARGS = {"plot-data": ["--topic", "T0"]}
+# Prefixed to every doc id, it makes the dataset's 8-byte ids 25 bytes long.
+LONG_ID_PREFIX = b"clueweb12-0000tw-"
 
 
 # family -> sha256 of simulate.jsonl from
@@ -133,13 +136,19 @@ def test_golden_output_digest(command, tmp_path):
     assert _output_digests(command, tmp_path) == GOLDEN[command]
 
 
-@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"])
-def test_golden_digest_of_other_line_ends(line_end, tmp_path):
-    # The dataset's run and qrels files rewritten with CRLF or CR line ends
-    # give the bytes of the LF ones.
+@pytest.mark.parametrize("rewrite", [b"\r\n", b"\r", LONG_ID_PREFIX])
+def test_golden_digest_of_other_line_ends(rewrite, tmp_path):
+    # The dataset's run and qrels files rewritten with CRLF or CR line ends,
+    # or with every doc id prefixed to 25 bytes, give the bytes of the LF
+    # ones: a common prefix keeps every tie-break order.
     paths, qrels = _write_dataset(tmp_path)
     for path in [*paths, qrels]:
-        path.write_bytes(path.read_bytes().replace(b"\n", line_end))
+        data = path.read_bytes()
+        if rewrite == LONG_ID_PREFIX:
+            data = re.sub(rb"(?m)^(\S+ \S+ )", rb"\1" + rewrite, data)
+        else:
+            data = data.replace(b"\n", rewrite)
+        path.write_bytes(data)
     args = ["evaluate", "--qrels", str(qrels), "--seed", "0"]
     for path in paths:
         args += ["--runs", str(path)]

@@ -66,8 +66,8 @@ def _index(qrels: dict[str, dict[str, int]]):
 def _relevance(index) -> dict[str, dict[str, bool]]:
     """{topic: {doc: relevant}} of a QrelsIndex."""
     return {
-        topic_id: dict(zip(ingest._id_strings(keys, ids), relevant.tolist()))
-        for topic_id, (keys, relevant, _, ids) in index._topics.items()
+        topic_id: dict(zip(ingest._id_strings(ids), relevant.tolist()))
+        for topic_id, (ids, relevant) in index._topics.items()
     }
 
 
@@ -600,42 +600,31 @@ _qrels_of = st.dictionaries(
 )
 
 
-def _colliding(collide: bool):
-    """With collide, every id longer than 8 bytes hashes to one key."""
-    if not collide:
-        return contextlib.nullcontext()
-    return mock.patch.object(
-        ingest, "_hash", lambda words: np.zeros(len(words), dtype=np.uint64)
-    )
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     lines=_run_lines(),
     qrels=_qrels_of,
     chunk_bytes=st.integers(1, 80),
     chunk_lines=st.integers(1, 4),
-    collide=st.booleans(),
     line_end=st.sampled_from([None, "\n", "\r\n", "\r"]),
     last_end=st.booleans(),
 )
 def test_block_reader_matches_per_line_reader(
-    lines, qrels, chunk_bytes, chunk_lines, collide, line_end, last_end
+    lines, qrels, chunk_bytes, chunk_lines, line_end, last_end
 ):
     chunks = (chunk_bytes, chunk_lines)
     # With a line end, the lines are read as a binary file, and must read
     # as a text file reads them.
     if line_end is not None:
         lines = _file(lines, line_end, last_end)
-    with _colliding(collide):
-        ranked = _outcome(lines, chunks, per_line=True)
-        labelled = _labelled(lines, qrels, chunks, per_line=True)
-        assert (_outcome(lines, chunks), _labelled(lines, qrels, chunks)) == (
-            ranked,
-            labelled,
-        )
-        if line_end is not None:
-            assert _labelled(_Text(lines), qrels, chunks, per_line=True) == labelled
+    ranked = _outcome(lines, chunks, per_line=True)
+    labelled = _labelled(lines, qrels, chunks, per_line=True)
+    assert (_outcome(lines, chunks), _labelled(lines, qrels, chunks)) == (
+        ranked,
+        labelled,
+    )
+    if line_end is not None:
+        assert _labelled(_Text(lines), qrels, chunks, per_line=True) == labelled
     if labelled[0] in _TAGS:  # parsed: check the labels by dict lookups
         assert labelled[1] == [
             (topic_id, [qrels[topic_id].get(doc_id, 0) > 0 for doc_id in ids])
@@ -708,19 +697,17 @@ def _qrels_outcome(lines, chunks: tuple[int, int], per_line: bool = False):
     lines=_qrels_lines(),
     chunk_bytes=st.integers(1, 80),
     chunk_lines=st.integers(1, 4),
-    collide=st.booleans(),
     line_end=st.sampled_from([None, "\r\n", "\r"]),
 )
 def test_qrels_block_reader_matches_per_line_reader(
-    lines, chunk_bytes, chunk_lines, collide, line_end
+    lines, chunk_bytes, chunk_lines, line_end
 ):
     chunks = (chunk_bytes, chunk_lines)
     expected = _reference_qrels(lines)
     if line_end is not None:
         lines = _file(lines, line_end, True)
-    with _colliding(collide):
-        assert _qrels_outcome(lines, chunks, per_line=True) == expected
-        assert _qrels_outcome(lines, chunks) == expected
+    assert _qrels_outcome(lines, chunks, per_line=True) == expected
+    assert _qrels_outcome(lines, chunks) == expected
 
 
 def test_qrels_label_past_int64_is_a_parse_error():
@@ -872,18 +859,32 @@ def test_one_index_builds_each_topic_once(monkeypatch):
     assert all(index._topics[t] is entry for t, entry in entries.items())
 
 
-@pytest.mark.parametrize("collide", [False, True])
-def test_long_ids_label_by_their_bytes(collide):
-    with _colliding(collide):
-        lines = [f"T1 NF long-document-{i} {i + 1} 0.5 tag" for i in range(4)]
-        qrels = parse_qrels(["T1 0 long-document-1 1", "T1 0 d 1"])
-        relevant = parse_run(lines, qrels).topics[0].relevant
-        assert relevant.tolist() == [False, True, False, False]
-        qrels = parse_qrels(["T1 0 long-document-1 1", "T1 0 long-document-3 2"])
-        # With collide, the two ids share a key and are looked up by bytes.
-        assert (qrels._topics["T1"][0] is None) == collide
-        relevant = parse_run(lines, qrels).topics[0].relevant
-        assert relevant.tolist() == [False, True, False, True]
+@pytest.mark.parametrize(
+    "doc_ids, judged",
+    [
+        # Long ids against qrels of long and short ids.
+        pytest.param(
+            [f"long-document-{i}" for i in range(4)],
+            ["long-document-1", "long-doc", "long-document-3"],
+            id="long-run",
+        ),
+        # Short ids against qrels whose topic holds one long id.
+        pytest.param(
+            ["d0", "d1", "long-doc", "d3"],
+            ["d1", "long-document-2", "d3"],
+            id="short-run",
+        ),
+    ],
+)
+def test_long_ids_label_by_their_bytes(doc_ids, judged):
+    # "long-doc" is the first 8 bytes of a longer id, which it must not match.
+    lines = [f"T1 NF {doc_id} {rank} 0.5 tag" for rank, doc_id in enumerate(doc_ids, 1)]
+    qrels = parse_qrels([f"T1 0 {doc_id} 1" for doc_id in judged])
+    relevant = parse_run(lines, qrels).topics[0].relevant
+    assert relevant.tolist() == [False, True, False, True]
+    qrels = parse_qrels([f"T1 0 {doc_id} 1" for doc_id in judged[:2]])
+    relevant = parse_run(lines, qrels).topics[0].relevant
+    assert relevant.tolist() == [False, True, False, False]
 
 
 def test_ids_holding_nul_or_01_keep_their_bytes():
@@ -897,11 +898,12 @@ def test_ids_holding_nul_or_01_keep_their_bytes():
 
 
 def test_parse_run_memory_is_bounded(monkeypatch):
-    # Until every topic is labelled, parse_run holds a doc-id key, a rank
-    # and a score per row (24 bytes), beside one chunk of lines at work.
-    # On a CLEF-sized run (120,000 rows) that peaks under 40 bytes a row
-    # beyond the Run returned; holding each row's doc-id string needs over
-    # 100.  The qrels' keys are built first, as a worker is handed them.
+    # Until every topic is labelled, parse_run holds a doc id (one 8-byte
+    # word here), a rank and a score per row (24 bytes), beside one chunk
+    # of lines at work.  On a CLEF-sized run (120,000 rows) that peaks
+    # under 40 bytes a row beyond the Run returned; holding each row's
+    # doc-id string needs over 100.  The qrels index is built first, as a
+    # worker is handed it.
     monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNKS[0])
     monkeypatch.setattr(ingest, "_CHUNK_LINES", DEFAULT_CHUNKS[1])
     lines = [
@@ -922,9 +924,10 @@ def test_parse_run_memory_is_bounded(monkeypatch):
 
 
 def test_parse_qrels_memory_is_bounded(monkeypatch):
-    # The index keeps a doc-id key and two flags per judgement (10 bytes);
-    # reading a file of 120,000 judgements into it peaks under 36 bytes a
-    # judgement, the index included.  A dict of the labels held about 86.
+    # The index keeps a doc id (one 8-byte word here) and a relevance flag
+    # per judgement (9 bytes); reading a file of 120,000 judgements into it
+    # peaks under 36 bytes a judgement, the index included.  A dict of the
+    # labels held about 86.
     monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNKS[0])
     monkeypatch.setattr(ingest, "_CHUNK_LINES", DEFAULT_CHUNKS[1])
     data = "".join(
