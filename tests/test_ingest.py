@@ -539,7 +539,7 @@ _PLAIN = {
 }
 _ODD = {
     "separators": ["\x0b", "\x1c", "\xa0", "\u3000"],
-    "doc_ids": ["é", "ü-2", "a\x00", "\x01b"],
+    "doc_ids": ["é", "ü-2", "a\x00", "\x01b", "long-doc-id-é"],
     "ranks": st.sampled_from(["+5", "1_0", "0", "12345678901234567"]),
     "scores": st.sampled_from(
         ["1e-05", "inf", "nan", "+1.5", "0.30000000000000004", "5-", "1-2", "--1"]
