@@ -307,10 +307,9 @@ class _Columns:
         """
         if not self.rows:
             return
-        chunks = self.columns[0]
-        if len({chunk.dtype for chunk in chunks}) > 1:
-            width = max(chunk.itemsize for chunk in chunks)
-            self.columns[0] = [_id_bytes(chunk, width) for chunk in chunks]
+        if len({chunk.dtype for chunk in self.columns[0]}) > 1:  # words and bytes
+            width = max(chunk.itemsize for chunk in self.columns[0])
+            self.columns[0] = [_id_bytes(chunk, width) for chunk in self.columns[0]]
         # One column at a time, so that its chunks are freed before the next.
         ids, *values = (
             np.concatenate(self.columns.pop(0)) for _ in range(len(self.columns))

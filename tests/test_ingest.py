@@ -845,8 +845,8 @@ def test_qrels_index_pickles():
 
 
 def test_one_index_builds_each_topic_once(monkeypatch):
-    # parse_qrels builds every topic's keys; labelling runs reads them and
-    # builds nothing more.
+    # parse_qrels builds every topic's sorted ids; labelling runs reads them
+    # and builds nothing more.
     index = parse_qrels(QREL_LINES)
     entries = dict(index._topics)
     built = []
