@@ -7,9 +7,11 @@ whitespace, and on every non-blank line the format's number of fields (6
 for a run, 4 for qrels).  A run's ranks must be 1 to 16 digits from 1 up,
 and its scores at most 16 characters of the form ``-?digits.digits``,
 where either side of the point may be empty and the point may be left
-out.  A qrels label must be ``-?digits`` in at most 16 characters.  For
-any other chunk it returns None, and ``ingest`` reads the chunk with its
-per-line reader, which gives the same rows.
+out.  A qrels label must be ``-?digits`` in at most 16 characters.  A
+minus is a sign only as a number's first character: the number is read
+one character shorter and negated, and a minus anywhere else is no digit.
+For any other chunk it returns None, and ``ingest`` reads the chunk with
+its per-line reader, which gives the same rows.
 
 It finds the tokens with numpy and reads 8 bytes of a token at a time, as
 64-bit words read at any byte offset of the chunk: left-aligned at a
@@ -106,7 +108,7 @@ def _digit_value(word: np.ndarray) -> np.ndarray | None:
     return value
 
 
-def _number(columns: list[np.ndarray]) -> np.ndarray | None:
+def _digits(columns: list[np.ndarray]) -> np.ndarray | None:
     """The digits of right-aligned words as one integer (int64), or None."""
     number = np.zeros(len(columns[0]), dtype=np.int64)
     for i, word in enumerate(columns):
@@ -120,8 +122,9 @@ def _number(columns: list[np.ndarray]) -> np.ndarray | None:
 def _take_byte(columns: list[np.ndarray], byte: int) -> tuple[np.ndarray, np.ndarray]:
     """Replace the characters ``byte`` in right-aligned words with '0'.
 
-    Returns how many there were in each token, and for a token with one,
-    how many characters follow it.
+    It serves a number's point, the one character other than a digit that
+    a number may hold past its first.  Returns how many there were in each
+    token, and for a token with one, how many characters follow it.
     """
     count = np.zeros(len(columns[0]), dtype=np.int64)
     after = np.zeros(len(columns[0]), dtype=np.int64)
@@ -136,62 +139,42 @@ def _take_byte(columns: list[np.ndarray], byte: int) -> tuple[np.ndarray, np.nda
     return count, after
 
 
-def _signed(
-    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, point: bool, signs: bool
-) -> tuple | None:
-    """Tokens ``-?D*.?D*`` with at least one digit, or None.
+def _number(
+    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, point: bool
+) -> np.ndarray | None:
+    """Tokens ``D*.?D*`` with at least one digit (float64), or None.
 
-    Without ``point``, a token holding a point is refused, and without
-    ``signs``, one holding a minus.  Returns the digits, the point read as
-    a 0, as one integer; whether each token has a point, and how many
-    characters follow it; and which tokens are negative (None without
-    ``signs``).
+    Without ``point``, tokens ``D+`` (int64).
     """
+    if lengths.min() < 1:
+        return None
     columns = _right_words(words, ends, lengths)
     points, frac = _take_byte(columns, ord(".")) if point else (0, 0)
-    negative = None
-    if signs:
-        minus, after = _take_byte(columns, ord("-"))
-        negative = minus > 0
-        if np.any(minus[negative] > 1) or np.any(
-            after[negative] != lengths[negative] - 1  # a leading minus only
-        ):
-            return None
-        lengths = lengths - minus
     if np.max(points) > 1 or np.any(lengths - points < 1):
         return None
-    whole = _number(columns)
-    return None if whole is None else (whole, points, frac, negative)
-
-
-def _scores(
-    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, signs: bool
-) -> np.ndarray | None:
-    """Scores ``-?D*.?D*`` with at least one digit, or None."""
-    read = _signed(words, ends, lengths, True, signs)
-    if read is None:
-        return None
-    whole, points, frac, negative = read
+    whole = _digits(columns)
+    if whole is None or not point:
+        return whole
     # Split the digits around the point.
     high, low = np.divmod(whole, _POW10[frac + 1])
     mantissa = np.where(points > 0, high * _POW10[frac] + low, whole)
-    scores = mantissa / _POW10[frac]
-    if negative is not None:
-        np.negative(scores, out=scores, where=negative)
-    return scores
+    return mantissa / _POW10[frac]
 
 
-def _integers(
-    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, signs: bool
+def _values(
+    words: np.ndarray, starts: np.ndarray, ends: np.ndarray, point: bool, signs: bool
 ) -> np.ndarray | None:
-    """Integers ``-?D+`` (``D+`` without ``signs``), or None."""
-    read = _signed(words, ends, lengths, False, signs)
-    if read is None:
-        return None
-    whole, _, _, negative = read
-    if negative is not None:
-        np.negative(whole, out=whole, where=negative)
-    return whole
+    """``_number``s, each perhaps led by a minus when ``signs`` is set, or None."""
+    lengths = ends - starts
+    if not signs:
+        return _number(words, ends, lengths, point)
+    # A token's first byte, the low one of the word read at its start, may
+    # be a minus, its sign; a minus anywhere else is no digit.
+    negative = (words[starts] & np.uint64(0xFF)) == ord("-")
+    number = _number(words, ends, lengths - negative, point)
+    if number is not None:
+        np.negative(number, out=number, where=negative)
+    return number
 
 
 def _tokens(chunk: bytes, fields: int):
@@ -239,15 +222,15 @@ def read_block(chunk: bytes, fields: int) -> Rows | None:
     sizes = ends - starts
     if sizes[:, 3:5].max() > _MAX_NUMBER:  # ranks and scores, or labels
         return None
-    signs = b"-" in chunk
+    signs = b"-" in chunk  # else no token is looked at for a minus
     if fields == 6:
-        ranks = _integers(words, ends[:, 3], sizes[:, 3], False)
+        ranks = _number(words, ends[:, 3], sizes[:, 3], False)
         if ranks is None or ranks.min() < 1:
             return None
-        scores = _scores(words, ends[:, 4], sizes[:, 4], signs)
+        scores = _values(words, starts[:, 4], ends[:, 4], True, signs)
         values = None if scores is None else (ranks, scores)
     else:
-        labels = _integers(words, ends[:, 3], sizes[:, 3], signs)
+        labels = _values(words, starts[:, 3], ends[:, 3], False, signs)
         values = None if labels is None else (labels,)
     if values is None:
         return None

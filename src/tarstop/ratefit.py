@@ -135,8 +135,10 @@ def fit_exponential(binned: BinnedCounts) -> RateModel:
     f and f' are evaluated on a grid of t = k * span out to +-64, widened to
     where f equals its limits when its lowest point is at an edge.  Secant
     steps on f' locate the minimum in each cell where f' turns from - to +;
-    the lowest is the fit.  Raises ``FitError`` when it is not below both
-    limits by more than rounding, or when d is outside double precision.
+    the lowest is the fit.  Minima within rounding of the lowest tie with
+    it, and of tied minima the smallest t (the falling rate) is the fit.
+    Raises ``FitError`` when it is not below both limits by more than
+    rounding, or when d is outside double precision.
     """
     if len(binned.points) < 2:
         raise InsufficientDataError("need at least 2 binned points to fit")
@@ -162,15 +164,20 @@ def fit_exponential(binned: BinnedCounts) -> RateModel:
     roots = [
         _slope_root(u_list, dens_list, grid.k[i : i + 2], grad[i : i + 2]) for i in cells
     ]
-    costs = _profile(np.array(roots), u, dens)[0] if len(roots) > 1 else [0.0]
-    t = roots[int(np.argmin(costs))]
+    margin = _ROUNDING * len(dens) * float(dens @ dens)
+    if len(roots) > 1:
+        # |r|^2 at each minimum.  Those within rounding of the lowest tie,
+        # and as roots ascend in t, the first of them, the falling rate, wins.
+        costs = 2 * _profile(np.array(roots), u, dens)[0]
+        roots = [t for t, cost in zip(roots, costs) if cost <= costs.min() + margin]
+    t = roots[0]
 
     near = 0 if t < 0 else -1
     e = np.exp(t * (u - u[near]))
     d_scaled = float(e @ dens) / float(e @ e)
     r = dens - d_scaled * e
     limit = min(float(dens[1:] @ dens[1:]), float(dens[:-1] @ dens[:-1]))
-    if not float(r @ r) < limit - _ROUNDING * len(dens) * float(dens @ dens):
+    if not float(r @ r) < limit - margin:
         raise FitError(_NO_MINIMISER)
     k = t / span
     logd = math.log(d_scaled) - k * x[near]

@@ -523,7 +523,8 @@ def test_parse_run_block_boundaries_leave_outcome(
 # the block reader takes, or odd, which only the per-line reader does: str
 # whitespace beyond space, tab and newline, non-ASCII ids, ids holding NUL
 # and 01 (stored escaped), ranks int() reads with a sign or an underscore,
-# and scores in every other form float() reads.
+# scores in every other form float() reads, and numbers with a minus that
+# is not their first character or is all there is.
 _PLAIN = {
     "separators": [" ", "  ", "\t", " \t "],
     "doc_ids": [
@@ -540,12 +541,13 @@ _PLAIN = {
 _ODD = {
     "separators": ["\x0b", "\x1c", "\xa0", "\u3000"],
     "doc_ids": ["é", "ü-2", "a\x00", "\x01b", "long-doc-id-é"],
-    "ranks": st.sampled_from(["+5", "1_0", "0", "12345678901234567"]),
+    "ranks": st.sampled_from(["+5", "1_0", "0", "12345678901234567", "-1", "-0"]),
     "scores": st.sampled_from(
         ["1e-05", "inf", "nan", "+1.5", "0.30000000000000004", "5-", "1-2", "--1"]
+        + ["-", "-5-", ".-5", "-.", "-1.5-", "1.2.3"]
     )
     | st.floats(-100, 100).map(repr),
-    "labels": st.sampled_from(["+1", "1_0", "12345678901234567", "1-", "--1"]),
+    "labels": st.sampled_from(["+1", "1_0", "12345678901234567", "1-", "--1", "-", "-1-"]),
 }
 
 
@@ -783,6 +785,11 @@ def test_line_ends_read_as_a_text_file_reads_them(line_end, last_end, short_line
         ("T1 NF a 1 1e-05 tag", False),
         ("T1 NF a 1 inf tag", False),
         ("T1 NF a 1 1-2 tag", False),
+        ("T1 NF a 1 - tag", False),
+        ("T1 NF a 1 -5- tag", False),
+        ("T1 NF a 1 .-5 tag", False),
+        ("T1 NF a -1 0.5 tag", False),
+        ("T1 NF a-b 1 -2 tag", True),
         ("T1 NF a 1 0.30000000000000004 tag", False),
         ("T1 NF a 1 9007199254740.99 tag", True),
         ("T1 NF a 1 9007199254740.993 tag", False),
@@ -819,6 +826,9 @@ def test_which_blocks_the_block_reader_takes(monkeypatch, line, simple):
         ("T1 0 a 1_0", False),
         ("T1 0 a 1.0", False),
         ("T1 0 a 1-", False),
+        ("T1 0 a -0", True),
+        ("T1 0 a -", False),
+        ("T1 0 a -1-", False),
         ("T1 0 a 12345678901234567", False),
         ("T1 0 é 1", False),
         ("T1 0 a", False),

@@ -247,6 +247,18 @@ def test_fit_minimum_past_the_first_grid_is_found():
     assert math.exp(model.k * 100) == pytest.approx(1 / 30, rel=1e-2)
 
 
+@pytest.mark.parametrize(
+    "bins, width, relevant",
+    [(16, 2, 3), (18, 3, 1), (16, 9, 1), (23, 6, 1)],
+)
+def test_mirrored_minima_tie_to_the_falling_rate(bins, width, relevant):
+    # Relevant documents only in the 2nd and the next to last bin: the cost
+    # is symmetric in k, with minima at +-t of equal cost up to rounding.
+    counts = [0] * bins
+    counts[1] = counts[-2] = relevant
+    assert fit_exponential(_binned_counts(counts, width)).k < 0
+
+
 def test_fit_returns_plain_floats():
     model = fit_exponential(_binned_from_model(0.5, -0.01, 10, 1))
     assert type(model.d) is float
