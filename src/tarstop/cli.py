@@ -15,10 +15,10 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import closing
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import click
 
@@ -45,49 +45,6 @@ def _write(out_dir: Path, files: dict[str, str | list[dict]]) -> None:
         if not isinstance(content, str):
             content = "".join(json.dumps(r, sort_keys=True) + "\n" for r in content)
         (out_dir / name).write_text(content, newline="\n")
-
-
-@dataclass(frozen=True)
-class _RunResult:
-    """What a pool worker sends back for one run file.
-
-    ``records`` maps each requested method to its topic records on the run;
-    ``mean_aurc`` and ``gain`` are set when they were asked for.
-    """
-
-    run_tag: str
-    mean_aurc: float | None
-    records: dict[str, list[dict]]
-    gain: tuple[list, list] | None = None
-
-
-def _assess_run(
-    run: Run,
-    methods: list[str],
-    params: MethodParams,
-    seed: int,
-    aurc: bool = False,
-    gain_topic: str | None = None,
-) -> _RunResult:
-    """A worker's task: assess one labelled run with the given methods.
-
-    The run's mean AURC is computed when ``aurc`` is set, and the gain
-    curve of ``gain_topic`` is drawn when a topic is named.
-    """
-    gain = None
-    if gain_topic is not None:
-        topic = next((t for t in run.topics if t.topic_id == gain_topic), None)
-        if topic is None:
-            raise ValidationError(
-                f"topic {gain_topic!r} not found in {run.run_tag!r}"
-            )
-        gain = _gain_curve(topic, params)
-    return _RunResult(
-        run_tag=run.run_tag,
-        mean_aurc=mean_aurc(run) if aurc else None,
-        records={m: topic_records(run, m, params, seed) for m in methods},
-        gain=gain,
-    )
 
 
 def _gain_curve(topic: Topic, params: MethodParams) -> tuple[list, list]:
@@ -117,11 +74,12 @@ def _aggregate_table(records: list[dict], title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The per-run pipeline.  Each run file is parsed, labelled and assessed in a
-# pool worker; the qrels are indexed once in the parent and handed to every
-# worker, which a forked worker inherits without a copy.  Files are read as
-# bytes, so as UTF-8 whatever the locale.  Records logged in a worker come
-# back with its result and are emitted in the parent, in --runs order.
+# The per-run pipeline.  Each command hands _map_runs one task per run file,
+# and a pool worker parses and labels the file and runs the task on its Run.
+# The qrels are indexed once in the parent and handed to every worker, which
+# a forked worker inherits without a copy.  Files are read as bytes, so as
+# UTF-8 whatever the locale.  Each result comes back with the records logged
+# in its worker, which are emitted in the parent, in --runs order.
 
 
 class _KeptRecords(logging.Handler):
@@ -148,19 +106,11 @@ def _init_worker(qrels: QrelsIndex) -> None:
     logger.handlers, logger.propagate = [_worker_log], False
 
 
-def _run_worker(
-    path: str, task: Callable[[Run], _RunResult]
-) -> tuple[_RunResult, list[logging.LogRecord]]:
+def _run_worker(path: str, task: Callable[[Run], object]) -> tuple[str, object, list]:
     _worker_log.records = []
     with open(path, "rb") as handle:
         run = parse_run(handle, _worker_qrels)
-    for topic in run.topics:
-        if topic.total_relevant < 1:
-            raise ValidationError(
-                f"run {run.run_tag!r} topic {topic.topic_id!r} has no "
-                "relevant documents in the qrels; recall is undefined"
-            )
-    return task(run), _worker_log.records
+    return run.run_tag, task(run), _worker_log.records
 
 
 def _cpu_count() -> int:
@@ -171,14 +121,15 @@ def _cpu_count() -> int:
 
 
 def _map_runs(
-    qrels_path: str, jobs: list[tuple[str, Callable[[Run], _RunResult]]]
-) -> list[_RunResult]:
-    """Run each (run file, task) job on a process pool; results in job order.
+    qrels_path: str, jobs: list[tuple[str, Callable[[Run], object]]]
+) -> Iterator[tuple[str, object]]:
+    """Run each (run file, task) job on a process pool; yield (run tag, result).
 
-    The first job to fail, in job order, decides the error raised.  A
-    worker that dies ends the command with a ComputationError naming the
-    first run file left unfinished.  The workers are reaped before this
-    returns.
+    Results come in job order, and the first job to fail, in job order,
+    decides the error raised.  A worker that dies ends the command with a
+    ComputationError naming the first run file left unfinished.  The
+    workers are reaped once the last result is taken or the iterator is
+    closed.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -197,24 +148,61 @@ def _map_runs(
     )
     try:
         futures = [pool.submit(_run_worker, path, task) for path, task in jobs]
-        results = []
+        seen = set()
         for (path, _), future in zip(jobs, futures):
             try:
-                result, records = future.result()
+                run_tag, result, records = future.result()
             except BrokenProcessPool:
                 raise ComputationError(
                     f"a worker process died before run file {path} was done"
                 ) from None
             for record in records:
                 logging.getLogger(record.name).handle(record)
-            if any(r.run_tag == result.run_tag for r in results):
-                raise ValidationError(
-                    f"run tag {result.run_tag!r} is given more than once"
-                )
-            results.append(result)
-        return results
+            if run_tag in seen:
+                raise ValidationError(f"run tag {run_tag!r} is given more than once")
+            seen.add(run_tag)
+            yield run_tag, result
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _require_recall(run: Run) -> None:
+    """Refuse a run with a topic that has no relevant document: a task's first step."""
+    for topic in run.topics:
+        if topic.total_relevant < 1:
+            raise ValidationError(
+                f"run {run.run_tag!r} topic {topic.topic_id!r} has no "
+                "relevant documents in the qrels; recall is undefined"
+            )
+
+
+def _evaluate_task(run: Run, methods: list[str], params: MethodParams, seed: int) -> dict:
+    """evaluate's task: each method's topic records on the run."""
+    _require_recall(run)
+    return {m: topic_records(run, m, params, seed) for m in methods}
+
+
+def _stratify_task(run: Run, methods: list[str], params: MethodParams, seed: int) -> tuple:
+    """stratify's task: the run's mean AURC, and each method's topic records on it."""
+    _require_recall(run)
+    return mean_aurc(run), {m: topic_records(run, m, params, seed) for m in methods}
+
+
+def _plot_data_task(
+    run: Run, topic_id: str, methods: list[str], params: MethodParams, seed: int
+) -> tuple:
+    """plot-data's task for its first run file: stratify's, and topic_id's gain curve."""
+    _require_recall(run)
+    topic = next((t for t in run.topics if t.topic_id == topic_id), None)
+    if topic is None:
+        raise ValidationError(f"topic {topic_id!r} not found in {run.run_tag!r}")
+    gain = _gain_curve(topic, params)
+    return (*_stratify_task(run, methods, params, seed), gain)
+
+
+def _validate_task(run: Run) -> tuple[set[str], dict]:
+    """validate's task: the run's topic ids and its dataset summary."""
+    return {t.topic_id for t in run.topics}, validate_dataset(run)
 
 
 def _parse_methods(spec: str) -> list[str]:
@@ -291,7 +279,7 @@ _params_options = _options(
     click.option("--config", "config_path", type=click.Path(exists=True), default=None),
 )
 
-# Inputs and outputs of the commands that read run files through _map_runs.
+# Inputs and outputs of the commands that evaluate methods on run files.
 _run_file_options = _options(
     click.option("--runs", "run_paths", multiple=True, required=True, type=click.Path(exists=True)),
     click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True)),
@@ -315,10 +303,10 @@ def evaluate(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     """Evaluate stopping methods over run files, writing report.txt/.jsonl."""
     params = resolve_params(config_path, **flags)
     method_list = _parse_methods(methods)
-    task = partial(_assess_run, methods=method_list, params=params, seed=seed)
-    results = _map_runs(qrels_path, [(path, task) for path in run_paths])
-    records = build_report({r.run_tag: r.records for r in results})
-    table = _aggregate_table(records, f"All {len(results)} runs")
+    task = partial(_evaluate_task, methods=method_list, params=params, seed=seed)
+    runs = dict(_map_runs(qrels_path, [(path, task) for path in run_paths]))
+    records = build_report(runs)
+    table = _aggregate_table(records, f"All {len(runs)} runs")
     _write(out_dir, {"report.jsonl": records, "report.txt": table})
     click.echo(table, nl=False)
 
@@ -333,13 +321,11 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     method_list = _parse_methods(methods)
     if len(run_paths) < 15:
         raise click.UsageError("stratification needs at least 15 runs")
-    task = partial(
-        _assess_run, methods=method_list, params=params, seed=seed, aurc=True
-    )
-    results = _map_runs(qrels_path, [(path, task) for path in run_paths])
+    task = partial(_stratify_task, methods=method_list, params=params, seed=seed)
+    results = list(_map_runs(qrels_path, [(path, task) for path in run_paths]))
     records = build_stratify_report(
-        {r.run_tag: r.mean_aurc for r in results},
-        {r.run_tag: r.records for r in results},
+        {tag: score for tag, (score, _) in results},
+        {tag: runs for tag, (_, runs) in results},
     )
     bands = ", ".join(
         f"{r['group']} [{r['lo']:.3f}, {r['hi']:.3f}] {r['status']}"
@@ -365,15 +351,13 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
 def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **flags):
     """Emit gain-curve and effort-vs-AURC CSV/SVG plot data."""
     params = resolve_params(config_path, **flags)
-    task = partial(
-        _assess_run, methods=["or", "pp"], params=params, seed=seed, aurc=True
-    )
-    # The gain curve is drawn for the topic in the first run file.
-    jobs = [(run_paths[0], partial(task, gain_topic=topic_id))]
-    jobs += [(path, task) for path in run_paths[1:]]
-    results = _map_runs(qrels_path, jobs)
+    kwargs = {"methods": ["or", "pp"], "params": params, "seed": seed}
+    # The gain curve is drawn for the topic in the first run file, last in its result.
+    jobs = [(run_paths[0], partial(_plot_data_task, topic_id=topic_id, **kwargs))]
+    jobs += [(path, partial(_stratify_task, **kwargs)) for path in run_paths[1:]]
+    results = list(_map_runs(qrels_path, jobs))
 
-    actual, predicted = results[0].gain
+    actual, predicted = results[0][1][2]
     gain_csv = "rank,relevant_found,rate_estimate\n" + "".join(
         f"{rank},{a:.6f},{p:.6f}\n" for (rank, a), (_, p) in zip(actual, predicted)
     )
@@ -381,12 +365,11 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
     # Per-run effort vs. AURC for the oracle and Poisson methods.
     effort = {
         (r["run"], r["method"]): r["total_effort"]
-        for r in build_report({r.run_tag: r.records for r in results})
+        for r in build_report({tag: result[1] for tag, result in results})
         if r["record"] == "run"
     }
     rows = sorted(
-        (r.run_tag, r.mean_aurc, effort[r.run_tag, "or"], effort[r.run_tag, "pp"])
-        for r in results
+        (tag, result[0], effort[tag, "or"], effort[tag, "pp"]) for tag, result in results
     )
     effort_csv = "run,mean_aurc,oracle_effort,poisson_effort\n" + "".join(
         f"{tag},{score:.6f},{or_eff},{pp_eff}\n" for tag, score, or_eff, pp_eff in rows
@@ -459,22 +442,18 @@ def validate(run_paths, qrels_path, out_dir):
     Every run file is labelled from the qrels and must hold the topics of
     the first, whose figures are summarized.
     """
-    with open(qrels_path, "rb") as handle:
-        qrels = parse_qrels(handle)
-    first = first_ids = None
-    for path in run_paths:
-        with open(path, "rb") as handle:
-            run = parse_run(handle, qrels)
-        topic_ids = {t.topic_id for t in run.topics}
-        if first is None:
-            first, first_ids = run, topic_ids
-        elif topic_ids != first_ids:
-            raise ValidationError(
-                f"run {run.run_tag!r} ({path}) differs from run {first.run_tag!r} "
-                f"in its topics: missing {sorted(first_ids - topic_ids)}, "
-                f"extra {sorted(topic_ids - first_ids)}"
-            )
-    summary = validate_dataset(first)
+    jobs = [(path, _validate_task) for path in run_paths]
+    # Each file is checked as its result comes, so the first bad one in
+    # --runs order decides the error; closing the results stops the pool.
+    with closing(_map_runs(qrels_path, jobs)) as results:
+        first_tag, (first_ids, summary) = next(results)
+        for path, (run_tag, (topic_ids, _)) in zip(run_paths[1:], results):
+            if topic_ids != first_ids:
+                raise ValidationError(
+                    f"run {run_tag!r} ({path}) differs from run {first_tag!r} "
+                    f"in its topics: missing {sorted(first_ids - topic_ids)}, "
+                    f"extra {sorted(topic_ids - first_ids)}"
+                )
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     _write(out_dir, {"validation.json": text})
     for name, status in summary["checks"]:

@@ -115,7 +115,7 @@ def test_evaluate_repeated_method_usage_error(dataset, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "stratify", "plot-data"])
+@pytest.mark.parametrize("command", ["evaluate", "stratify", "plot-data", "validate"])
 def test_repeated_run_tag_is_validation_error(command, dataset, tmp_path, capsys):
     paths, qrels = dataset
     # run-b's lines under run-a's tag: a second file with a tag already given.
@@ -160,6 +160,28 @@ def test_evaluate_topic_without_relevant_is_validation_error(tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "'zero-run'" in err and "'T1'" in err
+
+
+@pytest.mark.parametrize("command", ["stratify", "plot-data"])
+def test_aurc_commands_refuse_a_topic_without_relevant(command, tmp_path, capsys):
+    # The relevance check comes before the run's mean AURC, whose recall
+    # would be undefined.
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("".join(f"T1 0 d{i} 0\n" for i in (1, 2, 3)))
+    args = [command, "--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
+    for j in range(15):
+        run = tmp_path / f"run{j}.txt"
+        run.write_text("".join(f"T1 NF d{i} {i} 0.5 zero-run{j}\n" for i in (1, 2, 3)))
+        args += ["--runs", str(run)]
+    if command == "plot-data":
+        args += ["--topic", "T1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: run 'zero-run0' topic 'T1' has no relevant documents in the "
+        "qrels; recall is undefined\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_first_bad_run_file_in_runs_order_decides_error(dataset, tmp_path, capsys):
@@ -239,19 +261,24 @@ def test_worker_warnings_reach_stderr(dataset, tmp_path, capfd):
     for tag, path in paths.items():
         path.write_text(path.read_text() + f"T1 NF unjudged-{tag} 401 0.0 {tag}\n")
     src = str(Path(tarstop.cli.__file__).resolve().parents[1])
-    command = [sys.executable, "-m", "tarstop.cli"]
-    command += _evaluate_args(paths, qrels, tmp_path / "out", ["--methods", "or"])
-    subprocess.run(command, env={**os.environ, "PYTHONPATH": src}, check=True)
-    warnings = [
-        line
-        for line in capfd.readouterr().err.splitlines()
-        if "not in the qrels" in line
-    ]
-    assert warnings == [
-        f"run {tag} topic T1: 1 of 401 documents not in the qrels, "
-        "treated as non-relevant"
-        for tag in paths
-    ]
+    inputs = [a for path in paths.values() for a in ("--runs", str(path))]
+    inputs += ["--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
+    for command in (["evaluate", "--methods", "or"], ["validate"]):
+        subprocess.run(
+            [sys.executable, "-m", "tarstop.cli", *command, *inputs],
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        warnings = [
+            line
+            for line in capfd.readouterr().err.splitlines()
+            if "not in the qrels" in line
+        ]
+        assert warnings == [
+            f"run {tag} topic T1: 1 of 401 documents not in the qrels, "
+            "treated as non-relevant"
+            for tag in paths
+        ]
 
 
 def test_simulate_deterministic_and_usage(tmp_path):
@@ -459,6 +486,34 @@ def test_cli_import_loads_neither_scipy_nor_requests():
     assert _loaded_after_import("tarstop.cli", modules) == "[]"
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+@pytest.mark.parametrize("blas_threads", [None, "2"])
+def test_cli_import_starts_no_blas_thread_unless_asked(blas_threads):
+    # The package sets one BLAS thread before numpy is imported, unless the
+    # environment names a count.
+    if blas_threads and (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS starts no second thread on one CPU")
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    env["PYTHONPATH"] = src
+    if blas_threads:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    code = (
+        "import tarstop.cli\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('Threads:')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == (blas_threads or "1")
+
+
 def test_library_import_loads_no_cli():
     # The records the commands write are built without the command line.
     imports = "tarstop.metrics, tarstop.simulate"
@@ -547,6 +602,32 @@ def test_validate_checks_every_run_file(tmp_path, capsys):
     partial.write_text("T9 NF d0000001 1 0.5 run-c\n")
     assert main(args) == 2
     assert "topic 'T9' missing from qrels" in capsys.readouterr().err
+
+
+def test_validate_stops_at_the_first_bad_run_file(dataset, tmp_path, capsys):
+    paths, qrels = dataset
+    # A second file short of topics, and a third that does not parse: the
+    # second decides the error, and no worker is left once it is raised.
+    partial = tmp_path / "partial.txt"
+    with paths["run-b"].open() as lines:
+        partial.write_text("".join(line for line in lines if line.startswith("T0 ")))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not a run file\n")
+    args = ["validate", "--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
+    for path in (paths["run-a"], partial, bad):
+        args += ["--runs", str(path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: run 'run-b' ({partial}) differs from run 'run-a' in its topics: "
+        "missing ['T1', 'T2'], extra []\n"
+    )
+    assert not (tmp_path / "out").exists()
+    # The pool is shut down before the error leaves the command, not when
+    # the error, and with it the command's frame, is let go.
+    with pytest.raises(ValidationError, match="differs from run 'run-a'") as raised:
+        tarstop.cli.cli.main(args, standalone_mode=False)
+    assert raised.value.__traceback__ and not multiprocessing.active_children()
 
 
 # A locale whose encoding is ASCII, which open() would decode with.

@@ -196,14 +196,20 @@ def test_library_records_equal_the_golden_outputs(tmp_path):
         assert _jsonl_digest(coverage_experiment(family, rate, 400, 100, 0, params)) == digest
 
 
-def test_golden_validation_digest(tmp_path):
+def test_golden_validation_digest(tmp_path, monkeypatch):
     paths, qrels = _write_dataset(tmp_path)
-    args = ["validate", "--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
-    for path in paths:
-        args += ["--runs", str(path)]
-    assert main(args) == 0
-    digest = hashlib.sha256((tmp_path / "out" / "validation.json").read_bytes())
-    assert digest.hexdigest() == VALIDATION
+    # On this machine's CPUs, then on one and on three workers.
+    for cpus in (None, 1, 3):
+        if cpus is not None:
+            monkeypatch.setattr(tarstop.cli, "_cpu_count", lambda cpus=cpus: cpus)
+        out = tmp_path / f"out-{cpus}"
+        args = ["validate", "--qrels", str(qrels), "--out-dir", str(out)]
+        for path in paths:
+            args += ["--runs", str(path)]
+        assert main(args) == 0
+        digest = hashlib.sha256((out / "validation.json").read_bytes())
+        assert digest.hexdigest() == VALIDATION
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
