@@ -15,7 +15,7 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from tarstop.core import MethodParams, Run, StopOutcome, Topic, rel_at
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
-from tarstop.poisson import poisson_pmf, required_relevant, upper_credible_count
+from tarstop.poisson import required_relevant, upper_credible_count
 from tarstop.ratefit import RateModel, lambda_integral
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "knee_stop",
     "lambda_integral",
     "oracle_stop",
-    "poisson_pmf",
     "poisson_stop",
     "rel_at",
     "required_relevant",

@@ -60,8 +60,8 @@ class Rows(NamedTuple):
     topics: list[str]  # the topic of each stretch of rows with one topic
     topic_ends: list[int]  # the row after each such stretch
     # Each row's doc id as 64-bit words: its UTF-8 bytes, read big-endian
-    # and NUL-padded, so that words order as the ids do (the per-line
-    # reader first escapes NUL and 01, which a simple chunk never holds).
+    # and NUL-padded, so that words order as the ids do (an id holds no
+    # NUL: the per-line reader refuses one, and a simple chunk has none).
     id_words: np.ndarray
     # A run's ranks (int64) and scores (float64); the qrels' labels (int64).
     values: tuple[np.ndarray, ...]

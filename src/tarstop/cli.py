@@ -78,8 +78,9 @@ def _aggregate_table(records: list[dict], title: str) -> str:
 # and a pool worker parses and labels the file and runs the task on its Run.
 # The qrels are indexed once in the parent and handed to every worker, which
 # a forked worker inherits without a copy.  Files are read as bytes, so as
-# UTF-8 whatever the locale.  Each result comes back with the records logged
-# in its worker, which are emitted in the parent, in --runs order.
+# UTF-8 whatever the locale.  Each result, or error, comes back with the
+# records logged in its worker, which are emitted in the parent, in --runs
+# order.
 
 
 class _KeptRecords(logging.Handler):
@@ -108,9 +109,18 @@ def _init_worker(qrels: QrelsIndex) -> None:
 
 def _run_worker(path: str, task: Callable[[Run], object]) -> tuple[str, object, list]:
     _worker_log.records = []
-    with open(path, "rb") as handle:
-        run = parse_run(handle, _worker_qrels)
-    return run.run_tag, task(run), _worker_log.records
+    try:
+        with open(path, "rb") as handle:
+            run = parse_run(handle, _worker_qrels)
+        return run.run_tag, task(run), _worker_log.records
+    except Exception as exc:
+        exc.records = _worker_log.records  # pickled with the exception's __dict__
+        raise
+
+
+def _emit(records: list[logging.LogRecord]) -> None:
+    for record in records:
+        logging.getLogger(record.name).handle(record)
 
 
 def _cpu_count() -> int:
@@ -125,8 +135,9 @@ def _map_runs(
 ) -> Iterator[tuple[str, object]]:
     """Run each (run file, task) job on a process pool; yield (run tag, result).
 
-    Results come in job order, and the first job to fail, in job order,
-    decides the error raised.  A worker that dies ends the command with a
+    Results come in job order, each after the records logged in its
+    worker, and the first job to fail, in job order, decides the error
+    raised, after its records.  A worker that dies ends the command with a
     ComputationError naming the first run file left unfinished.  The
     workers are reaped once the last result is taken or the iterator is
     closed.
@@ -156,8 +167,10 @@ def _map_runs(
                 raise ComputationError(
                     f"a worker process died before run file {path} was done"
                 ) from None
-            for record in records:
-                logging.getLogger(record.name).handle(record)
+            except Exception as exc:
+                _emit(getattr(exc, "records", []))
+                raise
+            _emit(records)
             if run_tag in seen:
                 raise ValidationError(f"run tag {run_tag!r} is given more than once")
             seen.add(run_tag)

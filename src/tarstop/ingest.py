@@ -16,10 +16,10 @@ not depend on which reader read a chunk; errors are always found and
 numbered by the per-line reader.  A byte that is not UTF-8 is a
 ParseError naming its line.
 
-A doc id is held as its own bytes, NUL-padded (see ``_escape``): one
-64-bit word read big-endian when every id of the file fits in 8 bytes,
-else a ``V`` (raw bytes) array.  Either orders and compares as the ids'
-bytes do.
+A doc id is held as its own UTF-8 bytes, NUL-padded: one 64-bit word
+read big-endian when every id of the file fits in 8 bytes, else a ``V``
+(raw bytes) array.  Either orders and compares as the ids' bytes do.  A
+NUL byte in a doc id would read back as padding, so it is a ParseError.
 ``parse_qrels`` returns a ``QrelsIndex``, which keeps each topic's judged
 ids sorted, with their relevance, and ``parse_run`` labels a run by a
 binary search in them.
@@ -30,7 +30,6 @@ from __future__ import annotations
 import io
 import itertools
 import logging
-import re
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -143,16 +142,20 @@ def _fields(line: str, line_no: int, fields: int) -> tuple | None:
             raise ParseError(f"bad label: {exc}", line_no) from exc
         if abs(label) > _MAX_RANK:
             raise ParseError(f"label too large: {label}", line_no)
-        return parts[0], parts[2], (label,), None
-    try:
-        rank, score = int(parts[3]), float(parts[4])
-    except ValueError as exc:
-        raise ParseError(f"bad rank/score: {exc}", line_no) from exc
-    if rank < 1:
-        raise ParseError(f"rank must be >= 1, got {rank}", line_no)
-    if rank > _MAX_RANK:
-        raise ParseError(f"rank too large: {rank}", line_no)
-    return parts[0], parts[2], (rank, score), parts[5]
+        values, tag = (label,), None
+    else:
+        try:
+            rank, score = int(parts[3]), float(parts[4])
+        except ValueError as exc:
+            raise ParseError(f"bad rank/score: {exc}", line_no) from exc
+        if rank < 1:
+            raise ParseError(f"rank must be >= 1, got {rank}", line_no)
+        if rank > _MAX_RANK:
+            raise ParseError(f"rank too large: {rank}", line_no)
+        values, tag = (rank, score), parts[5]
+    if "\0" in parts[2]:
+        raise ParseError(f"doc id holds a NUL byte: {parts[2]!r}", line_no)
+    return parts[0], parts[2], values, tag
 
 
 def _split_block(
@@ -211,28 +214,16 @@ def _blocks(source: IO[bytes] | Iterable[str], fields: int) -> Iterator[Rows]:
         first_line += chunk.count(b"\n") if read is None else read.newlines
 
 
-# Doc ids.  An id is stored as its UTF-8 bytes with NUL written 01 01 and
-# 01 written 01 02: that keeps the bytes' order and leaves no NUL, so an id
-# NUL-padded to a fixed width still reads back, and compares, as itself.
-# The readers hand ids on as rows of 64-bit words, the stored bytes read
-# big-endian and NUL-padded, so that words order as the ids do.
-
-
-def _escape(raw: bytes) -> bytes:
-    return raw.replace(b"\x01", b"\x01\x02").replace(b"\x00", b"\x01\x01")
-
-
-def _unescape(raw: bytes) -> str:
-    raw = re.sub(rb"\x01([\x01\x02])", lambda m: bytes([m[1][0] - 1]), raw)
-    return raw.decode()
+# Doc ids.  An id is stored as its UTF-8 bytes, NUL-padded to a fixed
+# width; an id holds no NUL (``_fields`` refuses one), so it reads back,
+# and compares, as itself.  The readers hand ids on as rows of 64-bit
+# words, the bytes read big-endian and NUL-padded, so that words order as
+# the ids do.
 
 
 def _id_words(doc_ids: list[str]) -> np.ndarray:
     """The ids as rows of words (see above)."""
     raw = [doc_id.encode() for doc_id in doc_ids]
-    joined = b"".join(raw)
-    if b"\x00" in joined or b"\x01" in joined:
-        raw = list(map(_escape, raw))
     width = -(-max(8, max(map(len, raw), default=0)) // 8) * 8
     array = np.array(raw, dtype=f"S{width}")
     return array.view(">u8").reshape(len(raw), width // 8).astype(np.uint64)
@@ -262,7 +253,7 @@ def _common(ids: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _id_strings(ids: np.ndarray) -> list[str]:
     """The doc ids as strings."""
-    return [_unescape(raw.rstrip(b"\0")) for raw in _id_bytes(ids).tolist()]
+    return [raw.rstrip(b"\0").decode() for raw in _id_bytes(ids).tolist()]
 
 
 class _Columns:

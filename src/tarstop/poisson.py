@@ -13,17 +13,6 @@ import math
 from tarstop.core import MethodParams
 
 
-def poisson_pmf(mean: float, r: int) -> float:
-    """P(N = r) for a Poisson count with the given mean, in log-space."""
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if mean == 0:
-        return 1.0 if r == 0 else 0.0
-    return math.exp(r * math.log(mean) - mean - math.lgamma(r + 1))
-
-
 def upper_credible_count(mean: float, confidence: float, cap: int | None = None) -> int:
     """Smallest R whose cumulative Poisson probability reaches ``confidence``.
 
@@ -37,10 +26,13 @@ def upper_credible_count(mean: float, confidence: float, cap: int | None = None)
         raise ValueError("confidence must be in (0, 1)")
     if cap is not None and cap < 0:
         raise ValueError("cap must be >= 0")
+    if mean == 0:
+        return 0
+    log_mean = math.log(mean)
     total = 0.0
     r = 0
     while r != cap:
-        total += poisson_pmf(mean, r)
+        total += math.exp(r * log_mean - mean - math.lgamma(r + 1))
         if total >= confidence:
             return r
         r += 1

@@ -281,6 +281,34 @@ def test_worker_warnings_reach_stderr(dataset, tmp_path, capfd):
         ]
 
 
+@pytest.mark.parametrize("command", ["evaluate", "stratify", "plot-data", "validate"])
+def test_a_failing_files_warnings_print_before_its_error(command, tmp_path):
+    # T0's ranks are repaired, with a warning, before T1's repeated id
+    # fails the file.
+    run = tmp_path / "run.txt"
+    run.write_text(
+        "T0 NF d1 1 0.5 r\nT0 NF d2 3 0.4 r\nT1 NF d1 1 0.5 r\nT1 NF d1 2 0.4 r\n"
+    )
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("T0 0 d1 1\nT0 0 d2 0\nT1 0 d1 1\n")
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    args = [command, "--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
+    args += ["--runs", str(run)] * (15 if command == "stratify" else 1)
+    if command == "plot-data":
+        args += ["--topic", "T0"]
+    result = subprocess.run(
+        [sys.executable, "-m", "tarstop.cli", *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (
+        2,
+        "run r topic T0: non-contiguous ranks repaired by re-ranking\n"
+        "error: topic 'T1' has duplicate doc_id 'd1'\n",
+    )
+
+
 def test_simulate_deterministic_and_usage(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     args = [
@@ -512,6 +540,42 @@ def test_cli_import_starts_no_blas_thread_unless_asked(blas_threads):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == (blas_threads or "1")
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "register_at_fork")
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork",
+)
+def test_the_pool_forks_from_a_single_threaded_process(dataset, tmp_path):
+    # In a fresh interpreter, since at-fork hooks cannot be removed: each
+    # fork records the threads then running, Python's and, where /proc
+    # shows them, the process's (a BLAS thread is no Python thread).
+    paths, qrels = dataset
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    env["PYTHONPATH"] = src
+    code = f"""
+import os, threading
+import tarstop.cli
+
+def threads():
+    if not os.path.exists("/proc/self/status"):
+        return 1
+    with open("/proc/self/status") as status:
+        return int(next(line.split()[1] for line in status if line.startswith("Threads:")))
+
+counts = []
+os.register_at_fork(before=lambda: counts.append((threading.active_count(), threads())))
+tarstop.cli._cpu_count = lambda: 2
+args = {_evaluate_args(paths, qrels, tmp_path / "out")!r}
+assert tarstop.cli.main(args) == 0
+print(counts)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[(1, 1), (1, 1)]"
 
 
 def test_library_import_loads_no_cli():

@@ -93,7 +93,7 @@ def _judged(lines) -> dict[str, dict[str, int]]:
     """{topic: {doc: 0}} of every (topic, doc) of the well-formed lines."""
     qrels: dict[str, dict[str, int]] = {}
     for fields in map(str.split, _text_lines(lines)):
-        if len(fields) == 6:
+        if len(fields) == 6 and "\0" not in fields[2]:
             qrels.setdefault(fields[0], {})[fields[2]] = 0
     return qrels
 
@@ -424,6 +424,7 @@ _BLOCK_FAULTS = {
     "rank 0": "T1 NF z 0 0.5 tag",
     "rank above int64": "T1 NF z 99999999999999999999 0.5 tag",
     "duplicate doc": "T1 NF g0 2 0.5 tag",
+    "NUL in doc id": "T1 NF z\x00 2 0.5 tag",
     "interleaved topic": "T2 NF z 1 0.5 tag",
 }
 
@@ -521,8 +522,8 @@ def test_parse_run_block_boundaries_leave_outcome(
 
 # What the differential tests below draw from.  Each row is plain, which
 # the block reader takes, or odd, which only the per-line reader does: str
-# whitespace beyond space, tab and newline, non-ASCII ids, ids holding NUL
-# and 01 (stored escaped), ranks int() reads with a sign or an underscore,
+# whitespace beyond space, tab and newline, non-ASCII ids, ids holding 01
+# (stored as it is), ranks int() reads with a sign or an underscore,
 # scores in every other form float() reads, and numbers with a minus that
 # is not their first character or is all there is.
 _PLAIN = {
@@ -540,7 +541,7 @@ _PLAIN = {
 }
 _ODD = {
     "separators": ["\x0b", "\x1c", "\xa0", "\u3000"],
-    "doc_ids": ["é", "ü-2", "a\x00", "\x01b", "long-doc-id-é"],
+    "doc_ids": ["é", "ü-2", "\x01b", "long-doc-id-é"],
     "ranks": st.sampled_from(["+5", "1_0", "0", "12345678901234567", "-1", "-0"]),
     "scores": st.sampled_from(
         ["1e-05", "inf", "nan", "+1.5", "0.30000000000000004", "5-", "1-2", "--1"]
@@ -643,6 +644,7 @@ _QRELS_FAULTS = [
     "T1 0 a 1.0",
     "T1 0 a one",
     "T1 0 a -",
+    "T1 0 a\x00 1",
     "T1 0 b\udcff 1",
 ]
 
@@ -676,6 +678,8 @@ def _reference_qrels(lines: list[str]):
                 label = int(parts[3])
             except ValueError as exc:
                 raise ParseError(f"bad label: {exc}", line_no) from exc
+            if "\0" in parts[2]:
+                raise ParseError(f"doc id holds a NUL byte: {parts[2]!r}", line_no)
             if qrels.setdefault(parts[0], {}).setdefault(parts[2], label) != label:
                 raise ValidationError(
                     f"conflicting labels for topic {parts[0]!r} doc {parts[2]!r}"
@@ -898,13 +902,34 @@ def test_long_ids_label_by_their_bytes(doc_ids, judged):
 
 
 def test_ids_holding_nul_or_01_keep_their_bytes():
-    # Tied ranks and scores: the ids order as strings, NUL first.
-    lines = [f"T1 NF {doc_id} 1 0.5 tag" for doc_id in ["a\x00", "a", "\x01", "\x00"]]
-    qrels = _index({"T1": {"a\x00": 1, "\x00": 1, "a": 0}})
+    # Tied ranks and scores: the ids order as strings, 01 first.
+    lines = [f"T1 NF {doc_id} 1 0.5 tag" for doc_id in ["a\x01", "a", "\x01\x01", "\x01"]]
+    qrels = _index({"T1": {"a\x01": 1, "\x01": 1, "a": 0}})
     relevant = parse_run(lines, qrels).topics[0].relevant
     assert relevant.tolist() == [True, False, False, True]
-    with pytest.raises(ValidationError, match=r"duplicate doc_id 'a\\x00'"):
+    with pytest.raises(ValidationError, match=r"duplicate doc_id 'a\\x01'"):
         parse_run([*lines, lines[0]], qrels)
+    # A NUL would read back as padding, so an id holding one is refused.
+    with pytest.raises(ParseError, match=r"^line 2: doc id holds a NUL byte: 'a\\x00'$"):
+        parse_run([lines[1], "T1 NF a\x00 2 0.5 tag"], qrels)
+
+
+@pytest.mark.parametrize(
+    "parse, good, bad",
+    [
+        (lambda source: parse_run(source, EMPTY), "T1 NF a 1 0.5 tag", "T1 NF \x00b 2 0.5 tag"),
+        (parse_qrels, "T1 0 a 1", "T1 0 \x00b 1"),
+    ],
+    ids=["run", "qrels"],
+)
+def test_nul_in_a_doc_id_is_a_parse_error(parse, good, bad):
+    # The error names the NUL's line wherever the chunks are cut.
+    data = f"{good}\n{bad}\n".encode()
+    for chunks in [(size, 1) for size in range(1, len(data) + 1)] + [(40, 2)]:
+        for source in (io.BytesIO(data), [good, bad]):
+            with _chunked(chunks), pytest.raises(ParseError) as raised:
+                parse(source)
+            assert str(raised.value) == "line 2: doc id holds a NUL byte: '\\x00b'"
 
 
 def test_parse_run_memory_is_bounded(monkeypatch):

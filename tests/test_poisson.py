@@ -10,7 +10,7 @@ from tarstop import poisson
 from tarstop.core import MethodParams, StopOutcome, rel_at
 from tarstop.errors import ComputationError, ValidationError
 from tarstop.methods import poisson_stop
-from tarstop.poisson import poisson_pmf, required_relevant, upper_credible_count
+from tarstop.poisson import required_relevant, upper_credible_count
 from tarstop.ratefit import (
     RateModel,
     bin_prefix,
@@ -61,37 +61,48 @@ def test_lambda_integral_overflow():
         lambda_integral(RateModel(1.0, 1.0), 800.0)
 
 
+# The pmf terms that upper_credible_count sums, seen through the bound.
+
+
 def test_pmf_at_zero():
-    assert poisson_pmf(1.0, 0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    # The first term is exp(-mean): exp(-1) = 0.36787944117144233.
+    assert upper_credible_count(1.0, 0.3678794411714) == 0
+    assert upper_credible_count(1.0, 0.3678794411715) == 1
 
 
 def test_pmf_degenerate():
-    assert poisson_pmf(0.0, 0) == 1.0
-    assert poisson_pmf(0.0, 3) == 0.0
+    # Mean 0 puts all the mass at 0, whatever the cap.
+    for cap in (None, 0, 3):
+        assert upper_credible_count(0.0, 0.999, cap) == 0
 
 
 def test_pmf_value():
-    # 2 * exp(-2), frozen from the arbitrary-precision oracle
-    assert poisson_pmf(2.0, 2) == pytest.approx(0.2706705664732254, rel=1e-12)
+    # At mean 2 the terms up to 2 sum to 5 * exp(-2) = 0.6766764161830635,
+    # the last of them 2 * exp(-2).
+    assert upper_credible_count(2.0, 0.6766764161830) == 2
+    assert upper_credible_count(2.0, 0.6766764161831) == 3
 
 
 def test_pmf_rejects_negative():
     with pytest.raises(ValueError):
-        poisson_pmf(-1.0, 0)
+        upper_credible_count(-1.0, 0.95)
     with pytest.raises(ValueError):
-        poisson_pmf(1.0, -1)
+        upper_credible_count(-1.0, 0.95, 10)
 
 
 def test_pmf_large_r_no_overflow():
-    assert 0.0 <= poisson_pmf(500.0, 800) <= 1.0
+    # The last scan passes r = 600, where mean ** r alone would overflow.
+    for confidence in (0.5, 0.95, 0.999999):
+        assert upper_credible_count(500.0, confidence) == credible_oracle(
+            500.0, confidence
+        )
 
 
 def test_pmf_sums_to_one():
+    # The terms reach 1 - 1e-9 well before 20 standard deviations up.
     for mean in (0.5, 3.0, 40.0, 300.0):
         cap = int(mean + 20 * math.sqrt(mean + 1))
-        assert sum(poisson_pmf(mean, r) for r in range(cap + 1)) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        assert upper_credible_count(mean, 1 - 1e-9, cap) < cap
 
 
 def test_upper_credible_count_degenerate():
