@@ -4,6 +4,7 @@ A Poisson-process stopping method with target, knee, and oracle baselines,
 evaluation metrics, run/qrels ingestion, and a synthetic-topic simulator.
 """
 
+import importlib
 import os
 
 # One BLAS thread unless the environment names another count, set before
@@ -13,25 +14,34 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
-from tarstop.core import MethodParams, Run, StopOutcome, Topic, rel_at
-from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
-from tarstop.poisson import required_relevant, upper_credible_count
-from tarstop.ratefit import RateModel, lambda_integral
-
-__all__ = [
-    "MethodParams",
-    "RateModel",
-    "Run",
-    "StopOutcome",
-    "Topic",
-    "knee_stop",
-    "lambda_integral",
-    "oracle_stop",
-    "poisson_stop",
-    "rel_at",
-    "required_relevant",
-    "target_stop",
-    "upper_credible_count",
-]
-
 __version__ = "0.1.0"
+
+# The module that defines each public name.  A name's module, and numpy with
+# it, is imported on the name's first use, so importing the package, or the
+# command line before it runs a command, loads neither.
+_HOME = {
+    "MethodParams": "core",
+    "Run": "core",
+    "StopOutcome": "core",
+    "Topic": "core",
+    "rel_at": "core",
+    "knee_stop": "methods",
+    "oracle_stop": "methods",
+    "poisson_stop": "methods",
+    "target_stop": "methods",
+    "required_relevant": "poisson",
+    "upper_credible_count": "poisson",
+    "RateModel": "ratefit",
+    "lambda_integral": "ratefit",
+}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage, 2 parse/validation, 3 computation error.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import logging
 import math
@@ -18,24 +19,53 @@ import sys
 from contextlib import closing
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from types import ModuleType
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import click
 
-from tarstop.config import resolve_params
-from tarstop.core import MethodParams, Run, Topic
 from tarstop.errors import ComputationError, ParseError, ValidationError
-from tarstop.ingest import QrelsIndex, parse_qrels, parse_run, validate_dataset
-from tarstop.methods import RULES
-from tarstop.metrics import (
-    build_report,
-    build_stratify_report,
-    mean_aurc,
-    topic_records,
+
+if TYPE_CHECKING:
+    from tarstop.core import MethodParams, Run, Topic
+    from tarstop.ingest import QrelsIndex
+
+
+def _lazy_module(name: str) -> ModuleType:
+    """tarstop.<name>, registered as an import would but run on its first attribute read.
+
+    A module already imported is returned as it is.
+    """
+    full_name = f"tarstop.{name}"
+    if full_name not in sys.modules:
+        spec = importlib.util.find_spec(full_name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full_name] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules["tarstop"], name, module)
+    return sys.modules[full_name]
+
+
+# The engine: every tarstop module but errors, and numpy with them.  Each is
+# in sys.modules once the CLI is imported, as the names below are, but runs
+# only when a command first uses it, so --help and a usage error load none
+# of it.  _map_runs runs them all before the pool forks: a module first run
+# in a task would be run again in every worker.
+_ENGINE = tuple(
+    _lazy_module(name)
+    for name in (
+        "blockreader", "config", "core", "ingest", "methods",
+        "metrics", "plots", "poisson", "ratefit", "simulate",
+    )
 )
-from tarstop.plots import render_svg
-from tarstop.ratefit import fit_topic, predicted_gain
-from tarstop.simulate import FAMILIES, coverage_experiment
+
+from tarstop import config, ingest, metrics, plots, ratefit
+
+# The names of methods.RULES and simulate.FAMILIES, which click's options
+# need before any command runs.
+_METHOD_NAMES = ("pp", "tm", "km", "or")
+_FAMILY_NAMES = ("exponential", "uniform", "step", "bimodal")
 
 
 def _write(out_dir: Path, files: dict[str, str | list[dict]]) -> None:
@@ -54,7 +84,7 @@ def _gain_curve(topic: Topic, params: MethodParams) -> tuple[list, list]:
     ranking.
     """
     n = topic.size
-    predicted = predicted_gain(fit_topic(topic, params), n)
+    predicted = ratefit.predicted_gain(ratefit.fit_topic(topic, params), n)
     actual = list(zip(range(n + 1), topic.cumrel.astype(float).tolist()))
     return actual, [(0, 0.0), *zip(range(1, n + 1), predicted)]
 
@@ -111,7 +141,7 @@ def _run_worker(path: str, task: Callable[[Run], object]) -> tuple[str, object, 
     _worker_log.records = []
     try:
         with open(path, "rb") as handle:
-            run = parse_run(handle, _worker_qrels)
+            run = ingest.parse_run(handle, _worker_qrels)
         return run.run_tag, task(run), _worker_log.records
     except Exception as exc:
         exc.records = _worker_log.records  # pickled with the exception's __dict__
@@ -147,7 +177,9 @@ def _map_runs(
     from concurrent.futures.process import BrokenProcessPool
 
     with open(qrels_path, "rb") as handle:
-        qrels = parse_qrels(handle)
+        qrels = ingest.parse_qrels(handle)
+    for module in _ENGINE:
+        vars(module)  # the first attribute read runs a module not yet run
     context = None
     if "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
@@ -192,13 +224,13 @@ def _require_recall(run: Run) -> None:
 def _evaluate_task(run: Run, methods: list[str], params: MethodParams, seed: int) -> dict:
     """evaluate's task: each method's topic records on the run."""
     _require_recall(run)
-    return {m: topic_records(run, m, params, seed) for m in methods}
+    return {m: metrics.topic_records(run, m, params, seed) for m in methods}
 
 
 def _stratify_task(run: Run, methods: list[str], params: MethodParams, seed: int) -> tuple:
     """stratify's task: the run's mean AURC, and each method's topic records on it."""
     _require_recall(run)
-    return mean_aurc(run), {m: topic_records(run, m, params, seed) for m in methods}
+    return metrics.mean_aurc(run), {m: metrics.topic_records(run, m, params, seed) for m in methods}
 
 
 def _plot_data_task(
@@ -215,10 +247,13 @@ def _plot_data_task(
 
 def _validate_task(run: Run) -> tuple[set[str], dict]:
     """validate's task: the run's topic ids and its dataset summary."""
-    return {t.topic_id for t in run.topics}, validate_dataset(run)
+    return {t.topic_id for t in run.topics}, ingest.validate_dataset(run)
 
 
 def _parse_methods(spec: str) -> list[str]:
+    """The methods named in spec."""
+    from tarstop.methods import RULES
+
     methods = [m.strip() for m in spec.split(",") if m.strip()]
     bad = [m for m in methods if m not in RULES]
     if bad:
@@ -300,7 +335,7 @@ _run_file_options = _options(
     _out_dir_option,
 )
 
-_methods_option = click.option("--methods", default=",".join(RULES), show_default=True)
+_methods_option = click.option("--methods", default=",".join(_METHOD_NAMES), show_default=True)
 
 
 @click.group()
@@ -314,11 +349,11 @@ def cli():
 @_params_options
 def evaluate(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags):
     """Evaluate stopping methods over run files, writing report.txt/.jsonl."""
-    params = resolve_params(config_path, **flags)
+    params = config.resolve_params(config_path, **flags)
     method_list = _parse_methods(methods)
     task = partial(_evaluate_task, methods=method_list, params=params, seed=seed)
     runs = dict(_map_runs(qrels_path, [(path, task) for path in run_paths]))
-    records = build_report(runs)
+    records = metrics.build_report(runs)
     table = _aggregate_table(records, f"All {len(runs)} runs")
     _write(out_dir, {"report.jsonl": records, "report.txt": table})
     click.echo(table, nl=False)
@@ -330,13 +365,13 @@ def evaluate(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
 @_params_options
 def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags):
     """Rank runs by mean AURC and report top/middle/bottom five groups."""
-    params = resolve_params(config_path, **flags)
+    params = config.resolve_params(config_path, **flags)
     method_list = _parse_methods(methods)
     if len(run_paths) < 15:
         raise click.UsageError("stratification needs at least 15 runs")
     task = partial(_stratify_task, methods=method_list, params=params, seed=seed)
     results = list(_map_runs(qrels_path, [(path, task) for path in run_paths]))
-    records = build_stratify_report(
+    records = metrics.build_stratify_report(
         {tag: score for tag, (score, _) in results},
         {tag: runs for tag, (_, runs) in results},
     )
@@ -363,7 +398,7 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
 @_params_options
 def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **flags):
     """Emit gain-curve and effort-vs-AURC CSV/SVG plot data."""
-    params = resolve_params(config_path, **flags)
+    params = config.resolve_params(config_path, **flags)
     kwargs = {"methods": ["or", "pp"], "params": params, "seed": seed}
     # The gain curve is drawn for the topic in the first run file, last in its result.
     jobs = [(run_paths[0], partial(_plot_data_task, topic_id=topic_id, **kwargs))]
@@ -378,7 +413,7 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
     # Per-run effort vs. AURC for the oracle and Poisson methods.
     effort = {
         (r["run"], r["method"]): r["total_effort"]
-        for r in build_report({tag: result[1] for tag, result in results})
+        for r in metrics.build_report({tag: result[1] for tag, result in results})
         if r["record"] == "run"
     }
     rows = sorted(
@@ -395,18 +430,18 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
         out_dir,
         {
             f"gain_{topic_id}.csv": gain_csv,
-            f"gain_{topic_id}.svg": render_svg(
+            f"gain_{topic_id}.svg": plots.render_svg(
                 {"observed": actual, "estimated": predicted}, "rank", "relevant found"
             ),
             "effort_vs_aurc.csv": effort_csv,
-            "effort_vs_aurc.svg": render_svg(series, "mean AURC", "effort"),
+            "effort_vs_aurc.svg": plots.render_svg(series, "mean AURC", "effort"),
         },
     )
     click.echo(f"wrote plot data for topic {topic_id} to {out_dir}")
 
 
 @cli.command()
-@click.option("--family", required=True, type=click.Choice(list(FAMILIES)))
+@click.option("--family", required=True, type=click.Choice(list(_FAMILY_NAMES)))
 # Finite floats in range, so every rate FAMILIES builds from them is valid.
 @click.option("--d", type=click.FloatRange(min=0, min_open=True), callback=_finite, default=0.5, show_default=True)
 @click.option("--k", type=float, callback=_finite, default=-0.005, show_default=True)
@@ -426,7 +461,9 @@ def simulate(
 
     Coverage of the credible bound is reported from 100 trials up.
     """
-    params = resolve_params(config_path, **flags)
+    from tarstop.simulate import FAMILIES, coverage_experiment
+
+    params = config.resolve_params(config_path, **flags)
     rate = FAMILIES[family]({"d": d, "k": k, "p": p, "p1": p1, "p2": p2, "cutoff": cutoff})
     records = coverage_experiment(family, rate, n_docs, trials, seed, params)
     coverage = records[0]["coverage"]

@@ -11,6 +11,7 @@ import pytest
 
 import tarstop.cli
 import tarstop.ingest
+import tarstop.metrics
 import tarstop.ratefit
 import tarstop.simulate
 from conftest import doc_ids, serialize_qrels, serialize_run
@@ -28,7 +29,7 @@ from tarstop.errors import (
 )
 from tarstop.methods import RULES
 from tarstop.ratefit import RateModel, bin_prefix, fit_exponential
-from tarstop.simulate import ExponentialRate, gen_topic
+from tarstop.simulate import FAMILIES, ExponentialRate, gen_topic
 from test_golden import _write_dataset
 
 
@@ -218,7 +219,7 @@ def test_dead_worker_is_computation_error(dataset, tmp_path, monkeypatch, capsys
         os._exit(1)
 
     # Pool workers are forked, so they inherit the patched parse_run.
-    monkeypatch.setattr(tarstop.cli, "parse_run", dying)
+    monkeypatch.setattr(tarstop.ingest, "parse_run", dying)
     assert main(_evaluate_args(paths, qrels, tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert err.startswith("computation error: a worker process died")
@@ -250,7 +251,7 @@ def test_evaluate_computes_no_aurc(dataset, tmp_path, monkeypatch):
     def refuse(run):
         raise AssertionError("mean AURC computed")
 
-    monkeypatch.setattr(tarstop.cli, "mean_aurc", refuse)
+    monkeypatch.setattr(tarstop.metrics, "mean_aurc", refuse)
     paths, qrels = dataset
     assert main(_evaluate_args(paths, qrels, tmp_path / "out")) == 0
 
@@ -372,7 +373,7 @@ def _refuse_reading(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("input was read before the arguments were checked")
 
-    monkeypatch.setattr(tarstop.cli, "parse_qrels", refuse)
+    monkeypatch.setattr(tarstop.ingest, "parse_qrels", refuse)
     monkeypatch.setattr(tarstop.simulate, "gen_topic", refuse)
 
 
@@ -509,7 +510,7 @@ def _loaded_after_import(imports, modules):
 
 
 def test_cli_import_loads_neither_scipy_nor_requests():
-    # numpy.random is loaded by the target method's first call, not at import.
+    # numpy.random is loaded by a command that selects the target method.
     modules = ("scipy", "requests", "numpy.random")
     assert _loaded_after_import("tarstop.cli", modules) == "[]"
 
@@ -523,7 +524,8 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 @pytest.mark.parametrize("blas_threads", [None, "2"])
 def test_cli_import_starts_no_blas_thread_unless_asked(blas_threads):
     # The package sets one BLAS thread before numpy is imported, unless the
-    # environment names a count.
+    # environment names a count.  The command line alone loads no numpy, so
+    # the test imports it after the CLI, as a command would.
     if blas_threads and (os.cpu_count() or 1) < 2:
         pytest.skip("OpenBLAS starts no second thread on one CPU")
     src = str(Path(tarstop.cli.__file__).resolve().parents[1])
@@ -533,6 +535,7 @@ def test_cli_import_starts_no_blas_thread_unless_asked(blas_threads):
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     code = (
         "import tarstop.cli\n"
+        "import numpy\n"
         "print(next(line.split()[1] for line in open('/proc/self/status')"
         " if line.startswith('Threads:')))"
     )
@@ -582,6 +585,121 @@ def test_library_import_loads_no_cli():
     # The records the commands write are built without the command line.
     imports = "tarstop.metrics, tarstop.simulate"
     assert _loaded_after_import(imports, ("click", "tarstop.cli")) == "[]"
+
+
+def test_help_and_a_usage_error_load_no_engine(tmp_path):
+    # The group's and every command's --help, and an --out-dir refused while
+    # the arguments are parsed, run no numpy and no tarstop module but the
+    # package, the command line and its errors.  Every other tarstop module
+    # is in sys.modules, not yet run, so that code which wraps the loaded
+    # modules after importing the CLI, as perfbench's tracer does, finds them.
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    usage = ["evaluate", "--runs", str(afile), "--qrels", str(afile)]
+    argvs = [["--help"], *([command, "--help"] for command in _COMMANDS)]
+    argvs.append(usage + ["--out-dir", str(afile)])
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    code = f"""
+import importlib.util, json, sys
+from tarstop.cli import main
+codes = [main(argv) for argv in {argvs!r}]
+run = [n for n, m in sys.modules.items() if type(m) is not importlib.util._LazyModule]
+print(json.dumps([codes, sorted(n for n in run if n.split(".")[0] in ("numpy", "tarstop"))]))
+print(json.dumps(sorted(n for n in sys.modules if n.startswith("tarstop."))))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    run, registered = map(json.loads, result.stdout.splitlines()[-2:])
+    assert run == [[0, 0, 0, 0, 0, 0, 1], ["tarstop", "tarstop.cli", "tarstop.errors"]]
+    package = Path(tarstop.cli.__file__).parent
+    assert registered == sorted(
+        f"tarstop.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"
+    )
+    assert result.stderr.splitlines()[-1].startswith("Error: Invalid value for '--out-dir'")
+
+
+def test_cli_names_the_registries_methods_and_families():
+    # click declares --methods and --family before any engine is imported.
+    assert tarstop.cli._METHOD_NAMES == tuple(RULES)
+    assert tarstop.cli._FAMILY_NAMES == tuple(FAMILIES)
+
+
+def test_every_exported_name_resolves():
+    import tarstop
+
+    for name in tarstop.__all__:
+        value = getattr(tarstop, name)
+        assert value is getattr(sys.modules[value.__module__], name)
+        assert name in dir(tarstop)
+    with pytest.raises(AttributeError, match="no attribute 'ingest_all'"):
+        tarstop.ingest_all
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "register_at_fork")
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork",
+)
+@pytest.mark.parametrize(
+    "command, with_tm",
+    [
+        (["evaluate", "--methods", "pp,tm,km,or"], True),
+        (["stratify", "--methods", "or"], False),
+        (["plot-data", "--topic", "T0"], False),
+    ],
+    ids=["evaluate", "stratify", "plot-data"],
+)
+def test_pool_workers_import_nothing(command, with_tm, tmp_path):
+    # The CLI runs every tarstop module before the pool forks.  In a fresh
+    # interpreter, every task writes the modules by which the run ones in
+    # sys.modules differ from those at the fork: none, but for numpy.random,
+    # which a worker imports on its first tm call.
+    paths, qrels = _write_dataset(tmp_path)
+    args = [*command, "--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
+    args += [a for path in paths for a in ("--runs", str(path))]
+    log = tmp_path / "imported"
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    code = f"""
+import importlib.util, json, os, sys
+import tarstop.cli
+
+def run_modules():
+    return {{n for n, m in sys.modules.items() if type(m) is not importlib.util._LazyModule}}
+
+at_fork = set()
+os.register_at_fork(after_in_child=lambda: at_fork.update(run_modules()))
+run_worker = tarstop.cli._run_worker
+
+def checked(path, task):
+    result = run_worker(path, task)
+    imported = sorted(run_modules() ^ at_fork)
+    with open({str(log)!r}, "a") as out:
+        out.write(json.dumps(imported) + "\\n")
+    return result
+
+tarstop.cli._run_worker = checked
+tarstop.cli._cpu_count = lambda: 2
+assert tarstop.cli.main({args!r}) == 0
+before = set(sys.modules)
+import numpy.random
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    numpy_random = json.loads(result.stdout.splitlines()[-1])
+    assert "numpy.random" in numpy_random
+    expected = numpy_random if with_tm else []
+    assert [json.loads(line) for line in log.read_text().splitlines()] == [expected] * len(paths)
 
 
 def test_plot_data_outputs(dataset, tmp_path):
