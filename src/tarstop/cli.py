@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 usage, 2 parse/validation, 3 computation error.
 from __future__ import annotations
 
 import importlib.util
-import json
-import logging
 import math
 import os
 import sys
@@ -21,8 +19,6 @@ from functools import partial
 from pathlib import Path
 from types import ModuleType
 from typing import TYPE_CHECKING, Callable, Iterator
-
-import click
 
 from tarstop.errors import ComputationError, ParseError, ValidationError
 
@@ -62,14 +58,16 @@ _ENGINE = tuple(
 
 from tarstop import config, ingest, metrics, plots, ratefit
 
-# The names of methods.RULES and simulate.FAMILIES, which click's options
-# need before any command runs.
+# The names of methods.RULES and simulate.FAMILIES, which the option table
+# needs before any command runs.
 _METHOD_NAMES = ("pp", "tm", "km", "or")
 _FAMILY_NAMES = ("exponential", "uniform", "step", "bimodal")
 
 
 def _write(out_dir: Path, files: dict[str, str | list[dict]]) -> None:
     """Write text or records (sorted-key JSON lines) into out_dir with LF line ends."""
+    import json
+
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         if not isinstance(content, str):
@@ -110,45 +108,46 @@ def _aggregate_table(records: list[dict], title: str) -> str:
 # a forked worker inherits without a copy.  Files are read as bytes, so as
 # UTF-8 whatever the locale.  Each result, or error, comes back with the
 # records logged in its worker, which are emitted in the parent, in --runs
-# order.
+# order.  logging is imported on this path alone; ingest has loaded it in
+# the parent before the pool forks.
 
-
-class _KeptRecords(logging.Handler):
-    """Keeps a worker's log records, formatted, until its task returns."""
-
-    def __init__(self):
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        record.msg, record.args = record.getMessage(), None
-        self.records.append(record)
-
-
-# Set in each pool worker by _init_worker.
+# Set in each pool worker: the qrels by _init_worker, and the records
+# logged by the task running by _run_worker.
 _worker_qrels: QrelsIndex | None = None
-_worker_log: _KeptRecords | None = None
+_worker_log: list | None = None
 
 
 def _init_worker(qrels: QrelsIndex) -> None:
-    global _worker_qrels, _worker_log
-    _worker_qrels, _worker_log = qrels, _KeptRecords()
+    import logging
+
+    class KeptRecords(logging.Handler):
+        """Keeps the worker's log records, formatted, until its task returns."""
+
+        def emit(self, record: logging.LogRecord) -> None:
+            record.msg, record.args = record.getMessage(), None
+            _worker_log.append(record)
+
+    global _worker_qrels
+    _worker_qrels = qrels
     logger = logging.getLogger("tarstop")
-    logger.handlers, logger.propagate = [_worker_log], False
+    logger.handlers, logger.propagate = [KeptRecords()], False
 
 
 def _run_worker(path: str, task: Callable[[Run], object]) -> tuple[str, object, list]:
-    _worker_log.records = []
+    global _worker_log
+    _worker_log = []
     try:
         with open(path, "rb") as handle:
             run = ingest.parse_run(handle, _worker_qrels)
-        return run.run_tag, task(run), _worker_log.records
+        return run.run_tag, task(run), _worker_log
     except Exception as exc:
-        exc.records = _worker_log.records  # pickled with the exception's __dict__
+        exc.records = _worker_log  # pickled with the exception's __dict__
         raise
 
 
-def _emit(records: list[logging.LogRecord]) -> None:
+def _emit(records: list) -> None:
+    import logging
+
     for record in records:
         logging.getLogger(record.name).handle(record)
 
@@ -250,6 +249,10 @@ def _validate_task(run: Run) -> tuple[set[str], dict]:
     return {t.topic_id for t in run.topics}, ingest.validate_dataset(run)
 
 
+class _UsageError(Exception):
+    """A command line that cannot run: main prints it under the usage line, exit 1."""
+
+
 def _parse_methods(spec: str) -> list[str]:
     """The methods named in spec."""
     from tarstop.methods import RULES
@@ -257,41 +260,45 @@ def _parse_methods(spec: str) -> list[str]:
     methods = [m.strip() for m in spec.split(",") if m.strip()]
     bad = [m for m in methods if m not in RULES]
     if bad:
-        raise click.UsageError(f"unknown methods {bad}; choose from {','.join(RULES)}")
+        raise _UsageError(f"unknown methods {bad}; choose from {','.join(RULES)}")
     if not methods:
-        raise click.UsageError("no methods selected")
+        raise _UsageError("no methods selected")
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
-        raise click.UsageError(f"methods {repeated} are given more than once")
+        raise _UsageError(f"methods {repeated} are given more than once")
     return methods
 
 
-def _options(*options):
-    """One decorator applying the given click options in the order given."""
-
-    def decorate(func):
-        for option in reversed(options):
-            func = option(func)
-        return func
-
-    return decorate
+# Checks run on an option's value once it is converted.  Each returns the
+# value to use, or raises ValueError saying why the value is refused.
 
 
-def _finite(ctx, param, value: float) -> float:
-    """Refuse NaN and +-inf, which a FloatRange lets through."""
+def _finite(value: float) -> float:
+    """Refuse NaN and +-inf, which a range check lets through."""
     if not math.isfinite(value):
-        raise click.BadParameter(f"{value} is not a finite number.", ctx, param)
+        raise ValueError(f"{value} is not a finite number.")
     return value
 
 
-def _file_name_part(ctx, param, value: str) -> str:
+def _file_name_part(value: str) -> str:
     """Refuse a value that would put a path separator into an output file name."""
     if any(sep and sep in value for sep in (os.sep, os.altsep)):
-        raise click.BadParameter(f"{value!r} contains a path separator.", ctx, param)
+        raise ValueError(f"{value!r} contains a path separator.")
     return value
 
 
-def _out_dir(ctx, param, value: str) -> Path:
+def _input_file(value: str) -> str:
+    """Refuse a path that is not a readable regular file: an input the command reads."""
+    if not os.path.exists(value):
+        raise ValueError(f"Path {value!r} does not exist.")
+    if not os.path.isfile(value):
+        raise ValueError(f"Path {value!r} is not a file.")
+    if not os.access(value, os.R_OK):
+        raise ValueError(f"Path {value!r} is not readable.")
+    return value
+
+
+def _out_dir(value: str) -> Path:
     """Refuse an --out-dir that mkdir could not make or write in.
 
     Runs as the arguments are parsed, before any input is read, and makes
@@ -301,52 +308,162 @@ def _out_dir(ctx, param, value: str) -> Path:
     path = Path(value)
     nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
     if not nearest.is_dir():
-        raise click.BadParameter(f"{str(nearest)!r} is not a directory.", ctx, param)
+        raise ValueError(f"{str(nearest)!r} is not a directory.")
     if not os.access(nearest, os.W_OK | os.X_OK):
-        raise click.BadParameter(f"{str(nearest)!r} is not writable.", ctx, param)
+        raise ValueError(f"{str(nearest)!r} is not writable.")
     return path
 
 
-_out_dir_option = click.option(
-    "--out-dir",
-    type=click.Path(file_okay=False),
-    callback=_out_dir,
-    default=".",
-    show_default=True,
-)
-
-_params_options = _options(
-    click.option("--recall", "target_recall", type=float, default=None),
-    click.option("--confidence", type=float, default=None),
-    click.option("--alpha", "alpha_frac", type=float, default=None),
-    click.option("--beta", "beta_frac", type=float, default=None),
-    click.option("--gamma", type=int, default=None),
-    click.option("--delta", type=float, default=None),
-    click.option("--epsilon", type=int, default=None),
-    click.option("--target-count", type=int, default=None),
-    click.option("--config", "config_path", type=click.Path(exists=True), default=None),
-)
-
-# Inputs and outputs of the commands that evaluate methods on run files.
-_run_file_options = _options(
-    click.option("--runs", "run_paths", multiple=True, required=True, type=click.Path(exists=True)),
-    click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True)),
-    click.option("--seed", type=int, default=0, show_default=True),
-    _out_dir_option,
-)
-
-_methods_option = click.option("--methods", default=",".join(_METHOD_NAMES), show_default=True)
+_KIND_NAMES = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
 
 
-@click.group()
-def cli():
-    """Stopping-criteria evaluation for ranked document review."""
+class _Option:
+    """One long option of a command: how its text becomes a command argument.
+
+    The text is converted by kind (str, int or float); it must be one of
+    choices, if given, and within [lo, hi], if lo is given ((lo, hi] when
+    lo_open; hi may be left out); then check, if given, makes the value.
+    A repeatable option gives the tuple of its values in the order given;
+    another, given twice, takes its last.  An option not given takes its
+    default, unconverted.  dest is the command's parameter, by default the
+    flag's name with "_" for "-".
+    """
+
+    __slots__ = (
+        "flag", "dest", "kind", "choices", "lo", "hi", "lo_open", "check",
+        "metavar", "default", "required", "repeat",
+    )
+
+    def __init__(
+        self, flag, kind=str, *, dest=None, choices=None, lo=None, hi=None,
+        lo_open=False, check=None, metavar=None, default=None, required=False,
+        repeat=False,
+    ):
+        self.flag, self.kind, self.choices = flag, kind, choices
+        self.dest = dest or flag[2:].replace("-", "_")
+        self.lo, self.hi, self.lo_open, self.check = lo, hi, lo_open, check
+        self.metavar = metavar or (f"[{'|'.join(choices)}]" if choices else _KIND_NAMES[kind])
+        self.default, self.required, self.repeat = default, required, repeat
+
+    def range(self) -> str | None:
+        """The values allowed, as x>=1 or 0<=x<=1, if the option has a range."""
+        if self.lo is None:
+            return None
+        if self.hi is None:
+            return f"x{'>' if self.lo_open else '>='}{self.lo}"
+        return f"{self.lo}{'<' if self.lo_open else '<='}x<={self.hi}"
+
+    def convert(self, text: str):
+        """The value text gives; ValueError says why it gives none."""
+        range_ = self.range()
+        try:
+            value = self.kind(text)
+        except ValueError:
+            kind = _KIND_NAMES[self.kind].lower()
+            raise ValueError(
+                f"{text!r} is not a valid {kind}{' range' if range_ else ''}."
+            ) from None
+        if self.choices and value not in self.choices:
+            raise ValueError(
+                f"{text!r} is not one of {', '.join(map(repr, self.choices))}."
+            )
+        lo, hi = self.lo, self.hi
+        if (lo is not None and (value <= lo if self.lo_open else value < lo)) or (
+            hi is not None and value > hi
+        ):
+            raise ValueError(f"{value} is not in the range {range_}.")
+        return self.check(value) if self.check else value
+
+    def help_notes(self) -> str:
+        notes = [f"default: {self.default}"] if self.default is not None else []
+        notes += filter(None, [self.range(), "required" if self.required else None])
+        return f"[{'; '.join(notes)}]" if notes else ""
 
 
-@cli.command()
-@_run_file_options
-@_methods_option
-@_params_options
+def _parse(options: tuple[_Option, ...], args: list[str]) -> dict | None:
+    """The keyword arguments of a command given args, or None if they ask for --help.
+
+    Errors in the form of args come first, then --help, then each option's
+    value in the order the options are first given, then a required option
+    left out, then an argument that is no option's.
+    """
+    by_flag = {option.flag: option for option in options}
+    given: dict[_Option, list[str]] = {}
+    extra: list[str] = []
+    asks_help = False
+    rest = iter(args)
+    for arg in rest:
+        if arg == "--":
+            extra += rest
+        elif arg[:1] != "-" or arg == "-":
+            extra.append(arg)
+        else:
+            flag, eq, text = arg.partition("=")
+            if flag == "--help":
+                if eq:
+                    raise _UsageError("Option '--help' does not take a value.")
+                asks_help = True
+                continue
+            if flag not in by_flag:
+                raise _UsageError(f"No such option '{flag}'.")
+            if not eq:
+                text = next(rest, None)
+                if text is None:
+                    raise _UsageError(f"Option '{flag}' requires an argument.")
+            given.setdefault(by_flag[flag], []).append(text)
+    if asks_help:
+        return None
+    values = {}
+    for option, texts in given.items():
+        try:
+            converted = [option.convert(t) for t in (texts if option.repeat else texts[-1:])]
+        except ValueError as exc:
+            raise _UsageError(f"Invalid value for '{option.flag}': {exc}") from None
+        values[option.dest] = tuple(converted) if option.repeat else converted[0]
+    for option in options:
+        if option.dest not in values:
+            if option.required:
+                raise _UsageError(f"Missing option '{option.flag}'.")
+            values[option.dest] = option.default
+    if extra:
+        s = "s" if len(extra) > 1 else ""
+        raise _UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+    return values
+
+
+def _help(name: str) -> str:
+    """The --help of the command name: its docstring and a line per option."""
+    func, options = _COMMANDS[name]
+    lines = [f"Usage: tarstop {name} [OPTIONS]", ""]
+    lines += [f"  {line.strip()}".rstrip() for line in func.__doc__.strip().splitlines()]
+    lines += ["", "Options:"]
+    for option in options:
+        left = f"{option.flag} {option.metavar}"
+        notes = option.help_notes()
+        if len(left) > 22 and notes:
+            left += "\n" + " " * 24  # the notes go under the column of the others
+        lines.append(f"  {left:22}  {notes}".rstrip())
+    lines.append(f"  {'--help':22}  Show this message and exit.")
+    return "\n".join(lines) + "\n"
+
+
+def _group_help() -> str:
+    """tarstop's --help: each command with the first line of its docstring."""
+    lines = [
+        "Usage: tarstop [OPTIONS] COMMAND [ARGS]...",
+        "",
+        "  Stopping-criteria evaluation for ranked document review.",
+        "",
+        "Options:",
+        "  --help  Show this message and exit.",
+        "",
+        "Commands:",
+    ]
+    for name, (func, _) in _COMMANDS.items():
+        lines.append(f"  {name:<9}  {func.__doc__.splitlines()[0]}")
+    return "\n".join(lines) + "\n"
+
+
 def evaluate(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags):
     """Evaluate stopping methods over run files, writing report.txt/.jsonl."""
     params = config.resolve_params(config_path, **flags)
@@ -356,19 +473,15 @@ def evaluate(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     records = metrics.build_report(runs)
     table = _aggregate_table(records, f"All {len(runs)} runs")
     _write(out_dir, {"report.jsonl": records, "report.txt": table})
-    click.echo(table, nl=False)
+    sys.stdout.write(table)
 
 
-@cli.command()
-@_run_file_options
-@_methods_option
-@_params_options
 def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags):
     """Rank runs by mean AURC and report top/middle/bottom five groups."""
     params = config.resolve_params(config_path, **flags)
     method_list = _parse_methods(methods)
     if len(run_paths) < 15:
-        raise click.UsageError("stratification needs at least 15 runs")
+        raise _UsageError("stratification needs at least 15 runs")
     task = partial(_stratify_task, methods=method_list, params=params, seed=seed)
     results = list(_map_runs(qrels_path, [(path, task) for path in run_paths]))
     records = metrics.build_stratify_report(
@@ -389,13 +502,9 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     ]
     text = "\n".join([f"AURC sanity bands: {bands}", "", *tables])
     _write(out_dir, {"stratify.jsonl": records, "stratify.txt": text})
-    click.echo(text, nl=False)
+    sys.stdout.write(text)
 
 
-@cli.command("plot-data")
-@_run_file_options
-@click.option("--topic", "topic_id", required=True, callback=_file_name_part)
-@_params_options
 def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **flags):
     """Emit gain-curve and effort-vs-AURC CSV/SVG plot data."""
     params = config.resolve_params(config_path, **flags)
@@ -437,23 +546,9 @@ def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **fla
             "effort_vs_aurc.svg": plots.render_svg(series, "mean AURC", "effort"),
         },
     )
-    click.echo(f"wrote plot data for topic {topic_id} to {out_dir}")
+    print(f"wrote plot data for topic {topic_id} to {out_dir}")
 
 
-@cli.command()
-@click.option("--family", required=True, type=click.Choice(list(_FAMILY_NAMES)))
-# Finite floats in range, so every rate FAMILIES builds from them is valid.
-@click.option("--d", type=click.FloatRange(min=0, min_open=True), callback=_finite, default=0.5, show_default=True)
-@click.option("--k", type=float, callback=_finite, default=-0.005, show_default=True)
-@click.option("--p", type=click.FloatRange(0, 1), callback=_finite, default=0.1, show_default=True)
-@click.option("--p1", type=click.FloatRange(0, 1), callback=_finite, default=0.3, show_default=True)
-@click.option("--p2", type=click.FloatRange(0, 1), callback=_finite, default=0.01, show_default=True)
-@click.option("--cutoff", type=click.IntRange(min=0), default=100, show_default=True)
-@click.option("--n", "n_docs", type=click.IntRange(min=1), default=2000, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1), required=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@_out_dir_option
-@_params_options
 def simulate(
     family, d, k, p, p1, p2, cutoff, n_docs, trials, seed, out_dir, config_path, **flags
 ):
@@ -479,19 +574,17 @@ def simulate(
         )
     text = "\n".join(lines) + "\n"
     _write(out_dir, {"simulate.jsonl": records, "simulate.txt": text})
-    click.echo(text, nl=False)
+    sys.stdout.write(text)
 
 
-@cli.command()
-@click.option("--runs", "run_paths", multiple=True, required=True, type=click.Path(exists=True))
-@click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True))
-@_out_dir_option
 def validate(run_paths, qrels_path, out_dir):
     """Check ingested data against the known collection statistics.
 
     Every run file is labelled from the qrels and must hold the topics of
     the first, whose figures are summarized.
     """
+    import json
+
     jobs = [(path, _validate_task) for path in run_paths]
     # Each file is checked as its result comes, so the first bad one in
     # --runs order decides the error; closing the results stops the pool.
@@ -507,23 +600,102 @@ def validate(run_paths, qrels_path, out_dir):
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     _write(out_dir, {"validation.json": text})
     for name, status in summary["checks"]:
-        click.echo(f"{status:>4}  {name}")
+        print(f"{status:>4}  {name}")
 
 
-def main(argv=None) -> int:
-    try:
-        cli.main(args=argv, standalone_mode=False)
+_RUNS = _Option("--runs", dest="run_paths", check=_input_file, metavar="PATH", required=True, repeat=True)
+_QRELS = _Option("--qrels", dest="qrels_path", check=_input_file, metavar="PATH", required=True)
+_OUT_DIR = _Option("--out-dir", check=_out_dir, metavar="DIRECTORY", default=".")
+_RUN_FILE_OPTIONS = (_RUNS, _QRELS, _Option("--seed", int, default=0), _OUT_DIR)
+_METHODS = _Option("--methods", default=",".join(_METHOD_NAMES))
+
+# MethodParams overrides: None leaves a parameter to the config file or its default.
+_PARAMS_OPTIONS = (
+    _Option("--recall", float, dest="target_recall"),
+    _Option("--confidence", float),
+    _Option("--alpha", float, dest="alpha_frac"),
+    _Option("--beta", float, dest="beta_frac"),
+    _Option("--gamma", int),
+    _Option("--delta", float),
+    _Option("--epsilon", int),
+    _Option("--target-count", int),
+    _Option("--config", dest="config_path", check=_input_file, metavar="PATH"),
+)
+
+# Each command, and its options in the order --help lists them.
+_COMMANDS: dict[str, tuple[Callable, tuple[_Option, ...]]] = {
+    "evaluate": (evaluate, (*_RUN_FILE_OPTIONS, _METHODS, *_PARAMS_OPTIONS)),
+    "stratify": (stratify, (*_RUN_FILE_OPTIONS, _METHODS, *_PARAMS_OPTIONS)),
+    "plot-data": (
+        plot_data,
+        (
+            *_RUN_FILE_OPTIONS,
+            _Option("--topic", dest="topic_id", check=_file_name_part, required=True),
+            *_PARAMS_OPTIONS,
+        ),
+    ),
+    "simulate": (
+        simulate,
+        (
+            _Option("--family", choices=_FAMILY_NAMES, required=True),
+            # Finite floats in range, so every rate FAMILIES builds from them is valid.
+            _Option("--d", float, lo=0, lo_open=True, check=_finite, default=0.5),
+            _Option("--k", float, check=_finite, default=-0.005),
+            _Option("--p", float, lo=0, hi=1, check=_finite, default=0.1),
+            _Option("--p1", float, lo=0, hi=1, check=_finite, default=0.3),
+            _Option("--p2", float, lo=0, hi=1, check=_finite, default=0.01),
+            _Option("--cutoff", int, lo=0, default=100),
+            _Option("--n", int, dest="n_docs", lo=1, default=2000),
+            _Option("--trials", int, lo=1, required=True),
+            _Option("--seed", int, lo=0, default=0),
+            _OUT_DIR,
+            *_PARAMS_OPTIONS,
+        ),
+    ),
+    "validate": (validate, (_RUNS, _QRELS, _OUT_DIR)),
+}
+
+
+def _run(args: list[str]) -> int:
+    """Run the command args name, and return its exit code.
+
+    A usage error raises _UsageError, and a package error raises as it is.
+    """
+    if not args:
+        sys.stderr.write(_group_help())
+        return 1
+    name = args[0]
+    if name == "--help":
+        sys.stdout.write(_group_help())
         return 0
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
+    if name[:1] == "-" and name.strip("-"):
+        _parse((), [name])  # refuses an option as a command's parser would
+    if name not in _COMMANDS:
+        raise _UsageError(f"No such command '{name}'.")
+    values = _parse(_COMMANDS[name][1], args[1:])
+    if values is None:
+        sys.stdout.write(_help(name))
+    else:
+        _COMMANDS[name][0](**values)
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else list(argv)
+    try:
+        return _run(args)
+    except _UsageError as exc:
+        prog = f"tarstop {args[0]}" if args[0] in _COMMANDS else "tarstop"
+        usage = "[OPTIONS]" if args[0] in _COMMANDS else "[OPTIONS] COMMAND [ARGS]..."
+        sys.stderr.write(
+            f"Usage: {prog} {usage}\nTry '{prog} --help' for help.\n\nError: {exc}\n"
+        )
         return 1
     except (ParseError, ValidationError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputationError as exc:
-        click.echo(f"computation error: {exc}", err=True)
+        print(f"computation error: {exc}", file=sys.stderr)
         return 3
 
 

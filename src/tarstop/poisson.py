@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from tarstop.core import MethodParams
+from tarstop.errors import ComputationError
 
 
 def upper_credible_count(mean: float, confidence: float, cap: int | None = None) -> int:
@@ -19,6 +20,12 @@ def upper_credible_count(mean: float, confidence: float, cap: int | None = None)
     Linear upward scan.  With a ``cap`` the scan stops there and returns
     ``min(R, cap)``: callers pass a cap past which every larger R leads to
     the same outcome, which bounds the scan when the mean is huge.
+
+    Past the mean each term is smaller than the last, so the first term
+    there that leaves the float sum unchanged proves that no later term
+    changes it: the sum stalls below ``confidence``, and the scan would
+    reach the cap.  It returns the cap at once, or raises
+    ``ComputationError`` when there is none.
     """
     if mean < 0:
         raise ValueError("mean must be >= 0")
@@ -32,7 +39,15 @@ def upper_credible_count(mean: float, confidence: float, cap: int | None = None)
     total = 0.0
     r = 0
     while r != cap:
-        total += math.exp(r * log_mean - mean - math.lgamma(r + 1))
+        summed = total + math.exp(r * log_mean - mean - math.lgamma(r + 1))
+        if summed == total and r > mean:
+            if cap is None:
+                raise ComputationError(
+                    f"the Poisson sum at mean {mean} stalls at {total!r}, "
+                    f"below the confidence {confidence}"
+                )
+            return cap
+        total = summed
         if total >= confidence:
             return r
         r += 1

@@ -445,6 +445,157 @@ def test_plot_data_topic_with_a_path_separator_is_usage_error(
     assert not out.exists()
 
 
+# The command-line contract: (argv, exit code, start of the last line of
+# stderr, text stdout must hold).  {run}, {qrels}, {missing} and {out} stand
+# for a run file, its qrels, a path that does not exist and an output
+# directory.  Recorded when the parser was click's, and kept by the option
+# table that replaced it.
+_STEP = ["simulate", "--family", "step", "--n", "50"]
+_CONTRACT = [
+    (["frobnicate"], 1, "Error: No such command 'frobnicate'.", ""),
+    (["evaluate", "--runs", "{run}", "--qrels", "{qrels}", "--bogus", "1"], 1,
+     "Error: No such option '--bogus'.", ""),
+    (["simulate", "--fam", "step", "--trials", "1"], 1, "Error: No such option '--fam'.", ""),
+    ([*_STEP, "--trials"], 1, "Error: Option '--trials' requires an argument.", ""),
+    ([*_STEP, "--trials", "1", "extra"], 1, "Error: Got unexpected extra argument (extra)", ""),
+    (_STEP, 1, "Error: Missing option '--trials'.", ""),
+    (["evaluate", "--qrels", "{qrels}"], 1, "Error: Missing option '--runs'.", ""),
+    (["simulate", "--family", "stepx", "--trials", "1"], 1,
+     "Error: Invalid value for '--family': 'stepx' is not one of", ""),
+    ([*_STEP, "--trials", "1", "--seed", "x"], 1,
+     "Error: Invalid value for '--seed': 'x' is not a valid integer", ""),
+    (["evaluate", "--runs", "{run}", "--qrels", "{qrels}", "--seed", "x"], 1,
+     "Error: Invalid value for '--seed': 'x' is not a valid integer.", ""),
+    ([*_STEP, "--trials", "1", "--d", "x"], 1,
+     "Error: Invalid value for '--d': 'x' is not a valid float", ""),
+    ([*_STEP, "--trials", "0"], 1,
+     "Error: Invalid value for '--trials': 0 is not in the range x>=1.", ""),
+    ([*_STEP, "--trials", "1", "--p", "2"], 1,
+     "Error: Invalid value for '--p': 2.0 is not in the range 0<=x<=1.", ""),
+    (["simulate", "--family=step", "--n=50", "--trials=1", "--out-dir", "{out}"], 0, "",
+     "family=step n=50 trials=1 seed=0"),
+    ([*_STEP, "--trials", "1", "--seed", "1", "--seed", "2", "--out-dir", "{out}"], 0, "",
+     "seed=2"),
+    ([*_STEP, "--trials", "1", "--k", "-1e-12", "--out-dir", "{out}"], 0, "", "trials=1"),
+    (["evaluate", "--runs", "{run}", "--qrels", "{qrels}", "--methods", "or", "--seed", "-5",
+      "--out-dir", "{out}"], 0, "", "All 1 runs"),
+    ([*_STEP, "--trials", "1", "--k", "-inf"], 1,
+     "Error: Invalid value for '--k': -inf is not a finite number.", ""),
+    (["evaluate", "--runs", "{missing}", "--help"], 0, "", "--runs"),
+    ([], 1, "  validate", ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, last_err, out", _CONTRACT, ids=[" ".join(row[0]) or "-" for row in _CONTRACT]
+)
+def test_command_line_contract(argv, code, last_err, out, dataset, tmp_path, capsys):
+    paths, qrels = dataset
+    slots = {"run": paths["run-a"], "qrels": qrels, "missing": tmp_path / "missing",
+             "out": tmp_path / "out"}
+    assert main([arg.format(**slots) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert (captured.err.splitlines() or [""])[-1].startswith(last_err)
+    assert out in captured.out
+
+
+# Each command's long options, as click listed them.
+_LONG_OPTIONS = {
+    "evaluate": [
+        "--runs", "--qrels", "--seed", "--out-dir", "--methods", "--recall", "--confidence",
+        "--alpha", "--beta", "--gamma", "--delta", "--epsilon", "--target-count", "--config",
+        "--help",
+    ],
+    "stratify": [
+        "--runs", "--qrels", "--seed", "--out-dir", "--methods", "--recall", "--confidence",
+        "--alpha", "--beta", "--gamma", "--delta", "--epsilon", "--target-count", "--config",
+        "--help",
+    ],
+    "plot-data": [
+        "--runs", "--qrels", "--seed", "--out-dir", "--topic", "--recall", "--confidence",
+        "--alpha", "--beta", "--gamma", "--delta", "--epsilon", "--target-count", "--config",
+        "--help",
+    ],
+    "simulate": [
+        "--family", "--d", "--k", "--p", "--p1", "--p2", "--cutoff", "--n", "--trials",
+        "--seed", "--out-dir", "--recall", "--confidence", "--alpha", "--beta", "--gamma",
+        "--delta", "--epsilon", "--target-count", "--config", "--help",
+    ],
+    "validate": ["--runs", "--qrels", "--out-dir", "--help"],
+}
+
+# The default each command's --help gives an option, where it has one.
+_DEFAULTS = {
+    "--seed": "0", "--out-dir": ".", "--methods": "pp,tm,km,or", "--d": "0.5",
+    "--k": "-0.005", "--p": "0.1", "--p1": "0.3", "--p2": "0.01", "--cutoff": "100",
+    "--n": "2000",
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_help_lists_every_option_with_its_default(command, capsys):
+    assert main([command, "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = [line.split()[0] for line in lines if line.startswith("  --")]
+    assert listed == _LONG_OPTIONS[command]
+    for line in lines:
+        flag = line.split()[0] if line.startswith("  --") else None
+        if flag in _DEFAULTS:
+            assert f"[default: {_DEFAULTS[flag]}" in line, line
+
+
+_INPUT_OPTIONS = {
+    "evaluate": ["--runs", "--qrels", "--config"],
+    "stratify": ["--runs", "--qrels", "--config"],
+    "plot-data": ["--runs", "--qrels", "--config"],
+    "simulate": ["--config"],
+    "validate": ["--runs", "--qrels"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option", [(c, o) for c, options in _INPUT_OPTIONS.items() for o in options]
+)
+def test_a_directory_given_as_an_input_is_usage_error(
+    command, option, dataset, tmp_path, capsys, monkeypatch
+):
+    # Read, a directory would raise IsADirectoryError; it is refused as the
+    # arguments are parsed.  A second --qrels or --config wins over the
+    # first, and an added --runs is one file more.
+    directory = tmp_path / "inputs"
+    directory.mkdir()
+    out = tmp_path / "out"
+    _refuse_reading(monkeypatch)
+    args = _command_args(command, dataset) + [option, str(directory), "--out-dir", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("Error:")] == [
+        f"Error: Invalid value for '{option}': Path {str(directory)!r} is not a file."
+    ]
+    assert not out.exists() and list(directory.iterdir()) == []
+
+
+def test_simulate_ends_where_the_credible_sum_stalls(tmp_path):
+    # pp's first fit gives a mean near 2,495, where the float sum of the pmf
+    # stalls at 1 - 1.4e-12, below the confidence; the scan's cap, from the
+    # recall, is about 5e12.  In a subprocess, so that a hang fails the test.
+    args = ["simulate", "--family", "exponential", "--k", "1e-12", "--n", "5000"]
+    args += ["--trials", "1", "--seed", "73", "--recall", "1e-9"]
+    args += ["--confidence", "0.999999999999", "--gamma", "1", "--out-dir", str(tmp_path)]
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "tarstop.cli", *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "pp reliability: 1.0000 over 1 topics" in result.stdout
+
+
 def test_simulate_rejects_negative_seed(tmp_path, capsys):
     args = ["simulate", "--family", "step", "--trials", "1", "--seed", "-5"]
     assert main(args + ["--out-dir", str(tmp_path)]) == 1
@@ -589,10 +740,12 @@ def test_library_import_loads_no_cli():
 
 def test_help_and_a_usage_error_load_no_engine(tmp_path):
     # The group's and every command's --help, and an --out-dir refused while
-    # the arguments are parsed, run no numpy and no tarstop module but the
-    # package, the command line and its errors.  Every other tarstop module
-    # is in sys.modules, not yet run, so that code which wraps the loaded
-    # modules after importing the CLI, as perfbench's tracer does, finds them.
+    # the arguments are parsed, run no numpy, json, logging or click, and no
+    # tarstop module but the package, the command line and its errors.  json
+    # is loaded to write outputs, and logging to read run files.  Every
+    # other tarstop module is in sys.modules, not yet run, so that code which
+    # wraps the loaded modules after importing the CLI, as perfbench's
+    # tracer does, finds them.
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     usage = ["evaluate", "--runs", str(afile), "--qrels", str(afile)]
@@ -600,11 +753,13 @@ def test_help_and_a_usage_error_load_no_engine(tmp_path):
     argvs.append(usage + ["--out-dir", str(afile)])
     src = str(Path(tarstop.cli.__file__).resolve().parents[1])
     code = f"""
-import importlib.util, json, sys
+import importlib.util, sys
 from tarstop.cli import main
 codes = [main(argv) for argv in {argvs!r}]
 run = [n for n, m in sys.modules.items() if type(m) is not importlib.util._LazyModule]
-print(json.dumps([codes, sorted(n for n in run if n.split(".")[0] in ("numpy", "tarstop"))]))
+import json
+loaded = [n for n in run if n.split(".")[0] in ("numpy", "tarstop", "json", "logging", "click")]
+print(json.dumps([codes, sorted(loaded)]))
 print(json.dumps(sorted(n for n in sys.modules if n.startswith("tarstop."))))
 """
     result = subprocess.run(
@@ -623,8 +778,29 @@ print(json.dumps(sorted(n for n in sys.modules if n.startswith("tarstop."))))
     assert result.stderr.splitlines()[-1].startswith("Error: Invalid value for '--out-dir'")
 
 
+def test_simulate_loads_no_logging(tmp_path):
+    # logging is loaded to read run files, which simulate does not.
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    args = ["simulate", "--family", "step", "--n", "50", "--trials", "1"]
+    code = f"""
+import sys
+from tarstop.cli import main
+code = main({args + ["--out-dir", str(tmp_path)]!r})
+print(code, sorted(n for n in sys.modules if n.split(".")[0] == "logging"))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "0 []"
+
+
 def test_cli_names_the_registries_methods_and_families():
-    # click declares --methods and --family before any engine is imported.
+    # The option table declares --methods and --family before any engine is
+    # imported.
     assert tarstop.cli._METHOD_NAMES == tuple(RULES)
     assert tarstop.cli._FAMILY_NAMES == tuple(FAMILIES)
 
@@ -808,7 +984,7 @@ def test_validate_stops_at_the_first_bad_run_file(dataset, tmp_path, capsys):
     # The pool is shut down before the error leaves the command, not when
     # the error, and with it the command's frame, is let go.
     with pytest.raises(ValidationError, match="differs from run 'run-a'") as raised:
-        tarstop.cli.cli.main(args, standalone_mode=False)
+        tarstop.cli._run(args)
     assert raised.value.__traceback__ and not multiprocessing.active_children()
 
 

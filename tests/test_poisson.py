@@ -135,6 +135,43 @@ def test_upper_credible_count_rejects_negative_cap():
         upper_credible_count(1.0, 0.95, -1)
 
 
+def _walked_scan(mean, confidence, cap):
+    """The scan of upper_credible_count without its stall rule: every term to the cap."""
+    log_mean, total, r = math.log(mean), 0.0, 0
+    while r != cap:
+        total += math.exp(r * log_mean - mean - math.lgamma(r + 1))
+        if total >= confidence:
+            return r
+        r += 1
+    return r
+
+
+def test_a_stalled_sum_returns_the_cap_at_once():
+    # At mean 1000 the float sum of the terms stalls near 1 - 2.5e-13, below
+    # the confidence: a scan of every term up to the cap would not end.
+    assert upper_credible_count(1000.0, 0.9999999999999999, cap=10**12) == 10**12
+
+
+def test_a_stalled_sum_without_a_cap_is_a_computation_error():
+    with pytest.raises(ComputationError, match="stalls"):
+        upper_credible_count(1000.0, 0.9999999999999999)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mean=st.floats(1e-3, 1e4),
+    confidence=st.sampled_from(
+        [0.5, 0.95, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 0.9999999999999999]
+    ),
+    headroom=st.integers(0, 5000),
+)
+def test_the_stall_rule_gives_the_walked_scans_bound(mean, confidence, headroom):
+    # With a cap the walked scan can reach, both end at the same R, whether
+    # the sum reaches the confidence or stalls below it.
+    cap = int(mean + 40 * math.sqrt(mean) + 50) + headroom
+    assert upper_credible_count(mean, confidence, cap) == _walked_scan(mean, confidence, cap)
+
+
 @given(st.integers(1, 400), st.floats(0.05, 1.0))
 @settings(max_examples=40, deadline=None)
 def test_required_relevant_past_the_cap_is_unreachable(n, recall):
