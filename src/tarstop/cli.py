@@ -325,8 +325,9 @@ class _Option:
     lo_open; hi may be left out); then check, if given, makes the value.
     A repeatable option gives the tuple of its values in the order given;
     another, given twice, takes its last.  An option not given takes its
-    default, unconverted.  dest is the command's parameter, by default the
-    flag's name with "_" for "-".
+    default, converted and checked as the text of it would be, or None.
+    dest is the command's parameter, by default the flag's name with "_"
+    for "-".
     """
 
     __slots__ = (
@@ -384,8 +385,9 @@ def _parse(options: tuple[_Option, ...], args: list[str]) -> dict | None:
     """The keyword arguments of a command given args, or None if they ask for --help.
 
     Errors in the form of args come first, then --help, then each option's
-    value in the order the options are first given, then a required option
-    left out, then an argument that is no option's.
+    value in the order the options are first given, then each option left
+    out, in table order: missing if required, else its default checked;
+    then an argument that is no option's.
     """
     by_flag = {option.flag: option for option in options}
     given: dict[_Option, list[str]] = {}
@@ -414,17 +416,20 @@ def _parse(options: tuple[_Option, ...], args: list[str]) -> dict | None:
     if asks_help:
         return None
     values = {}
-    for option, texts in given.items():
+    for option in (*given, *(o for o in options if o not in given)):
+        texts = given.get(option)
+        if texts is None:
+            if option.required:
+                raise _UsageError(f"Missing option '{option.flag}'.")
+            if option.default is None:
+                values[option.dest] = None
+                continue
+            texts = [str(option.default)]  # so --out-dir's "." is checked, as a Path
         try:
             converted = [option.convert(t) for t in (texts if option.repeat else texts[-1:])]
         except ValueError as exc:
             raise _UsageError(f"Invalid value for '{option.flag}': {exc}") from None
         values[option.dest] = tuple(converted) if option.repeat else converted[0]
-    for option in options:
-        if option.dest not in values:
-            if option.required:
-                raise _UsageError(f"Missing option '{option.flag}'.")
-            values[option.dest] = option.default
     if extra:
         s = "s" if len(extra) > 1 else ""
         raise _UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
@@ -438,12 +443,8 @@ def _help(name: str) -> str:
     lines += [f"  {line.strip()}".rstrip() for line in func.__doc__.strip().splitlines()]
     lines += ["", "Options:"]
     for option in options:
-        left = f"{option.flag} {option.metavar}"
-        notes = option.help_notes()
-        if len(left) > 22 and notes:
-            left += "\n" + " " * 24  # the notes go under the column of the others
-        lines.append(f"  {left:22}  {notes}".rstrip())
-    lines.append(f"  {'--help':22}  Show this message and exit.")
+        lines.append(f"  {option.flag} {option.metavar}  {option.help_notes()}".rstrip())
+    lines.append("  --help  Show this message and exit.")
     return "\n".join(lines) + "\n"
 
 
@@ -669,7 +670,10 @@ def _run(args: list[str]) -> int:
         sys.stdout.write(_group_help())
         return 0
     if name[:1] == "-" and name.strip("-"):
-        _parse((), [name])  # refuses an option as a command's parser would
+        flag = name.partition("=")[0]
+        if flag == "--help":
+            raise _UsageError("Option '--help' does not take a value.")
+        raise _UsageError(f"No such option '{flag}'.")
     if name not in _COMMANDS:
         raise _UsageError(f"No such command '{name}'.")
     values = _parse(_COMMANDS[name][1], args[1:])

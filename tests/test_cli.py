@@ -426,6 +426,35 @@ def test_out_dir_under_a_file_is_usage_error(
     assert afile.read_text() == "kept\n"
 
 
+_OUTPUTS = {
+    "evaluate": ["report.jsonl", "report.txt"],
+    "plot-data": ["effort_vs_aurc.csv", "effort_vs_aurc.svg", "gain_T0.csv", "gain_T0.svg"],
+    "simulate": ["simulate.jsonl", "simulate.txt"],
+    "validate": ["validation.json"],
+}
+
+
+# stratify, which needs 15 distinct runs, takes the same --out-dir option as evaluate.
+@pytest.mark.parametrize("command", _OUTPUTS)
+def test_outputs_default_to_the_working_directory(command, dataset, tmp_path, monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(_command_args(command, dataset)) == 0
+    assert sorted(p.name for p in cwd.iterdir()) == _OUTPUTS[command]
+
+
+def test_default_out_dir_is_checked(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    _refuse_reading(monkeypatch)
+    assert main(["simulate", "--family", "uniform", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "Error: Invalid value for '--out-dir': '.' is not writable."
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_plot_data_topic_with_a_path_separator_is_usage_error(
     dataset, tmp_path, capsys, monkeypatch
 ):
