@@ -23,11 +23,12 @@ along a valley in (d, k) with no finite minimiser, and the fit raises
 
 f is searched on a grid of t = k * span, and its grids and their exp basis
 depend only on the bin layout (the midpoints scaled to [0, 1]), not on the
-counts.  A layout's basis is kept from the second fit that asks for it on,
-for one bin width at a time (a fit at a new width drops the kept layouts)
-and up to _KEPT_MIDPOINTS midpoints in all.  ``simulate`` fits every trial
-at one n and so reuses them, while a run of CLEF topics, each with its own
-width, keeps none.  A kept basis gives the same bits as a fresh one.
+counts.  A basis is kept from the first fit that asks for it, while the
+kept bases stay within _KEPT_BYTES of exp basis, and for one bin width at a
+time: a fit at a new width drops the kept bases.  ``simulate`` fits every
+trial at one n and so reuses them, while a run of CLEF topics, each with
+its own width, reuses none.  A kept basis gives the same bits as a fresh
+one.
 Between grid points, the secant steps evaluate f' on Python floats; their
 sums run in another order than numpy's, so they can differ from the grid's
 f' in the last bits.
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -151,11 +151,10 @@ def fit_exponential(binned: BinnedCounts) -> RateModel:
     span = float(x[-1] - x[0])
     u = (x - x[0]) / span
 
-    layout = _LAYOUTS.get(u, binned.widths[0])
-    grid = layout.initial
+    grid = _LAYOUTS.get(u, binned.widths[0])
     cost, grad = grid.profile(dens)
     if np.argmin(cost) in (0, cost.size - 1):
-        grid = layout.wide
+        grid = _LAYOUTS.get(u, binned.widths[0], wide=True)
         cost, grad = grid.profile(dens)
     cells = np.flatnonzero((grad[:-1] < 0) & (grad[1:] >= 0))
     if cells.size == 0:
@@ -274,57 +273,42 @@ def _profile(
     return _Basis(k, x).profile(y)
 
 
-class _Layout:
-    """The search grids of one layout of midpoints u, scaled to [0, 1]."""
-
-    def __init__(self, u: np.ndarray):
-        self.u = u
-        self.initial = _Basis(_INITIAL_GRID, u)
-
-    @cached_property
-    def wide(self) -> _Basis:
-        # Out to where exp(t * gap) == 0 for all midpoints but an end one.
-        u = self.u
-        return _Basis(_grid(_UNDERFLOW / min(u[1], 1.0 - u[-2])), u)
+# The most exp basis the kept bases hold.  The seed-0 ``simulate --family
+# bimodal`` round asks for 30 bases of 764 KB in all.
+_KEPT_BYTES = 1 << 20
 
 
-# The most midpoints, summed over the kept layouts.  On topics of up to a
-# million documents a midpoint costs under 9 KB of basis, so the kept bases
-# stay under about 2 MB.
-_KEPT_MIDPOINTS = 256
+class _BasisMemo:
+    """The search bases of one bin width, keyed by midpoints u and grid.
 
-
-class _LayoutMemo:
-    """Layouts of one bin width, each kept from its second request on.
-
-    A layout asked for once is built and not kept, and a new bin width
-    drops the last width's layouts, so where layouts do not recur nothing
-    is kept.  Layouts past _KEPT_MIDPOINTS are built for each fit.
+    A basis is kept from its first request, while the kept bases stay
+    within _KEPT_BYTES, and a new bin width drops the last width's bases.
     """
 
     def __init__(self):
         self.width: int | None = None
-        self.seen: set[bytes] = set()
-        self.kept: dict[bytes, _Layout] = {}
-        self.midpoints = 0  # summed over the kept layouts
+        self.kept: dict[tuple[bytes, bool], _Basis] = {}
+        self.nbytes = 0  # of exp basis, summed over the kept bases
 
-    def get(self, u: np.ndarray, width: int) -> _Layout:
+    def get(self, u: np.ndarray, width: int, wide: bool = False) -> _Basis:
+        """The basis on the initial grid, or on the wide one, for midpoints u."""
         if width != self.width:
-            self.width, self.midpoints = width, 0
-            self.seen.clear()
+            self.width, self.nbytes = width, 0
             self.kept.clear()
-        key = u.tobytes()
-        layout = self.kept.get(key)
-        if layout is None:
-            layout = _Layout(u)
-            if key in self.seen and self.midpoints + u.size <= _KEPT_MIDPOINTS:
-                self.kept[key] = layout
-                self.midpoints += u.size
-            self.seen.add(key)
-        return layout
+        key = (u.tobytes(), wide)
+        basis = self.kept.get(key)
+        if basis is None:
+            # The wide grid runs out to where exp(t * gap) == 0 for all
+            # midpoints but an end one.
+            k = _grid(_UNDERFLOW / min(u[1], 1.0 - u[-2])) if wide else _INITIAL_GRID
+            basis = _Basis(k, u)
+            if self.nbytes + basis.e.nbytes <= _KEPT_BYTES:
+                self.kept[key] = basis
+                self.nbytes += basis.e.nbytes
+        return basis
 
 
-_LAYOUTS = _LayoutMemo()
+_LAYOUTS = _BasisMemo()
 
 
 def delta_gate(model: RateModel, topic: Topic, examined_end: int, delta: float) -> bool:

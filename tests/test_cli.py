@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -623,6 +624,42 @@ def test_simulate_ends_where_the_credible_sum_stalls(tmp_path):
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert "pp reliability: 1.0000 over 1 topics" in result.stdout
+
+
+def test_evaluate_ends_where_the_credible_sum_stalls(tmp_path):
+    # One topic of 2,000 documents, every fifth relevant.  Each of pp's bound
+    # calls has a mean near 400, where the float sum of the pmf stalls below
+    # the confidence, and a cap, from the recall, of 2e12.  In a subprocess,
+    # so that a hang fails the test; its own session, so that a hung pool
+    # worker is killed with it.
+    ids = doc_ids(2000)
+    run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
+    run.write_text("\n".join(serialize_run("run-a", {"T1": ids})) + "\n")
+    labels = [rank % 5 == 0 for rank in range(1, len(ids) + 1)]
+    qrels.write_text("\n".join(serialize_qrels({"T1": (ids, labels)})) + "\n")
+    args = ["evaluate", "--runs", str(run), "--qrels", str(qrels), "--methods", "pp"]
+    args += ["--recall", "1e-9", "--confidence", "0.99999999999999", "--gamma", "1"]
+    args += ["--out-dir", str(tmp_path / "out")]
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tarstop.cli", *args],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        _, stderr = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert (proc.returncode, stderr) == (0, "")
+    report = (tmp_path / "out" / "report.jsonl").read_text().splitlines()
+    topic = json.loads(report[0])
+    assert topic["record"] == "topic" and topic["method"] == "pp"
+    assert (topic["predicted"], topic["stop_rank"]) == (False, 2000)
 
 
 def test_simulate_rejects_negative_seed(tmp_path, capsys):

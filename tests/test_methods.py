@@ -1,19 +1,21 @@
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic
-from tarstop.core import MethodParams, rel_at
+from tarstop.core import MethodParams, Topic, rel_at
 from tarstop.methods import (
     RULES,
     _checkpoints,
     _first_rank_reaching,
     _knee_candidate,
+    _quota,
     _target_rng,
     knee_stop,
     oracle_stop,
@@ -21,7 +23,7 @@ from tarstop.methods import (
     target_stop,
 )
 from tarstop.metrics import recall_of
-from tarstop.simulate import ExponentialRate, gen_topic
+from tarstop.simulate import ExponentialRate, PiecewiseRate, gen_topic
 
 DEFAULTS = MethodParams()
 
@@ -338,3 +340,111 @@ def test_method_registry_order_and_dispatch():
     assert RULES["tm"](topic, params, 7) != target_stop(topic, params, 8)
     assert RULES["km"](topic, params, 7) == knee_stop(topic, params)
     assert RULES["or"](topic, params, 7) == oracle_stop(topic, params)
+
+
+@st.composite
+def _small_topics(draw):
+    """A seeded topic of 50-400 documents with one of four rate shapes."""
+    n = draw(st.integers(50, 400))
+    high, low = draw(st.floats(0.02, 0.6)), draw(st.floats(0.0, 0.3))
+    cutoff = draw(st.integers(1, n))
+    rate = draw(
+        st.sampled_from(
+            [
+                ExponentialRate(high, math.log(max(low, 1e-3) / high) / n),
+                PiecewiseRate(high, high, 0),  # uniform
+                PiecewiseRate(high, 0.0, cutoff),  # step
+                PiecewiseRate(high, low, cutoff),  # bimodal
+            ]
+        )
+    )
+    return gen_topic(n, rate, draw(st.integers(0, 2**32 - 1)))
+
+
+# The upper ends leave room for the stricter steps of the monotonicity property.
+_PARAMS = st.builds(
+    MethodParams,
+    target_recall=st.floats(0.3, 0.95),
+    confidence=st.floats(0.5, 0.95),
+    gamma=st.integers(1, 20),
+    delta=st.floats(0.3, 0.95),
+    target_count=st.integers(1, 10),
+    epsilon=st.integers(0, 200),
+)
+
+
+def _relabelled(topic, ranks, relabel):
+    """The topic with each of the given ranks relevant with chance p.
+
+    relabel is (p, seed); p = 0 and p = 1 clear or fill every rank.
+    """
+    p, seed = relabel
+    relevant = topic.relevant.copy()
+    draws = np.random.default_rng(seed).random(len(ranks))
+    relevant[np.array(sorted(ranks), dtype=int) - 1] = draws < p
+    return Topic(topic.topic_id, relevant)
+
+
+_RELABEL = st.tuples(st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None)
+@given(_small_topics(), _PARAMS, st.integers(0, 2**32 - 1), _RELABEL)
+def test_no_rule_reads_a_rank_it_did_not_examine(topic, params, seed, relabel):
+    n = topic.size
+    for rule in (poisson_stop, knee_stop):
+        outcome = rule(topic, params)
+        unseen = range(outcome.stop_rank + 1, n + 1)
+        assert rule(_relabelled(topic, unseen, relabel), params) == outcome, rule
+    # tm also reads each rank it sampled until its last needed hit.
+    outcome = target_stop(topic, params, seed)
+    sampled, found = set(), 0
+    for rank in (_target_rng(seed).permutation(n) + 1).tolist():
+        if found == params.target_count:
+            break
+        sampled.add(rank)
+        found += int(topic.relevant[rank - 1])
+    unseen = set(range(outcome.stop_rank + 1, n + 1)) - sampled
+    assert target_stop(_relabelled(topic, unseen, relabel), params, seed) == outcome
+
+
+@settings(deadline=None)
+@given(_small_topics(), _PARAMS)
+def test_a_stricter_rule_never_stops_earlier(topic, params):
+    stop = poisson_stop(topic, params).stop_rank
+    for stricter in (
+        {"confidence": params.confidence + 0.04},
+        {"target_recall": params.target_recall + 0.05},
+        {"delta": params.delta + 0.05},
+        {"gamma": params.gamma + 3},
+    ):
+        outcome = poisson_stop(topic, replace(params, **stricter))
+        assert outcome.stop_rank >= stop, stricter
+    stricter = replace(params, epsilon=params.epsilon + 30)
+    assert knee_stop(topic, stricter).stop_rank >= knee_stop(topic, params).stop_rank
+
+
+@settings(deadline=None)
+@given(_small_topics(), _PARAMS)
+def test_pp_stops_at_the_first_rank_that_meets_its_quota(topic, params):
+    """poisson_stop against pp read one rank at a time.
+
+    Each rank from the end of the initial sample on is held against the
+    quota fitted at the last checkpoint; a checkpoint that does not meet
+    it is fitted anew and held against its own.
+    """
+    n = topic.size
+    ends = _checkpoints(n, params)
+    stop, quota = None, None
+    if rel_at(topic, ends[0]) >= params.gamma:
+        for rank in range(ends[0], n + 1):
+            met = quota is not None and rel_at(topic, rank) >= quota
+            if rank in ends and not met:
+                quota = _quota(topic, rank, params)
+                met = quota is not None and rel_at(topic, rank) >= quota
+            if met:
+                stop = rank
+                break
+    outcome = poisson_stop(topic, params)
+    expected = (n, False) if stop is None else (stop, True)
+    assert (outcome.stop_rank, outcome.predicted) == expected

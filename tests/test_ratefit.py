@@ -18,6 +18,7 @@ from tarstop.errors import (
 from tarstop.ratefit import (
     BinnedCounts,
     RateModel,
+    _INITIAL_GRID,
     _UNDERFLOW,
     _profile,
     _slope,
@@ -457,6 +458,10 @@ _PINNED_FITS = [
      (0.49211230302982367, -0.004228600616114958)),
     ("step", "0 0 0", 50, 50, NoSignalError),
     ("uniform", "3", 40, 17, InsufficientDataError),
+    # A whole-topic fit whose lowest cost on the initial grid is at an edge,
+    # so that it is found on the wide grid.
+    ("bimodal", "32 1 0 0 1 1 0 0 1 1 0 2 2 0 2 3 1 1 2 3", 100, 100,
+     (1.8435317469343049, -0.03467557597221978)),
 ]
 
 
@@ -485,59 +490,72 @@ def test_fit_matches_its_pinned_result(family, counts, width, last, expected):
     assert (model.d, model.k) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-def _fresh_layouts(monkeypatch):
-    """An empty layout memo for the fits, and the list of layouts built."""
-    memo, built, make = tarstop.ratefit._LayoutMemo(), [], tarstop.ratefit._Layout
+def _fresh_memo(monkeypatch):
+    """An empty basis memo for the fits, and the midpoints of each grid basis built."""
+    memo, built, make = tarstop.ratefit._BasisMemo(), [], tarstop.ratefit._Basis
+
+    def basis(k, x):
+        if k.size >= _INITIAL_GRID.size:  # not _profile's basis on a few roots
+            built.append(x)
+        return make(k, x)
+
     monkeypatch.setattr(tarstop.ratefit, "_LAYOUTS", memo)
-    monkeypatch.setattr(tarstop.ratefit, "_Layout", lambda u: built.append(u) or make(u))
+    monkeypatch.setattr(tarstop.ratefit, "_Basis", basis)
     return memo, built
 
 
-def _scaled_midpoints(binned):
+def _layout_key(binned):
+    """The memo's key for a fit's scaled midpoints, without the grid."""
     x, _ = _xs_and_densities(binned)
-    return (x - x[0]) / (x[-1] - x[0])
+    return ((x - x[0]) / (x[-1] - x[0])).tobytes()
 
 
 def test_fits_from_a_kept_layout_equal_cold_fits(monkeypatch):
+    grids = set()
     for _, counts, width, last, expected in _PINNED_FITS:
         if isinstance(expected, type):
             continue
         binned = _binned_from_row(counts, width, last)
-        memo, built = _fresh_layouts(monkeypatch)
+        memo, built = _fresh_memo(monkeypatch)
         cold = fit_exponential(binned)
-        assert memo.kept == {}  # asked for once: built, not kept
-        fit_exponential(binned)
-        (layout,) = memo.kept.values()
+        kept = dict(memo.kept)  # asked for once: built and kept
+        assert len(built) == len(kept) >= 1
         warm = fit_exponential(binned)
-        assert len(built) == 2 and list(memo.kept.values()) == [layout]
+        assert len(built) == len(kept) and memo.kept == kept
         assert (warm.d, warm.k) == (cold.d, cold.k)
+        grids.update(wide for _, wide in kept)
+    assert grids == {False, True}  # kept bases on both grids were compared
 
 
 def test_layouts_are_kept_for_one_bin_width(monkeypatch):
-    memo, _ = _fresh_layouts(monkeypatch)
+    memo, built = _fresh_memo(monkeypatch)
     topic = gen_topic(2000, PiecewiseRate(0.3, 0.01, 100), seed=3)
     at_100 = [bin_prefix(topic, end, 100) for end in (650, 900, 900, 1000)]
     at_50 = [bin_prefix(topic, end, 50) for end in (620, 620, 700)]
     for binned in at_100:
         fit_exponential(binned)
-    assert [layout.u.tolist() for layout in memo.kept.values()] == [
-        _scaled_midpoints(at_100[1]).tolist()
-    ]
+    assert {u for u, _ in memo.kept} == {_layout_key(binned) for binned in at_100}
+    assert len(built) == len(memo.kept)  # the repeated layout is built once
+    built_at_100 = len(built)
     for binned in at_50:
         fit_exponential(binned)
-    assert [layout.u.tolist() for layout in memo.kept.values()] == [
-        _scaled_midpoints(at_50[0]).tolist()
-    ]
+    assert {u for u, _ in memo.kept} == {_layout_key(binned) for binned in at_50}
+    assert len(built) == built_at_100 + len(memo.kept)
 
 
-def test_kept_layouts_stay_within_their_midpoint_budget(monkeypatch):
-    memo, _ = _fresh_layouts(monkeypatch)
-    for m in (100, 120, 60, 30):  # 100 + 120 + 60 would pass 256 midpoints
+def test_kept_bases_stay_within_their_byte_budget(monkeypatch):
+    memo, built = _fresh_memo(monkeypatch)
+    budget = 256 * _INITIAL_GRID.nbytes  # 256 midpoints on the initial grid
+    monkeypatch.setattr(tarstop.ratefit, "_KEPT_BYTES", budget)
+    for m in (100, 120, 60, 30):  # 100 + 120 + 60 midpoints would pass it
         binned = _binned_counts([3, 1] * (m // 2), 10)
         for _ in range(2):
             with contextlib.suppress(FitError):
                 fit_exponential(binned)
-    assert sorted(layout.u.size for layout in memo.kept.values()) == [30, 100, 120]
+    assert sorted(basis.x.size for basis in memo.kept.values()) == [30, 100, 120]
+    assert memo.nbytes == sum(basis.e.nbytes for basis in memo.kept.values())
+    assert memo.nbytes <= budget
+    assert [u.size for u in built] == [100, 120, 60, 60, 30]  # 60 is built per fit
 
 
 def test_delta_gate_boundary_accepts():
