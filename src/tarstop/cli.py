@@ -56,7 +56,7 @@ _ENGINE = tuple(
     )
 )
 
-from tarstop import config, ingest, metrics, plots, ratefit
+from tarstop import config, core, ingest, metrics, plots, ratefit
 
 # The names of methods.RULES and simulate.FAMILIES, which the option table
 # needs before any command runs.
@@ -102,14 +102,14 @@ def _aggregate_table(records: list[dict], title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The per-run pipeline.  Each command hands _map_runs one task per run file,
-# and a pool worker parses and labels the file and runs the task on its Run.
-# The qrels are indexed once in the parent and handed to every worker, which
-# a forked worker inherits without a copy.  Files are read as bytes, so as
-# UTF-8 whatever the locale.  Each result, or error, comes back with the
-# records logged in its worker, which are emitted in the parent, in --runs
-# order.  logging is imported on this path alone; ingest has loaded it in
-# the parent before the pool forks.
+# The per-run pipeline.  Each command hands _map_runs its run files and one
+# task, and a pool worker parses and labels each file and runs the task on
+# its Run.  The qrels are indexed once in the parent and handed to every
+# worker, which a forked worker inherits without a copy.  Files are read as
+# bytes, so as UTF-8 whatever the locale.  Each result, or error, comes back
+# with the records logged in its worker, which are emitted in the parent, in
+# --runs order.  logging is imported on this path alone; ingest has loaded it
+# in the parent before the pool forks.
 
 # Set in each pool worker: the qrels by _init_worker, and the records
 # logged by the task running by _run_worker.
@@ -160,12 +160,12 @@ def _cpu_count() -> int:
 
 
 def _map_runs(
-    qrels_path: str, jobs: list[tuple[str, Callable[[Run], object]]]
+    qrels_path: str, run_paths: list[str], task: Callable[[Run], object]
 ) -> Iterator[tuple[str, object]]:
-    """Run each (run file, task) job on a process pool; yield (run tag, result).
+    """Run task on each run file on a process pool; yield (run tag, result).
 
-    Results come in job order, each after the records logged in its
-    worker, and the first job to fail, in job order, decides the error
+    Results come in run_paths order, each after the records logged in its
+    worker, and the first file to fail, in that order, decides the error
     raised, after its records.  A worker that dies ends the command with a
     ComputationError naming the first run file left unfinished.  The
     workers are reaped once the last result is taken or the iterator is
@@ -183,15 +183,15 @@ def _map_runs(
     if "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(
-        max_workers=min(len(jobs), _cpu_count()),
+        max_workers=min(len(run_paths), _cpu_count()),
         mp_context=context,
         initializer=_init_worker,
         initargs=(qrels,),
     )
     try:
-        futures = [pool.submit(_run_worker, path, task) for path, task in jobs]
+        futures = [pool.submit(_run_worker, path, task) for path in run_paths]
         seen = set()
-        for (path, _), future in zip(jobs, futures):
+        for path, future in zip(run_paths, futures):
             try:
                 run_tag, result, records = future.result()
             except BrokenProcessPool:
@@ -232,16 +232,11 @@ def _stratify_task(run: Run, methods: list[str], params: MethodParams, seed: int
     return metrics.mean_aurc(run), {m: metrics.topic_records(run, m, params, seed) for m in methods}
 
 
-def _plot_data_task(
-    run: Run, topic_id: str, methods: list[str], params: MethodParams, seed: int
-) -> tuple:
-    """plot-data's task for its first run file: stratify's, and topic_id's gain curve."""
-    _require_recall(run)
+def _plot_data_task(run: Run, topic_id: str, params: MethodParams, seed: int) -> tuple:
+    """plot-data's task: stratify's for or and pp, and topic_id's labels or None."""
+    result = _stratify_task(run, ["or", "pp"], params, seed)
     topic = next((t for t in run.topics if t.topic_id == topic_id), None)
-    if topic is None:
-        raise ValidationError(f"topic {topic_id!r} not found in {run.run_tag!r}")
-    gain = _gain_curve(topic, params)
-    return (*_stratify_task(run, methods, params, seed), gain)
+    return (*result, None if topic is None else topic.relevant)
 
 
 def _validate_task(run: Run) -> tuple[set[str], dict]:
@@ -470,7 +465,7 @@ def evaluate(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     params = config.resolve_params(config_path, **flags)
     method_list = _parse_methods(methods)
     task = partial(_evaluate_task, methods=method_list, params=params, seed=seed)
-    runs = dict(_map_runs(qrels_path, [(path, task) for path in run_paths]))
+    runs = dict(_map_runs(qrels_path, run_paths, task))
     records = metrics.build_report(runs)
     table = _aggregate_table(records, f"All {len(runs)} runs")
     _write(out_dir, {"report.jsonl": records, "report.txt": table})
@@ -484,7 +479,7 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
     if len(run_paths) < 15:
         raise _UsageError("stratification needs at least 15 runs")
     task = partial(_stratify_task, methods=method_list, params=params, seed=seed)
-    results = list(_map_runs(qrels_path, [(path, task) for path in run_paths]))
+    results = list(_map_runs(qrels_path, run_paths, task))
     records = metrics.build_stratify_report(
         {tag: score for tag, (score, _) in results},
         {tag: runs for tag, (_, runs) in results},
@@ -509,25 +504,23 @@ def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
 def plot_data(run_paths, qrels_path, topic_id, seed, out_dir, config_path, **flags):
     """Emit gain-curve and effort-vs-AURC CSV/SVG plot data."""
     params = config.resolve_params(config_path, **flags)
-    kwargs = {"methods": ["or", "pp"], "params": params, "seed": seed}
-    # The gain curve is drawn for the topic in the first run file, last in its result.
-    jobs = [(run_paths[0], partial(_plot_data_task, topic_id=topic_id, **kwargs))]
-    jobs += [(path, partial(_stratify_task, **kwargs)) for path in run_paths[1:]]
-    results = list(_map_runs(qrels_path, jobs))
-
-    actual, predicted = results[0][1][2]
+    task = partial(_plot_data_task, topic_id=topic_id, params=params, seed=seed)
+    # The gain curve is drawn for the topic in the first run file before the
+    # next result is taken, so the first file's errors come first.
+    with closing(_map_runs(qrels_path, run_paths, task)) as results:
+        first = next(results)
+        first_tag, (_, _, labels) = first
+        if labels is None:
+            raise ValidationError(f"topic {topic_id!r} not found in {first_tag!r}")
+        # Rebuilt, as unpickled arrays come back writeable and a Topic's are not.
+        actual, predicted = _gain_curve(core.Topic(topic_id, labels), params)
+        # Per-run effort vs. AURC for the oracle and Poisson methods.
+        rows = sorted(
+            (tag, score, *[sum(t["effort"] for t in runs[m]) for m in ("or", "pp")])
+            for tag, (score, runs, _) in (first, *results)
+        )
     gain_csv = "rank,relevant_found,rate_estimate\n" + "".join(
         f"{rank},{a:.6f},{p:.6f}\n" for (rank, a), (_, p) in zip(actual, predicted)
-    )
-
-    # Per-run effort vs. AURC for the oracle and Poisson methods.
-    effort = {
-        (r["run"], r["method"]): r["total_effort"]
-        for r in metrics.build_report({tag: result[1] for tag, result in results})
-        if r["record"] == "run"
-    }
-    rows = sorted(
-        (tag, result[0], effort[tag, "or"], effort[tag, "pp"]) for tag, result in results
     )
     effort_csv = "run,mean_aurc,oracle_effort,poisson_effort\n" + "".join(
         f"{tag},{score:.6f},{or_eff},{pp_eff}\n" for tag, score, or_eff, pp_eff in rows
@@ -586,10 +579,9 @@ def validate(run_paths, qrels_path, out_dir):
     """
     import json
 
-    jobs = [(path, _validate_task) for path in run_paths]
     # Each file is checked as its result comes, so the first bad one in
     # --runs order decides the error; closing the results stops the pool.
-    with closing(_map_runs(qrels_path, jobs)) as results:
+    with closing(_map_runs(qrels_path, run_paths, _validate_task)) as results:
         first_tag, (first_ids, summary) = next(results)
         for path, (run_tag, (topic_ids, _)) in zip(run_paths[1:], results):
             if topic_ids != first_ids:

@@ -105,7 +105,7 @@ def test_criterion_3a_credible_count_matches_oracle():
             assert upper_credible_count(mean, confidence) == credible_oracle(
                 mean, confidence
             ), (mean, confidence)
-    _passed("criterion 3a: credible counts match brute-force summation exactly")
+    _passed("criterion 3a: credible counts match the exact Poisson quantile")
 
 
 def test_criterion_3b_exact_fit_recovery():

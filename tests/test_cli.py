@@ -1158,3 +1158,30 @@ def test_plot_data_one_bin_gain_fit_is_a_computation_error(dataset, tmp_path, ca
     args += ["--topic", "T0", "--alpha", "1", "--beta", "1", "--out-dir", str(tmp_path)]
     assert main(args) == 3
     assert "need at least 2 binned points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, code, err",
+    [
+        (["--topic", "missing"], 2, "error: topic 'missing' not found in 'run-a'\n"),
+        (
+            ["--topic", "T0", "--alpha", "1", "--beta", "1"],
+            3,
+            "computation error: need at least 2 binned points to fit\n",
+        ),
+    ],
+    ids=["missing-topic", "one-bin-gain-fit"],
+)
+def test_plot_data_first_file_errors_come_first(
+    dataset, tmp_path, capsys, flags, code, err
+):
+    # The first file's topic lookup and gain fit fail before the second
+    # file's parse error is taken.
+    paths, qrels = dataset
+    broken = tmp_path / "broken.txt"
+    broken.write_text("broken line\n")
+    args = ["plot-data", "--runs", str(paths["run-a"]), "--runs", str(broken)]
+    args += ["--qrels", str(qrels), *flags, "--out-dir", str(tmp_path / "out")]
+    assert main(args) == code
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()

@@ -4,8 +4,10 @@ The `evaluate` and `stratify` jsonl digests, on a seeded dataset, were
 recorded before the columnar Topic and single-pass run ingest replaced the
 per-line parser, and refrozen when the target method's sampling order
 became one Generator permutation (only its records moved: evaluate was
-5ec3d5d3..., stratify 50112433...).  The table and plot-data digests were
-recorded before topic records became the only per-run result of a worker.
+5ec3d5d3..., stratify 50112433...).  The table and plot-data CSV digests
+were recorded before topic records became the only per-run result of a
+worker, and the plot-data SVG digests before its gain curve was fitted in
+the main process.
 A change that alters a digest changes what the program reports and must
 say so.
 """
@@ -41,7 +43,9 @@ GOLDEN = {
     },
     "plot-data": {
         "effort_vs_aurc.csv": "28d9a4fc98289911c0a23d992191bb747c2c887e7a3f21a6426947db033a58db",
+        "effort_vs_aurc.svg": "9d2f8b710538940b179f42e7a7d023c14316e493ea8d0b851297b21b8538922e",
         "gain_T0.csv": "7a2528100a70b98b29078c131a12b119d7ce448bfd0e16b41d7f99a6d13ba832",
+        "gain_T0.svg": "24b74fdd66c67bae07f2fcd5f46ccb1505bd1007087b9d0614d5998d3763da01",
     },
 }
 EXTRA_ARGS = {"plot-data": ["--topic", "T0"]}

@@ -3,13 +3,14 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic
-from tarstop.core import MethodParams, Topic, rel_at
+from tarstop.core import MethodParams, StopOutcome, Topic, rel_at
 from tarstop.methods import (
     RULES,
     _checkpoints,
@@ -23,6 +24,7 @@ from tarstop.methods import (
     target_stop,
 )
 from tarstop.metrics import recall_of
+from tarstop.ratefit import _MAX_EXP_ARG, _ROUNDING
 from tarstop.simulate import ExponentialRate, PiecewiseRate, gen_topic
 
 DEFAULTS = MethodParams()
@@ -448,3 +450,170 @@ def test_pp_stops_at_the_first_rank_that_meets_its_quota(topic, params):
     outcome = poisson_stop(topic, params)
     expected = (n, False) if stop is None else (stop, True)
     assert (outcome.stop_rank, outcome.predicted) == expected
+
+
+# A reference pp built from the paper's steps, with none of ratefit's,
+# poisson's or methods' code: bin the prefix, fit d * exp(k * x) to the
+# densities by least squares on a dense grid, refined by bisection on the
+# cost's slope until t = k * span is good to the last bits, take Lambda(n)
+# and the prefix's prediction in closed form at 30 digits, find the
+# Poisson quantile by bisection on mpmath's regularized gammainc, and apply
+# the quota, the gamma and delta gates and the window search.  Only
+# ratefit's rounding margin and exponent limit are shared: they say where
+# the code refuses a fit, not how it finds one.
+
+
+class _Tie(Exception):
+    """A step whose outcome rounding decides: the reference does not call it."""
+
+
+def _ref_cost(t, u, dens):
+    """|r|^2 of the best d * exp(t * u) at each t."""
+    z = np.multiply.outer(u, t)
+    e = np.exp(z - z.max(axis=0))
+    d = (dens @ e) / (e * e).sum(axis=0)
+    return ((dens[:, None] - d * e) ** 2).sum(axis=0)
+
+
+def _ref_minima(lo, hi, u, dens):
+    """(|r|^2, t) at the root of the cost's slope in each cell [lo, hi], lowest first."""
+    for _ in range(64):
+        t = 0.5 * (lo + hi)
+        near = np.where(t < 0, u[0], u[-1])
+        e = np.exp((u[:, None] - near) * t)
+        d = (dens @ e) / (e * e).sum(axis=0)
+        slope = -d * ((u[:, None] - near) * e * (dens[:, None] - d * e)).sum(axis=0)
+        lo, hi = np.where(slope < 0, t, lo), np.where(slope < 0, hi, t)
+    t = 0.5 * (lo + hi)
+    return sorted(zip(_ref_cost(t, u, dens).tolist(), t.tolist()))
+
+
+def _ref_fit(x, dens):
+    """(d, k) of the least-squares d * exp(k * x), or None where the code raises.
+
+    The grid of t = k * span reaches the limits of the cost at both ends.
+    Raises _Tie when the lowest minimum is within half ratefit's rounding
+    margin of where ratefit refuses it, or another minimum is within that
+    margin of it.
+    """
+    if len(x) < 2 or not dens.any():
+        return None
+    span = x[-1] - x[0]
+    u = (x - x[0]) / span
+    tail = np.geomspace(1e-3, 800.0 / np.diff(u).min(), 4000)
+    grid = np.concatenate((-tail[::-1], [0.0], tail))
+    cost = _ref_cost(grid, u, dens)
+    inner = np.flatnonzero((cost[1:-1] < cost[:-2]) & (cost[1:-1] <= cost[2:])) + 1
+    minima = _ref_minima(grid[inner - 1], grid[inner + 1], u, dens)
+    if not minima:
+        return None
+    (best, t), *others = minima
+    # ratefit refuses a fit whose |r|^2 is not below the lower limit by the margin.
+    margin = _ROUNDING * len(dens) * float(dens @ dens)
+    refused = min(float(dens[1:] @ dens[1:]), float(dens[:-1] @ dens[:-1])) - margin
+    if abs(best - refused) <= margin / 2:
+        raise _Tie("a fit cost at the limit")
+    if best >= refused:
+        return None
+    if any(c - best <= margin and abs(s - t) > 1e-6 * (1 + abs(t)) for c, s in others):
+        raise _Tie("two fit minima")
+    near = 0 if t < 0 else -1
+    e = np.exp(t * (u - u[near]))
+    k = t / span
+    log_d = math.log(float(e @ dens) / float(e @ e)) - k * x[near]
+    if not -_MAX_EXP_ARG < log_d < _MAX_EXP_ARG:
+        return None
+    return math.exp(log_d), k
+
+
+def _ref_quota(found, end, width, n, params):
+    """Relevant documents needed after ranks 1..end, or None where no quota is set."""
+    edges = [*range(0, end, width), end]
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    fit = _ref_fit((lo + 1 + hi) / 2.0, (found[hi] - found[lo]) / (hi - lo))
+    if fit is None or fit[1] * n > _MAX_EXP_ARG:
+        return None
+    with mpmath.workdps(30):
+        d, k = mpmath.mpf(fit[0]), mpmath.mpf(fit[1])
+        if k == 0:
+            predicted, mean = d * end, d * n
+        else:
+            # sum of d * exp(k * x) over ranks 1..end, and its integral over (0, n].
+            predicted = d * mpmath.exp(k) * mpmath.expm1(k * end) / mpmath.expm1(k)
+            mean = d / k * mpmath.expm1(k * n)
+        if predicted >= 1e-12:
+            if abs(found[end] - params.delta * predicted) <= 1e-9 * predicted:
+                raise _Tie("the delta gate")
+            if found[end] < params.delta * predicted:
+                return None
+
+        def cdf(r):
+            return mpmath.gammainc(r + 1, mean, mpmath.inf, regularized=True)
+
+        # The least r with cdf(r) >= confidence; any bound from hi up sets a
+        # quota above n, which no window can meet.
+        lo, hi = -1, math.ceil((n + 1) / params.target_recall) + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if cdf(mid) >= params.confidence else (mid, hi)
+        if any(r >= 0 and abs(cdf(r) - params.confidence) <= 1e-9 for r in (lo, hi)):
+            raise _Tie("the credible bound")
+    return math.ceil(hi * params.target_recall)
+
+
+def _reference_pp(topic, params):
+    """pp's StopOutcome from the paper's steps; raises _Tie where rounding decides."""
+    n = topic.size
+    found = np.concatenate(([0], np.cumsum(topic.relevant)))
+    width = max(1, math.ceil(params.beta_frac * n))
+    ends = [*range(min(n, max(1, math.ceil(params.alpha_frac * n))), n, width), n]
+    if found[ends[0]] >= params.gamma:
+        for end, next_end in zip(ends, [*ends[1:], n]):
+            quota = _ref_quota(found, end, width, n, params)
+            if quota is None:
+                continue
+            for rank in range(end, next_end + 1):
+                if found[rank] >= quota:
+                    return StopOutcome(rank)
+    return StopOutcome(n, predicted=False)
+
+
+def _reference_case(seed):
+    """A seeded topic of 50-400 documents with one of four rate shapes, and params.
+
+    Every other four seeds take delta = 1, the strictest gate: below 0.95
+    it rejects a fit at almost no checkpoint of these topics.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 401))
+    high, low = rng.uniform(0.02, 0.6), rng.uniform(0.0, 0.3)
+    cutoff = int(rng.integers(1, n + 1))
+    rate = [
+        ExponentialRate(high, math.log(max(low, 1e-3) / high) / n),
+        PiecewiseRate(high, high, 0),  # uniform
+        PiecewiseRate(high, 0.0, cutoff),  # step
+        PiecewiseRate(high, low, cutoff),  # bimodal
+    ][seed % 4]
+    params = MethodParams(
+        target_recall=rng.uniform(0.3, 0.95),
+        confidence=rng.uniform(0.5, 0.95),
+        gamma=int(rng.integers(1, 21)),
+        delta=1.0 if seed % 8 >= 4 else rng.uniform(0.3, 0.95),
+    )
+    return gen_topic(n, rate, seed), params
+
+
+def test_pp_matches_a_reference_built_from_the_papers_steps():
+    # None of these 120 cases ties; 5 of the first 1,000 do, each at the
+    # delta gate with delta = 1 on equal densities, whose fit (k = 0)
+    # predicts exactly the count it is held against.
+    ties = []
+    for seed in range(120):
+        topic, params = _reference_case(seed)
+        try:
+            expected = _reference_pp(topic, params)
+        except _Tie as tie:
+            ties.append((seed, str(tie)))
+            continue
+        assert poisson_stop(topic, params) == expected, seed
+    assert len(ties) <= 3, ties

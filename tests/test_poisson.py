@@ -30,13 +30,16 @@ def pmf_oracle(mean: float, r: int) -> float:
 
 
 def credible_oracle(mean: float, confidence: float) -> int:
-    """Brute-force pmf summation."""
-    total, r = 0.0, 0
-    while True:
-        total += pmf_oracle(mean, r)
-        if total >= confidence:
-            return r
-        r += 1
+    """The least r whose Poisson CDF at mean reaches confidence, exactly.
+
+    P(X <= r) is the regularized upper incomplete gamma Q(r + 1, mean),
+    held against confidence at 50 digits, with no float sum to round.
+    """
+    with mpmath.workdps(50):
+        r = 0
+        while mpmath.gammainc(r + 1, mean, mpmath.inf, regularized=True) < confidence:
+            r += 1
+        return r
 
 
 def test_lambda_integral_small_k_limit():
@@ -110,7 +113,7 @@ def test_upper_credible_count_degenerate():
 
 
 def test_upper_credible_count_frozen_values():
-    # brute-force oracle: CDF(14) ~ 0.9165, CDF(15) ~ 0.9513
+    # exact oracle: CDF(14) ~ 0.9165, CDF(15) ~ 0.9513
     assert upper_credible_count(10.0, 0.95) == 15
     # CDF(4) ~ 0.4405, CDF(5) ~ 0.6160
     assert upper_credible_count(5.0, 0.5) == 5
