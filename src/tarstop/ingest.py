@@ -4,17 +4,17 @@ Run files carry 6 whitespace-separated columns
 (``topic_id flag doc_id rank score run_tag``); qrels carry 4
 (``topic_id unused doc_id label``), with label > 0 meaning relevant.
 
-Both are read as bytes, in chunks of whole lines: a file ``_CHUNK_BYTES``
-at a time, cut at its last line end, with ``\\r\\n`` and a lone ``\\r``
-read as ``\\n``, as a text file reads them; other lines of ``str`` are
-encoded into the same chunks.  ``blockreader.read_block`` reads a chunk
-that is simple (see that module) with numpy; every other chunk goes
-through the per-line reader here, which decodes it as UTF-8 and splits
-each line with ``str.split``, ``int`` and ``float``.  Both readers hand the
-same ``Rows`` to one downstream, so a Run, its warnings and its errors do
-not depend on which reader read a chunk; errors are always found and
-numbered by the per-line reader.  A byte that is not UTF-8 is a
-ParseError naming its line.
+Both are read from a file opened in binary mode, in chunks of whole
+lines: ``_CHUNK_BYTES`` at a time, cut at the last line end, with
+``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as a text file reads them.
+``blockreader.read_block`` reads a chunk that is simple (see that
+module) with numpy; every other chunk goes through the per-line reader
+here, which decodes it as UTF-8 and splits each line with ``str.split``,
+``int`` and ``float``.  Both readers hand the same ``Rows`` to one
+downstream, so a Run, its warnings and its errors do not depend on which
+reader read a chunk; errors are always found and numbered by the
+per-line reader.  A byte that is not UTF-8 is a ParseError naming its
+line.
 
 A doc id is held as its own UTF-8 bytes, NUL-padded: one 64-bit word
 read big-endian when every id of the file fits in 8 bytes, else a ``V``
@@ -30,7 +30,7 @@ from __future__ import annotations
 import io
 import itertools
 import logging
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -50,8 +50,6 @@ _MAX_RANK = np.iinfo(np.int64).max
 # 120,000-line run, 128 KiB peak at 29 bytes a line beyond the Run and
 # 256 KiB at 38 (tracemalloc), against a test bound of 40.
 _CHUNK_BYTES = 1 << 17
-# Lines of str encoded into one chunk: about as many bytes for 32-byte lines.
-_CHUNK_LINES = 4096
 
 # Sanity statistics of the CLEF 2017 e-Health Task 2 test collection.
 CLEF2017_STATS = {
@@ -67,29 +65,13 @@ CLEF2017_STATS = {
 }
 
 
-def _chunks(source: IO | Iterable[str]) -> Iterator[bytes]:
-    """Chunks of whole lines, each ended by ``\\n`` but perhaps a file's last.
+def _chunks(source: IO[bytes]) -> Iterator[bytes]:
+    """Chunks of whole lines, each ended by ``\\n`` but perhaps the file's last.
 
-    A file, binary or text, is read ``_CHUNK_BYTES`` at a time, and text
-    is encoded, a lone surrogate from ``errors="surrogateescape"`` back to
-    its byte.  Other lines of str are encoded so ``_CHUNK_LINES`` at a
-    time, each ended by ``\\n`` if it is not.
+    The file, opened in binary mode, is read ``_CHUNK_BYTES`` at a time.
     """
-    read = getattr(source, "read", None)
-    if read is None:
-        lines = iter(source)
-        while batch := list(itertools.islice(lines, _CHUNK_LINES)):
-            text = "".join(batch)
-            if "\n" not in text:
-                text = "\n".join(batch) + "\n"
-            elif text.count("\n") != len(batch):
-                text = "".join([line.removesuffix("\n") + "\n" for line in batch])
-            yield text.encode("utf-8", "surrogateescape")
-        return
     rest = b""
-    while data := read(_CHUNK_BYTES):
-        if isinstance(data, str):
-            data = data.encode("utf-8", "surrogateescape")
+    while data := source.read(_CHUNK_BYTES):
         data = rest + data
         if b"\r" in data:
             # A \r at the end may start a \r\n: it waits for the next chunk.
@@ -104,21 +86,17 @@ def _chunks(source: IO | Iterable[str]) -> Iterator[bytes]:
 
 
 def _require_utf8(line: str, line_no: int) -> None:
-    """Refuse a line holding a character UTF-8 cannot encode.
+    """Refuse a line holding a byte that is not valid UTF-8.
 
-    Bytes decoded with ``errors="surrogateescape"`` turn each byte that is
-    not valid UTF-8 into such a character (a lone surrogate).
+    Bytes decoded with ``errors="surrogateescape"`` turn each such byte
+    into a lone surrogate, U+DC80..U+DCFF, which UTF-8 cannot encode.
     """
     try:
         line.encode()
     except UnicodeEncodeError as exc:
-        char = ord(line[exc.start])
-        # Each byte surrogateescape could not decode is U+DC80..U+DCFF.
-        what = f"U+{char:X}"
-        if 0xDC80 <= char <= 0xDCFF:
-            what = f"byte 0x{char - 0xDC00:x}"
+        byte = ord(line[exc.start]) - 0xDC00
         raise ParseError(
-            f"invalid UTF-8: {what} at character {exc.start + 1}", line_no
+            f"invalid UTF-8: byte 0x{byte:x} at character {exc.start + 1}", line_no
         ) from exc
 
 
@@ -196,7 +174,7 @@ def _split_block(
     )
 
 
-def _blocks(source: IO[bytes] | Iterable[str], fields: int) -> Iterator[Rows]:
+def _blocks(source: IO[bytes], fields: int) -> Iterator[Rows]:
     """The rows of each chunk of a file of ``fields``-field lines.
 
     A ParseError names the first bad line; it is raised after the rows of
@@ -386,16 +364,16 @@ class QrelsIndex:
         return Topic(topic_id, relevant)
 
 
-def parse_run(source: IO[bytes] | Iterable[str], qrels: QrelsIndex) -> Run:
+def parse_run(source: IO[bytes], qrels: QrelsIndex) -> Run:
     """Parse a run file into a Run of Topics labelled from the qrels.
 
-    ``source`` is a file, best opened in binary mode, or lines of str.
-    Documents are ordered by ascending rank (ties broken by descending score
-    then doc_id); non-contiguous ranks are repaired by re-ranking in sorted
-    order, with a warning.  Topics keep the order of their first line.  A
-    document is relevant when its qrels label is > 0; one the qrels do not
-    judge is non-relevant, with one warning per topic.  The doc ids live
-    only here: a Topic keeps its labels alone.
+    ``source`` is a file opened in binary mode.  Documents are ordered by
+    ascending rank (ties broken by descending score then doc_id);
+    non-contiguous ranks are repaired by re-ranking in sorted order, with a
+    warning.  Topics keep the order of their first line.  A document is
+    relevant when its qrels label is > 0; one the qrels do not judge is
+    non-relevant, with one warning per topic.  The doc ids live only here:
+    a Topic keeps its labels alone.
 
     A chunk becomes a doc id, a rank and a score per row before the next
     is read, so beside the result parse_run holds about 24 bytes a row
@@ -417,14 +395,14 @@ def parse_run(source: IO[bytes] | Iterable[str], qrels: QrelsIndex) -> Run:
     return Run(run_tag, tuple(qrels.label(run_tag, *topic) for topic in ranked))
 
 
-def parse_qrels(source: IO[bytes] | Iterable[str]) -> QrelsIndex:
+def parse_qrels(source: IO[bytes]) -> QrelsIndex:
     """Parse a qrels file into a ``QrelsIndex``.
 
-    ``source`` is a file, best opened in binary mode, or lines of str.  A label
-    > 0 means relevant.  The same (topic, doc) pair may repeat only with
-    the same label.  Errors are those of reading line by line: a pair
-    given another label on a line before the first bad line is reported,
-    else the bad line.
+    ``source`` is a file opened in binary mode.  A label > 0 means
+    relevant.  The same (topic, doc) pair may repeat only with the same
+    label.  Errors are those of reading line by line: a pair given another
+    label on a line before the first bad line is reported, else the bad
+    line.
     """
     columns = _Columns()
     try:

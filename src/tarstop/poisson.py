@@ -19,7 +19,8 @@ def upper_credible_count(mean: float, confidence: float, cap: int | None = None)
 
     Linear upward scan.  With a ``cap`` the scan stops there and returns
     ``min(R, cap)``: callers pass a cap past which every larger R leads to
-    the same outcome, which bounds the scan when the mean is huge.
+    the same outcome.  The scan starts at ``_first_term``, as every term
+    before it adds 0.0, so it walks about 40 sqrt(mean) terms to the mean.
 
     Past the mean each term is smaller than the last, so the first term
     there that leaves the float sum unchanged proves that no later term
@@ -37,7 +38,9 @@ def upper_credible_count(mean: float, confidence: float, cap: int | None = None)
         return 0
     log_mean = math.log(mean)
     total = 0.0
-    r = 0
+    r = _first_term(mean, log_mean)
+    if cap is not None:
+        r = min(r, cap)
     while r != cap:
         summed = total + math.exp(r * log_mean - mean - math.lgamma(r + 1))
         if summed == total and r > mean:
@@ -52,6 +55,23 @@ def upper_credible_count(mean: float, confidence: float, cap: int | None = None)
             return r
         r += 1
     return r
+
+
+def _first_term(mean: float, log_mean: float) -> int:
+    """The least r whose pmf term has a log, r log(mean) - mean - lg(r!), of -800 or more.
+
+    Up to the mean the log rises with r, so every term before that r is
+    below e^-800 and adds 0.0 in floats, where exp underflows below -745.
+    """
+    # The log is below -800 at lo and not at hi; a mean that is not finite skips nothing.
+    lo, hi = -1, math.floor(mean) if math.isfinite(mean) else 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * log_mean - mean - math.lgamma(mid + 1) < -800:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _unreachable_bound(n: int, target_recall: float) -> int:

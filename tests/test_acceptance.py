@@ -44,12 +44,12 @@ def _clef_runs():
             "CLEF 2017 dataset not available; set TARSTOP_CLEF_RUNS_DIR and "
             "TARSTOP_CLEF_QRELS to enable"
         )
-    with open(qrels_path) as handle:
+    with open(qrels_path, "rb") as handle:
         qrels = parse_qrels(handle)
     runs = []
     for path in sorted(Path(runs_dir).iterdir()):
         if path.is_file():
-            with open(path) as handle:
+            with open(path, "rb") as handle:
                 runs.append(parse_run(handle, qrels))
     return runs
 

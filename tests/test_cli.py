@@ -1059,16 +1059,21 @@ _C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 
 
 @pytest.mark.parametrize("command", ["evaluate", "validate"])
-@pytest.mark.parametrize("bad", [None, "run", "qrels"])
+@pytest.mark.parametrize("bad", [None, "run", "qrels", "surrogate"])
 def test_inputs_are_utf8_in_any_locale(tmp_path, command, bad):
     # A non-ASCII id is read as UTF-8; a byte that is not UTF-8 is a parse
-    # error naming its line.
+    # error naming its line and the character it starts, counted after the
+    # 2-byte é in the surrogate's case.
     run_lines = [b"T1 NF \xc3\xa9 1 0.9 tag", b"T1 NF a 2 0.5 tag"]
     qrels_lines = [b"T1 0 \xc3\xa9 1", b"T1 0 a 0"]
+    message = "error: line 3: invalid UTF-8: byte 0xff at character 8\n"
     if bad == "run":
         run_lines.append(b"T1 NF b\xff 3 0.1 tag")
     elif bad == "qrels":
         qrels_lines.append(b"T1 0 bb\xff 1")
+    elif bad == "surrogate":  # U+D800 encoded, which UTF-8 does not allow
+        run_lines.append(b"T1 NF \xc3\xa9\xed\xa0\x80 3 0.1 tag")
+        message = "error: line 3: invalid UTF-8: byte 0xed at character 8\n"
     run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
     run.write_bytes(b"\n".join(run_lines) + b"\n")
     qrels.write_bytes(b"\n".join(qrels_lines) + b"\n")
@@ -1087,7 +1092,6 @@ def test_inputs_are_utf8_in_any_locale(tmp_path, command, bad):
         assert (result.returncode, result.stderr) == (0, "")
     else:
         assert result.returncode == 2
-        message = "error: line 3: invalid UTF-8: byte 0xff at character 8\n"
         assert result.stderr == message
 
 

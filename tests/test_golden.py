@@ -180,11 +180,11 @@ def _jsonl_digest(records):
 def test_library_records_equal_the_golden_outputs(tmp_path):
     # The command's records, built in this process with no CLI and no pool.
     paths, qrels_path = _write_dataset(tmp_path)
-    with open(qrels_path) as handle:
+    with open(qrels_path, "rb") as handle:
         qrels = parse_qrels(handle)
     runs = []
     for path in paths:
-        with open(path) as handle:
+        with open(path, "rb") as handle:
             runs.append(parse_run(handle, qrels))
     params = MethodParams()
     records = {

@@ -2,6 +2,7 @@ import contextlib
 import io
 import logging
 import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -38,29 +39,43 @@ LABELS = {
     "CD008122": {"11111111": 1, "22222222": 0},
 }
 
-QRELS = parse_qrels(QREL_LINES)
-EMPTY = parse_qrels([])
 
-DEFAULT_CHUNKS = (ingest._CHUNK_BYTES, ingest._CHUNK_LINES)
+def _file(lines: list[str], line_end: str = "\n", last_end: bool = True) -> bytes:
+    """The lines as a file's bytes, each ended by line_end, the last if last_end.
+
+    A line's own ``\\n`` is dropped, and a lone surrogate is written as its byte.
+    """
+    text = "".join(line.removesuffix("\n") + line_end for line in lines)
+    return text.removesuffix(line_end * (not last_end)).encode("utf-8", "surrogateescape")
 
 
-def _chunked(chunks: tuple[int, int]):
-    """Files read in chunks of ``chunks[0]`` bytes, str lines ``chunks[1]`` at a time."""
-    return mock.patch.multiple(ingest, _CHUNK_BYTES=chunks[0], _CHUNK_LINES=chunks[1])
+def _source(lines) -> io.BytesIO:
+    """A fresh binary file of a file's bytes, or of lines as ``_file`` writes them."""
+    return io.BytesIO(lines if isinstance(lines, bytes) else _file(lines))
+
+
+QRELS = parse_qrels(_source(QREL_LINES))
+EMPTY = parse_qrels(_source([]))
+
+DEFAULT_CHUNK_BYTES = ingest._CHUNK_BYTES
+
+
+def _chunked(chunk_bytes: int):
+    """Files read in chunks of ``chunk_bytes`` bytes."""
+    return mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes)
 
 
 @pytest.fixture(autouse=True)
 def _small_chunks():
     """Chunks of a line or two, so that multi-line runs cross chunk boundaries."""
-    with _chunked((40, 2)):
+    with _chunked(40):
         yield
 
 
 def _index(qrels: dict[str, dict[str, int]]):
     """The QrelsIndex of {topic: {doc: label}}, read from qrels lines."""
-    return parse_qrels(
-        [f"{t} 0 {d} {label}" for t, labels in qrels.items() for d, label in labels.items()]
-    )
+    lines = [f"{t} 0 {d} {label}" for t, labels in qrels.items() for d, label in labels.items()]
+    return parse_qrels(_source(lines))
 
 
 def _relevance(index) -> dict[str, dict[str, bool]]:
@@ -71,28 +86,11 @@ def _relevance(index) -> dict[str, dict[str, bool]]:
     }
 
 
-class _Text(bytes):
-    """A file's bytes, to be read as a text file."""
-
-
-def _source(lines):
-    """A fresh source of the lines: bytes as a binary file, _Text as a text file."""
-    if isinstance(lines, _Text):
-        return io.TextIOWrapper(io.BytesIO(lines), "utf-8", "surrogateescape")
-    return io.BytesIO(lines) if isinstance(lines, bytes) else lines
-
-
-def _text_lines(lines) -> list[str]:
-    """The lines as str; bytes are read as a text file reads them."""
-    if not isinstance(lines, bytes):
-        return lines
-    return list(io.TextIOWrapper(io.BytesIO(lines), "utf-8", "surrogateescape"))
-
-
 def _judged(lines) -> dict[str, dict[str, int]]:
     """{topic: {doc: 0}} of every (topic, doc) of the well-formed lines."""
+    text = _source(lines).read().decode("utf-8", "surrogateescape")
     qrels: dict[str, dict[str, int]] = {}
-    for fields in map(str.split, _text_lines(lines)):
+    for fields in map(str.split, re.split("\r\n?|\n", text)):
         if len(fields) == 6 and "\0" not in fields[2]:
             qrels.setdefault(fields[0], {})[fields[2]] = 0
     return qrels
@@ -123,7 +121,7 @@ def _ranked(lines):
 
 
 def test_parse_run_single_record():
-    run = parse_run([RUN_LINES[0]], QRELS)
+    run = parse_run(_source([RUN_LINES[0]]), QRELS)
     assert run.run_tag == "Test-Data-Sheffield-run-2"
     topic = run.topics[0]
     assert topic.topic_id == "CD010775"
@@ -132,7 +130,7 @@ def test_parse_run_single_record():
 
 def test_parse_run_empty_input():
     with pytest.raises(ParseError):
-        parse_run([], QRELS)
+        parse_run(_source([]), QRELS)
 
 
 def test_parse_run_interleaved_topics():
@@ -144,21 +142,21 @@ def test_parse_run_interleaved_topics():
             ("CD008122", ("11111111", "22222222")),
         ),
     )
-    by_id = {t.topic_id: t for t in parse_run(interleaved, QRELS).topics}
+    by_id = {t.topic_id: t for t in parse_run(_source(interleaved), QRELS).topics}
     assert by_id["CD010775"].relevant.tolist() == [True, False, True]
     assert by_id["CD008122"].relevant.tolist() == [True, False]
 
 
 def test_parse_run_malformed_line_reports_number():
     with pytest.raises(ParseError, match="line 2"):
-        parse_run([RUN_LINES[0], "too few fields"], QRELS)
+        parse_run(_source([RUN_LINES[0], "too few fields"]), QRELS)
 
 
 def test_parse_run_duplicate_doc():
     with pytest.raises(
         ValidationError, match="topic 'CD010775' has duplicate doc_id '19307324'"
     ):
-        parse_run([RUN_LINES[0], RUN_LINES[0].replace(" 1 ", " 2 ")], QRELS)
+        parse_run(_source([RUN_LINES[0], RUN_LINES[0].replace(" 1 ", " 2 ")]), QRELS)
 
 
 def test_parse_run_repairs_rank_gaps():
@@ -181,32 +179,32 @@ def test_parse_run_builds_each_topic_once(monkeypatch):
     monkeypatch.setattr(
         Topic, "__post_init__", lambda topic: (built.append(topic.topic_id), build(topic))
     )
-    run = parse_run(RUN_LINES, QRELS)
+    run = parse_run(_source(RUN_LINES), QRELS)
     assert built == [topic.topic_id for topic in run.topics] == ["CD010775", "CD008122"]
 
 
 def test_parse_run_reports_duplicate_before_missing_qrels_topic():
     # T1 is missing from the qrels and T2, a later topic, repeats a doc id.
     lines = ["T1 NF a 1 0.9 tag", "T2 NF b 1 0.9 tag", "T2 NF b 2 0.5 tag"]
-    qrels = parse_qrels(["T2 0 b 1"])
+    qrels = parse_qrels(_source(["T2 0 b 1"]))
     with pytest.raises(ValidationError, match="topic 'T2' has duplicate doc_id 'b'"):
-        parse_run(lines, qrels)
+        parse_run(_source(lines), qrels)
     with pytest.raises(ValidationError, match="topic 'T1' missing from qrels"):
-        parse_run(lines[:2], qrels)
+        parse_run(_source(lines[:2]), qrels)
     # A parse error beats both.
     with pytest.raises(ParseError, match="line 4: expected 6 fields"):
-        parse_run([*lines, "T2 NF c 3"], qrels)
+        parse_run(_source([*lines, "T2 NF c 3"]), qrels)
 
 
 def test_parse_qrels_labels():
-    assert _relevance(parse_qrels(QREL_LINES)) == {
+    assert _relevance(parse_qrels(_source(QREL_LINES))) == {
         "CD010775": {"18850670": True, "10503898": False, "19307324": True},
         "CD008122": {"11111111": True, "22222222": False},
     }
 
 
 def test_parse_qrels_repeated_label_keeps_one_row():
-    index = parse_qrels(["T1 0 a 2", "T1 0 b 0", "T1 0 a 2"])
+    index = parse_qrels(_source(["T1 0 a 2", "T1 0 b 0", "T1 0 a 2"]))
     assert _relevance(index) == {"T1": {"a": True, "b": False}}
     assert len(index._topics["T1"][0]) == 2
 
@@ -217,19 +215,28 @@ def test_parse_qrels_conflicting_duplicate():
         with pytest.raises(
             ValidationError, match="conflicting labels for topic 'T1' doc 'a'"
         ):
-            parse_qrels(["T1 0 a 1", second])
+            parse_qrels(_source(["T1 0 a 1", second]))
 
 
 def test_parse_qrels_malformed():
     with pytest.raises(ParseError, match="line 1"):
-        parse_qrels(["only three fields x"])
+        parse_qrels(_source(["only three fields x"]))
+
+
+def test_a_text_file_is_a_type_error():
+    # Both read a file opened in binary mode: a text file's str is refused
+    # by Python where it meets bytes, a lone surrogate included.
+    with pytest.raises(TypeError, match="can't concat str to bytes"):
+        parse_qrels(io.StringIO("T1 0 a 1\n"))
+    with pytest.raises(TypeError, match="can't concat str to bytes"):
+        parse_run(io.StringIO("T1 NF a\ud800 1 0.5 tag\n"), QRELS)
 
 
 # The join of a run with the qrels: parse_run labels each ranked document.
 
 
 def test_join_sets_flags():
-    topic = parse_run(RUN_LINES, QRELS).topics[0]
+    topic = parse_run(_source(RUN_LINES), QRELS).topics[0]
     # 19307324, 10503898 and 18850670 in rank order.
     assert topic.topic_id == "CD010775"
     assert topic.relevant.tolist() == [True, False, True]
@@ -237,18 +244,18 @@ def test_join_sets_flags():
 
 def test_join_missing_doc_is_nonrelevant():
     lines = ["T1 NF known 1 0.9 tag", "T1 NF unknown 2 0.5 tag"]
-    topic = parse_run(lines, parse_qrels(["T1 0 known 1"])).topics[0]
+    topic = parse_run(_source(lines), parse_qrels(_source(["T1 0 known 1"]))).topics[0]
     assert topic.relevant.tolist() == [True, False]
 
 
 def test_join_missing_topic_errors():
     with pytest.raises(ValidationError, match="topic 'CD008122' missing from qrels"):
-        parse_run(RUN_LINES, parse_qrels(["CD010775 0 19307324 1"]))
+        parse_run(_source(RUN_LINES), parse_qrels(_source(["CD010775 0 19307324 1"])))
 
 
 def test_join_preserves_order():
     tag, ranked = _ranked(RUN_LINES)
-    run = parse_run(RUN_LINES, QRELS)
+    run = parse_run(_source(RUN_LINES), QRELS)
     assert run.run_tag == tag
     for (topic_id, ids), topic in zip(ranked, run.topics, strict=True):
         assert topic.topic_id == topic_id
@@ -259,14 +266,14 @@ def test_run_round_trip():
     ids = ["b", "a", "c"]
     labels = [True, False, True]
     lines = serialize_run("tag", {"T1": ids, "T2": ids[::-1]})
-    qrels = parse_qrels(serialize_qrels({"T1": (ids, labels), "T2": (ids, labels)}))
+    qrels = parse_qrels(_source(serialize_qrels({"T1": (ids, labels), "T2": (ids, labels)})))
     assert _ranked(lines) == ("tag", (("T1", tuple(ids)), ("T2", tuple(ids[::-1]))))
-    run = parse_run(lines, qrels)
+    run = parse_run(_source(lines), qrels)
     assert [t.relevant.tolist() for t in run.topics] == [labels, labels[::-1]]
 
 
 def test_validate_synthetic_dataset_warns():
-    summary = validate_dataset(parse_run(RUN_LINES, QRELS))
+    summary = validate_dataset(parse_run(_source(RUN_LINES), QRELS))
     assert summary["topic_count"] == 2
     assert summary["total_docs"] == 5
     assert (summary["relevant_min"], summary["relevant_max"]) == (1, 2)
@@ -295,24 +302,24 @@ def test_parse_run_error_in_second_topic_reports_line(bad_line, message):
     ]
     # Parse errors come before any qrels lookup, so no qrels are needed.
     with pytest.raises(ParseError, match=f"line 5: {message}"):
-        parse_run(lines, EMPTY)
+        parse_run(_source(lines), EMPTY)
 
 
 def test_parse_run_counts_leading_blank_lines():
     with pytest.raises(ParseError, match="line 3: bad rank/score"):
-        parse_run(["", "  ", "T1 NF a x 0.9 tag"], EMPTY)
+        parse_run(_source(["", "  ", "T1 NF a x 0.9 tag"]), EMPTY)
 
 
 def test_parse_run_reports_first_bad_line():
     # A bad rank on line 2 comes before a short line 3.
     with pytest.raises(ParseError, match="line 2: bad rank/score"):
-        parse_run(["T1 NF a 1 0.9 tag", "T1 NF b x 0.8 tag", "T1 NF c 3"], EMPTY)
+        parse_run(_source(["T1 NF a 1 0.9 tag", "T1 NF b x 0.8 tag", "T1 NF c 3"]), EMPTY)
 
 
 def _warns(caplog, lines) -> bool:
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="tarstop.ingest"):
-        parse_run(lines, _unjudged(lines))
+        parse_run(_source(lines), _unjudged(lines))
     return "non-contiguous ranks" in caplog.text
 
 
@@ -354,7 +361,7 @@ def test_parse_run_orders_by_rank_score_doc(rows):
 
 
 def test_topic_counts_are_python_ints():
-    topic = parse_run(RUN_LINES, QRELS).topics[0]
+    topic = parse_run(_source(RUN_LINES), QRELS).topics[0]
     assert type(rel_at(topic, 2)) is int
     assert type(topic.total_relevant) is int
     assert not topic.cumrel.flags.writeable
@@ -364,9 +371,9 @@ def test_topic_counts_are_python_ints():
 
 
 def test_join_logs_documents_missing_from_qrels(caplog):
-    qrels = parse_qrels(["CD010775 0 19307324 1", *QREL_LINES[3:]])
+    qrels = parse_qrels(_source(["CD010775 0 19307324 1", *QREL_LINES[3:]]))
     with caplog.at_level(logging.WARNING, logger="tarstop.ingest"):
-        parse_run(RUN_LINES, qrels)
+        parse_run(_source(RUN_LINES), qrels)
     messages = [r.getMessage() for r in caplog.records]
     assert messages == [
         "run Test-Data-Sheffield-run-2 topic CD010775: 2 of 3 documents "
@@ -400,10 +407,8 @@ def test_join_matches_reference_loop(run_pairs, judgements):
         topic_id, _, doc_id, label = line.split()
         reference.setdefault(topic_id, {})[doc_id] = int(label) > 0
     # Ranks rise through the file, so each topic keeps its lines' order.
-    run = parse_run(
-        [f"{t} NF {d} {rank} 0.5 tag" for rank, (t, d) in enumerate(run_pairs, 1)],
-        parse_qrels(qrels_lines),
-    )
+    lines = [f"{t} NF {d} {rank} 0.5 tag" for rank, (t, d) in enumerate(run_pairs, 1)]
+    run = parse_run(_source(lines), parse_qrels(_source(qrels_lines)))
     first_seen = list(dict.fromkeys(t for t, _ in run_pairs))
     assert [topic.topic_id for topic in run.topics] == first_seen
     for topic in run.topics:
@@ -440,16 +445,16 @@ def _error(exc: Exception) -> tuple:
     return type(exc), str(exc), getattr(exc, "line_no", None)
 
 
-def _outcome(lines, chunks: tuple[int, int], per_line: bool = False):
+def _outcome(lines, chunk_bytes: int, per_line: bool = False):
     """The run tag and ranked ids parse_run gives, or its error's type, message and line."""
-    with _chunked(chunks), _per_line_only(per_line):
+    with _chunked(chunk_bytes), _per_line_only(per_line):
         try:
             return _ranked(lines)
         except (ParseError, ValidationError) as exc:
             return _error(exc)
 
 
-def _labelled(lines, qrels: dict, chunks: tuple[int, int], per_line: bool = False):
+def _labelled(lines, qrels: dict, chunk_bytes: int, per_line: bool = False):
     """The Run parse_run gives, as tags and labels, and its warnings; or its error."""
     messages = []
     handler = logging.Handler()
@@ -457,7 +462,7 @@ def _labelled(lines, qrels: dict, chunks: tuple[int, int], per_line: bool = Fals
     logger = logging.getLogger("tarstop.ingest")
     logger.addHandler(handler)
     try:
-        with _chunked(chunks), _per_line_only(per_line):
+        with _chunked(chunk_bytes), _per_line_only(per_line):
             run = parse_run(_source(lines), _index(qrels))
         return (
             run.run_tag,
@@ -506,7 +511,8 @@ def test_parse_run_block_boundaries_leave_outcome(
         *good[rows_before:],
         *["T1 NF late 9"] * short_line_last,
     ]
-    expected = _outcome(lines, DEFAULT_CHUNKS)
+    data = _file(lines)
+    expected = _outcome(data, DEFAULT_CHUNK_BYTES)
     if fault in ("duplicate doc", "interleaved topic"):
         parses = fault == "interleaved topic" and not short_line_last
         assert (expected[0] == "tag") == parses
@@ -514,10 +520,7 @@ def test_parse_run_block_boundaries_leave_outcome(
         assert expected[0] is ParseError
         assert expected[2] == at + 1  # the first bad line
     before = at + (not first_of_next)  # the lines before the boundary
-    chunks = (_chunk_after(lines, before), max(1, before))
-    assert _outcome(lines, chunks) == expected
-    # A binary file is cut at the same line.
-    assert _outcome("".join(line + "\n" for line in lines).encode(), chunks) == expected
+    assert _outcome(data, _chunk_after(lines, before)) == expected
 
 
 # What the differential tests below draw from.  Each row is plain, which
@@ -582,15 +585,7 @@ def _run_lines(draw):
             topic, tag = draw(st.sampled_from(_TOPIC_IDS)), draw(st.sampled_from(_TAGS))
             fields = [topic, "Q0", "doc_ids", "ranks", "scores", tag]
             lines.append(_row(draw, kind == "o", fields))
-    if draw(st.booleans()):  # as a file hands them over
-        lines = [line + "\n" for line in lines]
     return lines
-
-
-def _file(lines: list[str], line_end: str, last_end: bool) -> bytes:
-    """The lines as a file's bytes, each ended by line_end, the last if last_end."""
-    text = line_end.join(line.removesuffix("\n") for line in lines)
-    return (text + line_end * last_end).encode("utf-8", "surrogateescape")
 
 
 _TOPIC_IDS = ["T1", "T2", "topic-number-3"]
@@ -608,26 +603,17 @@ _qrels_of = st.dictionaries(
     lines=_run_lines(),
     qrels=_qrels_of,
     chunk_bytes=st.integers(1, 80),
-    chunk_lines=st.integers(1, 4),
-    line_end=st.sampled_from([None, "\n", "\r\n", "\r"]),
+    line_end=st.sampled_from(["\n", "\r\n", "\r"]),
     last_end=st.booleans(),
 )
-def test_block_reader_matches_per_line_reader(
-    lines, qrels, chunk_bytes, chunk_lines, line_end, last_end
-):
-    chunks = (chunk_bytes, chunk_lines)
-    # With a line end, the lines are read as a binary file, and must read
-    # as a text file reads them.
-    if line_end is not None:
-        lines = _file(lines, line_end, last_end)
-    ranked = _outcome(lines, chunks, per_line=True)
-    labelled = _labelled(lines, qrels, chunks, per_line=True)
-    assert (_outcome(lines, chunks), _labelled(lines, qrels, chunks)) == (
+def test_block_reader_matches_per_line_reader(lines, qrels, chunk_bytes, line_end, last_end):
+    data = _file(lines, line_end, last_end)
+    ranked = _outcome(data, chunk_bytes, per_line=True)
+    labelled = _labelled(data, qrels, chunk_bytes, per_line=True)
+    assert (_outcome(data, chunk_bytes), _labelled(data, qrels, chunk_bytes)) == (
         ranked,
         labelled,
     )
-    if line_end is not None:
-        assert _labelled(_Text(lines), qrels, chunks, per_line=True) == labelled
     if labelled[0] in _TAGS:  # parsed: check the labels by dict lookups
         assert labelled[1] == [
             (topic_id, [qrels[topic_id].get(doc_id, 0) > 0 for doc_id in ids])
@@ -689,9 +675,9 @@ def _reference_qrels(lines: list[str]):
     return {t: {d: label > 0 for d, label in labels.items()} for t, labels in qrels.items()}
 
 
-def _qrels_outcome(lines, chunks: tuple[int, int], per_line: bool = False):
+def _qrels_outcome(lines, chunk_bytes: int, per_line: bool = False):
     """{topic: {doc: relevant}} of the index parse_qrels gives, or its error."""
-    with _chunked(chunks), _per_line_only(per_line):
+    with _chunked(chunk_bytes), _per_line_only(per_line):
         try:
             return _relevance(parse_qrels(_source(lines)))
         except (ParseError, ValidationError) as exc:
@@ -702,24 +688,19 @@ def _qrels_outcome(lines, chunks: tuple[int, int], per_line: bool = False):
 @given(
     lines=_qrels_lines(),
     chunk_bytes=st.integers(1, 80),
-    chunk_lines=st.integers(1, 4),
-    line_end=st.sampled_from([None, "\r\n", "\r"]),
+    line_end=st.sampled_from(["\n", "\r\n", "\r"]),
 )
-def test_qrels_block_reader_matches_per_line_reader(
-    lines, chunk_bytes, chunk_lines, line_end
-):
-    chunks = (chunk_bytes, chunk_lines)
+def test_qrels_block_reader_matches_per_line_reader(lines, chunk_bytes, line_end):
     expected = _reference_qrels(lines)
-    if line_end is not None:
-        lines = _file(lines, line_end, True)
-    assert _qrels_outcome(lines, chunks, per_line=True) == expected
-    assert _qrels_outcome(lines, chunks) == expected
+    data = _file(lines, line_end)
+    assert _qrels_outcome(data, chunk_bytes, per_line=True) == expected
+    assert _qrels_outcome(data, chunk_bytes) == expected
 
 
 def test_qrels_label_past_int64_is_a_parse_error():
     with pytest.raises(ParseError, match="line 2: label too large: 9223372036854775808"):
-        parse_qrels(["T1 0 a 1", "T1 0 b 9223372036854775808"])
-    index = parse_qrels(["T1 0 a -9223372036854775807", "T1 0 b 9223372036854775807"])
+        parse_qrels(_source(["T1 0 a 1", "T1 0 b 9223372036854775808"]))
+    index = parse_qrels(_source(["T1 0 a -9223372036854775807", "T1 0 b 9223372036854775807"]))
     assert _relevance(index) == {"T1": {"a": False, "b": True}}
 
 
@@ -727,12 +708,12 @@ def test_qrels_conflict_before_a_bad_line_is_reported():
     # Line by line, the conflict on line 2 is met before the bad line 3.
     lines = ["T1 0 a 1", "T1 0 a 0", "T1 0 b x", "T2 0 c 1", "T2 0 c 2"]
     with pytest.raises(ValidationError, match="topic 'T1' doc 'a'"):
-        parse_qrels(lines)
+        parse_qrels(_source(lines))
     with pytest.raises(ParseError, match="line 2: bad label"):
-        parse_qrels([lines[0], *lines[2:]])
+        parse_qrels(_source([lines[0], *lines[2:]]))
     # Of two conflicts, the one whose other label comes first.
     with pytest.raises(ValidationError, match="topic 'T2' doc 'c'"):
-        parse_qrels([lines[3], lines[0], lines[4], lines[1]])
+        parse_qrels(_source([lines[3], lines[0], lines[4], lines[1]]))
 
 
 # Run and qrels files with each line end a text file reads, and a fault:
@@ -761,16 +742,17 @@ def test_line_ends_read_as_a_text_file_reads_them(line_end, last_end, short_line
             ],
         )
     )
-    expected_qrels = _reference_qrels(_text_lines(qrels))
+    expected_qrels = _reference_qrels(
+        _file(qrels_lines, "\n", last_end).decode().splitlines(keepends=True)
+    )
     if short_line:
         assert expected_qrels[2] == 4
     judged = {"T1": {"a": 1, "b": 0}}
     # Every chunk size up to past the longest line: chunk boundaries fall
     # between \r and \n, and inside the long ids.
     for chunk_bytes in range(1, 64):
-        assert _labelled(run, judged, (chunk_bytes, 2)) == expected_run
-        assert _labelled(_Text(run), judged, (chunk_bytes, 2)) == expected_run
-        assert _qrels_outcome(qrels, (chunk_bytes, 2)) == expected_qrels
+        assert _labelled(run, judged, chunk_bytes) == expected_run
+        assert _qrels_outcome(qrels, chunk_bytes) == expected_qrels
 
 
 @pytest.mark.parametrize(
@@ -803,20 +785,19 @@ def test_line_ends_read_as_a_text_file_reads_them(line_end, last_end, short_line
         ("T1 NF a 1 0.5 tag\x7f", False),
         ("T1 NF é 1 0.5 tag", False),
         ("T1\xa0NF a 1 0.5 tag", False),
-        ("T1 NF a 1 0.5 tag\r\n", False),
+        ("T1 NF a 1 0.5 tag\r\n", True),
         ("T1 NF a 1 0.5", False),
     ],
 )
 def test_which_blocks_the_block_reader_takes(monkeypatch, line, simple):
     # tarstop.blockreader's docstring says what makes a chunk simple.  A
-    # \r inside a str line is whitespace, as str.split reads it; a file's
-    # \r ends its line.
+    # file's \r\n is read as \n before the block reader sees the chunk.
     qrels = _unjudged([line])
     calls = []
     split = ingest._split_block
     monkeypatch.setattr(ingest, "_split_block", lambda *a: calls.append(a) or split(*a))
     with contextlib.suppress(ParseError):
-        parse_run([line], qrels)
+        parse_run(_source([line]), qrels)
     assert (not calls) == simple
 
 
@@ -843,7 +824,7 @@ def test_which_qrels_blocks_the_block_reader_takes(monkeypatch, line, simple):
     split = ingest._split_block
     monkeypatch.setattr(ingest, "_split_block", lambda *a: calls.append(a) or split(*a))
     with contextlib.suppress(ParseError):
-        parse_qrels([line])
+        parse_qrels(_source([line]))
     assert (not calls) == simple
 
 
@@ -851,9 +832,9 @@ def test_qrels_index_pickles():
     # A pool that spawns its workers hands them the index pickled.
     copy = pickle.loads(pickle.dumps(QRELS))
     assert _relevance(copy) == _relevance(QRELS)
-    assert _labelled(RUN_LINES, LABELS, (40, 2)) == (
+    assert _labelled(RUN_LINES, LABELS, 40) == (
         "Test-Data-Sheffield-run-2",
-        [(t.topic_id, t.relevant.tolist()) for t in parse_run(RUN_LINES, copy).topics],
+        [(t.topic_id, t.relevant.tolist()) for t in parse_run(_source(RUN_LINES), copy).topics],
         [],
     )
 
@@ -861,13 +842,13 @@ def test_qrels_index_pickles():
 def test_one_index_builds_each_topic_once(monkeypatch):
     # parse_qrels builds every topic's sorted ids; labelling runs reads them
     # and builds nothing more.
-    index = parse_qrels(QREL_LINES)
+    index = parse_qrels(_source(QREL_LINES))
     entries = dict(index._topics)
     built = []
     monkeypatch.setattr(ingest, "_index", lambda *args: built.append(args))
     monkeypatch.setattr(ingest, "QrelsIndex", lambda *args: built.append(args))
     for lines in (RUN_LINES, RUN_LINES[::-1]):
-        parse_run(lines, index)
+        parse_run(_source(lines), index)
     assert not built
     assert index._topics.keys() == entries.keys()
     assert all(index._topics[t] is entry for t, entry in entries.items())
@@ -893,11 +874,11 @@ def test_one_index_builds_each_topic_once(monkeypatch):
 def test_long_ids_label_by_their_bytes(doc_ids, judged):
     # "long-doc" is the first 8 bytes of a longer id, which it must not match.
     lines = [f"T1 NF {doc_id} {rank} 0.5 tag" for rank, doc_id in enumerate(doc_ids, 1)]
-    qrels = parse_qrels([f"T1 0 {doc_id} 1" for doc_id in judged])
-    relevant = parse_run(lines, qrels).topics[0].relevant
+    qrels = parse_qrels(_source([f"T1 0 {doc_id} 1" for doc_id in judged]))
+    relevant = parse_run(_source(lines), qrels).topics[0].relevant
     assert relevant.tolist() == [False, True, False, True]
-    qrels = parse_qrels([f"T1 0 {doc_id} 1" for doc_id in judged[:2]])
-    relevant = parse_run(lines, qrels).topics[0].relevant
+    qrels = parse_qrels(_source([f"T1 0 {doc_id} 1" for doc_id in judged[:2]]))
+    relevant = parse_run(_source(lines), qrels).topics[0].relevant
     assert relevant.tolist() == [False, True, False, False]
 
 
@@ -905,13 +886,13 @@ def test_ids_holding_nul_or_01_keep_their_bytes():
     # Tied ranks and scores: the ids order as strings, 01 first.
     lines = [f"T1 NF {doc_id} 1 0.5 tag" for doc_id in ["a\x01", "a", "\x01\x01", "\x01"]]
     qrels = _index({"T1": {"a\x01": 1, "\x01": 1, "a": 0}})
-    relevant = parse_run(lines, qrels).topics[0].relevant
+    relevant = parse_run(_source(lines), qrels).topics[0].relevant
     assert relevant.tolist() == [True, False, False, True]
     with pytest.raises(ValidationError, match=r"duplicate doc_id 'a\\x01'"):
-        parse_run([*lines, lines[0]], qrels)
+        parse_run(_source([*lines, lines[0]]), qrels)
     # A NUL would read back as padding, so an id holding one is refused.
     with pytest.raises(ParseError, match=r"^line 2: doc id holds a NUL byte: 'a\\x00'$"):
-        parse_run([lines[1], "T1 NF a\x00 2 0.5 tag"], qrels)
+        parse_run(_source([lines[1], "T1 NF a\x00 2 0.5 tag"]), qrels)
 
 
 @pytest.mark.parametrize(
@@ -925,11 +906,10 @@ def test_ids_holding_nul_or_01_keep_their_bytes():
 def test_nul_in_a_doc_id_is_a_parse_error(parse, good, bad):
     # The error names the NUL's line wherever the chunks are cut.
     data = f"{good}\n{bad}\n".encode()
-    for chunks in [(size, 1) for size in range(1, len(data) + 1)] + [(40, 2)]:
-        for source in (io.BytesIO(data), [good, bad]):
-            with _chunked(chunks), pytest.raises(ParseError) as raised:
-                parse(source)
-            assert str(raised.value) == "line 2: doc id holds a NUL byte: '\\x00b'"
+    for chunk_bytes in range(1, len(data) + 1):
+        with _chunked(chunk_bytes), pytest.raises(ParseError) as raised:
+            parse(io.BytesIO(data))
+        assert str(raised.value) == "line 2: doc id holds a NUL byte: '\\x00b'"
 
 
 def test_parse_run_memory_is_bounded(monkeypatch):
@@ -938,19 +918,19 @@ def test_parse_run_memory_is_bounded(monkeypatch):
     # of lines at work.  On a CLEF-sized run (120,000 rows) that peaks
     # under 40 bytes a row beyond the Run returned; holding each row's
     # doc-id string needs over 100.  The qrels index is built first, as a
-    # worker is handed it.
-    monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNKS[0])
-    monkeypatch.setattr(ingest, "_CHUNK_LINES", DEFAULT_CHUNKS[1])
+    # worker is handed it, and so are the file's bytes.
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNK_BYTES)
     lines = [
         f"T{t:02d} NF {10_000_000 + 10_000 * t + r} {r} {1 / r:.6f} run-tag"
         for t in range(30)
         for r in range(1, 4001)
     ]
     qrels = _unjudged(lines)
-    parse_run(lines, qrels)
+    parse_run(_source(lines), qrels)
+    source = _source(lines)
     tracemalloc.start()
     try:
-        run = parse_run(lines, qrels)
+        run = parse_run(source, qrels)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -963,8 +943,7 @@ def test_parse_qrels_memory_is_bounded(monkeypatch):
     # per judgement (9 bytes); reading a file of 120,000 judgements into it
     # peaks under 36 bytes a judgement, the index included.  A dict of the
     # labels held about 86.
-    monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNKS[0])
-    monkeypatch.setattr(ingest, "_CHUNK_LINES", DEFAULT_CHUNKS[1])
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", DEFAULT_CHUNK_BYTES)
     data = "".join(
         f"T{t:02d} 0 {10_000_000 + 10_000 * t + r} {int(r % 7 == 0)}\n"
         for t in range(30)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -153,6 +154,17 @@ def test_a_stalled_sum_returns_the_cap_at_once():
     # At mean 1000 the float sum of the terms stalls near 1 - 2.5e-13, below
     # the confidence: a scan of every term up to the cap would not end.
     assert upper_credible_count(1000.0, 0.9999999999999999, cap=10**12) == 10**12
+
+
+def test_a_mean_far_past_the_cap_returns_the_cap_at_once():
+    # simulate --recall 1e-9 at n 125 put a fitted mean of 4.6e11 against a
+    # cap of 1.25e11.  Every term below the cap is 0.0 in floats, and a scan
+    # from 0 would add all 1.25e11 of them.
+    start = time.perf_counter()
+    assert upper_credible_count(457028321769.08435, 0.9999999999999999, 125 * 10**9) == (
+        125 * 10**9
+    )
+    assert time.perf_counter() - start < 1
 
 
 def test_a_stalled_sum_without_a_cap_is_a_computation_error():
