@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # it, is imported on the name's first use, so importing the package, or the
 # command line before it runs a command, loads neither.
 _HOME = {
-    "MethodParams": "core",
+    "MethodParams": "config",
     "Run": "core",
     "StopOutcome": "core",
     "Topic": "core",

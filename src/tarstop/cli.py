@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from tarstop.errors import ComputationError, ParseError, ValidationError
 
 if TYPE_CHECKING:
-    from tarstop.core import MethodParams, Run, Topic
+    from tarstop.config import MethodParams
+    from tarstop.core import Run, Topic
     from tarstop.ingest import QrelsIndex
 
 
@@ -45,8 +46,9 @@ def _lazy_module(name: str) -> ModuleType:
 
 # The engine: every tarstop module but errors, and numpy with them.  Each is
 # in sys.modules once the CLI is imported, as the names below are, but runs
-# only when a command first uses it, so --help and a usage error load none
-# of it.  _map_runs runs them all before the pool forks: a module first run
+# only when a command first uses it: a command's --help and a usage error run
+# config alone, whose fields the option tables read, and the group's --help
+# none.  _map_runs runs them all before the pool forks: a module first run
 # in a task would be run again in every worker.
 _ENGINE = tuple(
     _lazy_module(name)
@@ -58,8 +60,8 @@ _ENGINE = tuple(
 
 from tarstop import config, core, ingest, metrics, plots, ratefit
 
-# The names of methods.RULES and simulate.FAMILIES, which the option table
-# needs before any command runs.
+# The names of methods.RULES and simulate.FAMILIES, which the option tables
+# need without loading numpy.
 _METHOD_NAMES = ("pp", "tm", "km", "or")
 _FAMILY_NAMES = ("exponential", "uniform", "step", "bimodal")
 
@@ -269,7 +271,7 @@ def _parse_methods(spec: str) -> list[str]:
 
 
 def _finite(value: float) -> float:
-    """Refuse NaN and +-inf, which a range check lets through."""
+    """Refuse NaN and +-inf, for an option whose range cannot refuse +-inf."""
     if not math.isfinite(value):
         raise ValueError(f"{value} is not a finite number.")
     return value
@@ -316,64 +318,51 @@ class _Option:
     """One long option of a command: how its text becomes a command argument.
 
     The text is converted by kind (str, int or float); it must be one of
-    choices, if given, and within [lo, hi], if lo is given ((lo, hi] when
-    lo_open; hi may be left out); then check, if given, makes the value.
-    A repeatable option gives the tuple of its values in the order given;
-    another, given twice, takes its last.  An option not given takes its
-    default, converted and checked as the text of it would be, or None.
-    dest is the command's parameter, by default the flag's name with "_"
-    for "-".
+    choices, if given, and lie in bounds, a range such as 0<x<=1, if given;
+    then check, if given, makes the value.  A repeatable option gives the
+    tuple of its values in the order given; another, given twice, takes its
+    last.  An option not given takes its default, converted and checked as
+    the text of it would be, or None.  dest is the command's parameter, by
+    default the flag's name with "_" for "-".  doc is its line in --help.
     """
 
     __slots__ = (
-        "flag", "dest", "kind", "choices", "lo", "hi", "lo_open", "check",
-        "metavar", "default", "required", "repeat",
+        "flag", "dest", "kind", "choices", "bounds", "check", "metavar", "default",
+        "required", "repeat", "doc",
     )
 
     def __init__(
-        self, flag, kind=str, *, dest=None, choices=None, lo=None, hi=None,
-        lo_open=False, check=None, metavar=None, default=None, required=False,
-        repeat=False,
+        self, flag, kind=str, *, dest=None, choices=None, bounds=None, check=None,
+        metavar=None, default=None, required=False, repeat=False, doc=None,
     ):
         self.flag, self.kind, self.choices = flag, kind, choices
         self.dest = dest or flag[2:].replace("-", "_")
-        self.lo, self.hi, self.lo_open, self.check = lo, hi, lo_open, check
+        self.bounds, self.check = bounds, check
         self.metavar = metavar or (f"[{'|'.join(choices)}]" if choices else _KIND_NAMES[kind])
-        self.default, self.required, self.repeat = default, required, repeat
-
-    def range(self) -> str | None:
-        """The values allowed, as x>=1 or 0<=x<=1, if the option has a range."""
-        if self.lo is None:
-            return None
-        if self.hi is None:
-            return f"x{'>' if self.lo_open else '>='}{self.lo}"
-        return f"{self.lo}{'<' if self.lo_open else '<='}x<={self.hi}"
+        self.default, self.required, self.repeat, self.doc = default, required, repeat, doc
 
     def convert(self, text: str):
         """The value text gives; ValueError says why it gives none."""
-        range_ = self.range()
         try:
             value = self.kind(text)
         except ValueError:
             kind = _KIND_NAMES[self.kind].lower()
             raise ValueError(
-                f"{text!r} is not a valid {kind}{' range' if range_ else ''}."
+                f"{text!r} is not a valid {kind}{' range' if self.bounds else ''}."
             ) from None
         if self.choices and value not in self.choices:
             raise ValueError(
                 f"{text!r} is not one of {', '.join(map(repr, self.choices))}."
             )
-        lo, hi = self.lo, self.hi
-        if (lo is not None and (value <= lo if self.lo_open else value < lo)) or (
-            hi is not None and value > hi
-        ):
-            raise ValueError(f"{value} is not in the range {range_}.")
+        if self.bounds and not config.in_range(value, self.bounds):
+            raise ValueError(f"{value} is not in the range {self.bounds}.")
         return self.check(value) if self.check else value
 
-    def help_notes(self) -> str:
+    def help_line(self) -> str:
         notes = [f"default: {self.default}"] if self.default is not None else []
-        notes += filter(None, [self.range(), "required" if self.required else None])
-        return f"[{'; '.join(notes)}]" if notes else ""
+        notes += filter(None, [self.bounds, "required" if self.required else None])
+        notes_text = f"[{'; '.join(notes)}]" if notes else ""
+        return "  ".join(filter(None, [f"  {self.flag} {self.metavar}", self.doc, notes_text]))
 
 
 def _parse(options: tuple[_Option, ...], args: list[str]) -> dict | None:
@@ -431,16 +420,12 @@ def _parse(options: tuple[_Option, ...], args: list[str]) -> dict | None:
     return values
 
 
-def _help(name: str) -> str:
+def _help(name: str, options: tuple[_Option, ...]) -> str:
     """The --help of the command name: its docstring and a line per option."""
-    func, options = _COMMANDS[name]
-    lines = [f"Usage: tarstop {name} [OPTIONS]", ""]
-    lines += [f"  {line.strip()}".rstrip() for line in func.__doc__.strip().splitlines()]
-    lines += ["", "Options:"]
-    for option in options:
-        lines.append(f"  {option.flag} {option.metavar}  {option.help_notes()}".rstrip())
-    lines.append("  --help  Show this message and exit.")
-    return "\n".join(lines) + "\n"
+    doc = _COMMANDS[name].__doc__.strip().splitlines()
+    lines = [f"Usage: tarstop {name} [OPTIONS]", "", *(f"  {line.strip()}".rstrip() for line in doc)]
+    lines += ["", "Options:", *(option.help_line() for option in options)]
+    return "\n".join(lines) + "\n  --help  Show this message and exit.\n"
 
 
 def _group_help() -> str:
@@ -455,7 +440,7 @@ def _group_help() -> str:
         "",
         "Commands:",
     ]
-    for name, (func, _) in _COMMANDS.items():
+    for name, func in _COMMANDS.items():
         lines.append(f"  {name:<9}  {func.__doc__.splitlines()[0]}")
     return "\n".join(lines) + "\n"
 
@@ -596,57 +581,53 @@ def validate(run_paths, qrels_path, out_dir):
         print(f"{status:>4}  {name}")
 
 
-_RUNS = _Option("--runs", dest="run_paths", check=_input_file, metavar="PATH", required=True, repeat=True)
-_QRELS = _Option("--qrels", dest="qrels_path", check=_input_file, metavar="PATH", required=True)
-_OUT_DIR = _Option("--out-dir", check=_out_dir, metavar="DIRECTORY", default=".")
-_RUN_FILE_OPTIONS = (_RUNS, _QRELS, _Option("--seed", int, default=0), _OUT_DIR)
-_METHODS = _Option("--methods", default=",".join(_METHOD_NAMES))
+# Each command's function, named as the command with "_" for "-".
+_COMMANDS = {f.__name__.replace("_", "-"): f for f in (evaluate, stratify, plot_data, simulate, validate)}
 
-# MethodParams overrides: None leaves a parameter to the config file or its default.
-_PARAMS_OPTIONS = (
-    _Option("--recall", float, dest="target_recall"),
-    _Option("--confidence", float),
-    _Option("--alpha", float, dest="alpha_frac"),
-    _Option("--beta", float, dest="beta_frac"),
-    _Option("--gamma", int),
-    _Option("--delta", float),
-    _Option("--epsilon", int),
-    _Option("--target-count", int),
-    _Option("--config", dest="config_path", check=_input_file, metavar="PATH"),
-)
 
-# Each command, and its options in the order --help lists them.
-_COMMANDS: dict[str, tuple[Callable, tuple[_Option, ...]]] = {
-    "evaluate": (evaluate, (*_RUN_FILE_OPTIONS, _METHODS, *_PARAMS_OPTIONS)),
-    "stratify": (stratify, (*_RUN_FILE_OPTIONS, _METHODS, *_PARAMS_OPTIONS)),
-    "plot-data": (
-        plot_data,
-        (
-            *_RUN_FILE_OPTIONS,
+def _options(name: str) -> tuple[_Option, ...]:
+    """The options of the command name, in the order its --help lists them.
+
+    Built only once a command is named: MethodParams' fields load dataclasses.
+    """
+    from dataclasses import fields
+
+    runs = _Option("--runs", dest="run_paths", check=_input_file, metavar="PATH", required=True, repeat=True)
+    qrels = _Option("--qrels", dest="qrels_path", check=_input_file, metavar="PATH", required=True)
+    out_dir = _Option("--out-dir", check=_out_dir, metavar="DIRECTORY", default=".")
+    run_files = (runs, qrels, _Option("--seed", int, default=0), out_dir)
+    methods = _Option("--methods", default=",".join(_METHOD_NAMES))
+    # One override per MethodParams field; None leaves it to the config file or its default.
+    params = (
+        *(_Option(kind=f.type, dest=f.name, **f.metadata) for f in fields(config.MethodParams)),
+        _Option("--config", dest="config_path", check=_input_file, metavar="PATH",
+                doc="A file of 'key = value' lines; flags win over it."),
+    )
+    return {
+        "evaluate": (*run_files, methods, *params),
+        "stratify": (*run_files, methods, *params),
+        "plot-data": (
+            *run_files,
             _Option("--topic", dest="topic_id", check=_file_name_part, required=True),
-            *_PARAMS_OPTIONS,
+            *params,
         ),
-    ),
-    "simulate": (
-        simulate,
-        (
+        "simulate": (
             _Option("--family", choices=_FAMILY_NAMES, required=True),
             # Finite floats in range, so every rate FAMILIES builds from them is valid.
-            _Option("--d", float, lo=0, lo_open=True, check=_finite, default=0.5),
+            _Option("--d", float, bounds="x>0", check=_finite, default=0.5),
             _Option("--k", float, check=_finite, default=-0.005),
-            _Option("--p", float, lo=0, hi=1, check=_finite, default=0.1),
-            _Option("--p1", float, lo=0, hi=1, check=_finite, default=0.3),
-            _Option("--p2", float, lo=0, hi=1, check=_finite, default=0.01),
-            _Option("--cutoff", int, lo=0, default=100),
-            _Option("--n", int, dest="n_docs", lo=1, default=2000),
-            _Option("--trials", int, lo=1, required=True),
-            _Option("--seed", int, lo=0, default=0),
-            _OUT_DIR,
-            *_PARAMS_OPTIONS,
+            _Option("--p", float, bounds="0<=x<=1", default=0.1),
+            _Option("--p1", float, bounds="0<=x<=1", default=0.3),
+            _Option("--p2", float, bounds="0<=x<=1", default=0.01),
+            _Option("--cutoff", int, bounds="x>=0", default=100),
+            _Option("--n", int, dest="n_docs", bounds="x>=1", default=2000),
+            _Option("--trials", int, bounds="x>=1", required=True),
+            _Option("--seed", int, bounds="x>=0", default=0),
+            out_dir,
+            *params,
         ),
-    ),
-    "validate": (validate, (_RUNS, _QRELS, _OUT_DIR)),
-}
+        "validate": (runs, qrels, out_dir),
+    }[name]
 
 
 def _run(args: list[str]) -> int:
@@ -668,11 +649,12 @@ def _run(args: list[str]) -> int:
         raise _UsageError(f"No such option '{flag}'.")
     if name not in _COMMANDS:
         raise _UsageError(f"No such command '{name}'.")
-    values = _parse(_COMMANDS[name][1], args[1:])
+    options = _options(name)
+    values = _parse(options, args[1:])
     if values is None:
-        sys.stdout.write(_help(name))
+        sys.stdout.write(_help(name, options))
     else:
-        _COMMANDS[name][0](**values)
+        _COMMANDS[name](**values)
     return 0
 
 

@@ -1,8 +1,7 @@
-"""Domain types: topics, runs, stopping outcomes, and method parameters."""
+"""Domain types: topics, runs and stopping outcomes."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,47 +76,6 @@ class StopOutcome:
     @property
     def effort(self) -> int:
         return self.stop_rank + self.extra_examined
-
-
-@dataclass(frozen=True)
-class MethodParams:
-    """Tunable parameters shared by the stopping methods.
-
-    Defaults follow the evaluated configuration: target recall 0.7 at 0.95
-    confidence, an initial sample of 30% of the topic extended in 5% batches,
-    at least 20 relevant documents required in the initial sample, a 0.7
-    fit-accuracy multiplier, a 10-document target set, and a knee slope-ratio
-    parameter of 150.
-    """
-
-    target_recall: float = 0.7
-    confidence: float = 0.95
-    alpha_frac: float = 0.3
-    beta_frac: float = 0.05
-    gamma: int = 20
-    delta: float = 0.7
-    target_count: int = 10
-    epsilon: int = 150
-
-    def __post_init__(self):
-        if not 0 < self.target_recall <= 1:
-            raise ValidationError("target_recall must be in (0, 1]")
-        if not 0 < self.confidence < 1:
-            raise ValidationError("confidence must be in (0, 1)")
-        if not 0 < self.beta_frac <= self.alpha_frac <= 1:
-            raise ValidationError("need 0 < beta_frac <= alpha_frac <= 1")
-        if self.gamma < 1:
-            raise ValidationError("gamma must be >= 1")
-        if not 0 < self.delta <= 1:
-            raise ValidationError("delta must be in (0, 1]")
-        if self.target_count < 1:
-            raise ValidationError("target_count must be >= 1")
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be >= 0")
-
-    def batch_width(self, n: int) -> int:
-        """Ranks per batch on a topic of n documents."""
-        return max(1, math.ceil(self.beta_frac * n))
 
 
 def rel_at(topic: Topic, rank: int) -> int:

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from tarstop.core import MethodParams, StopOutcome, Topic, rel_at
+from tarstop.config import MethodParams
+from tarstop.core import StopOutcome, Topic, rel_at
 from tarstop.errors import ComputationError
 from tarstop.poisson import required_relevant
 from tarstop.ratefit import bin_prefix, delta_gate, fit_exponential, lambda_integral

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import zlib
 
-from tarstop.core import MethodParams, Run, StopOutcome, Topic, rel_at
+from tarstop.config import MethodParams
+from tarstop.core import Run, StopOutcome, Topic, rel_at
 from tarstop.methods import RULES
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from tarstop.core import MethodParams
+from tarstop.config import MethodParams
 from tarstop.errors import ComputationError
 
 

@@ -42,7 +42,8 @@ from operator import mul
 
 import numpy as np
 
-from tarstop.core import MethodParams, Topic, rel_at
+from tarstop.config import MethodParams
+from tarstop.core import Topic, rel_at
 from tarstop.errors import (
     ComputationError,
     FitError,
@@ -194,12 +195,15 @@ def fit_topic(topic: Topic, params: MethodParams) -> RateModel:
 def _slope_root(u: list[float], y: list[float], t: np.ndarray, g: np.ndarray) -> float:
     """Root of f' in the cell t, where f' is g: g[0] < 0 <= g[1].
 
-    Illinois steps until one stalls at rounding or leaves the cell, at most
-    _MAX_STEPS; returns the cell end where |f'| is smaller.
+    Illinois steps until one stalls at rounding, leaves the cell or would
+    divide by zero (halving a subnormal f' can leave zero at both ends), at
+    most _MAX_STEPS; returns the cell end where |f'| is smaller.
     """
     (lo, hi), (g_lo, g_hi) = t.tolist(), g.tolist()
     side, mid = 0, lo
     for _ in range(_MAX_STEPS):
+        if g_hi == g_lo:
+            break
         mid, last = (lo * g_hi - hi * g_lo) / (g_hi - g_lo), mid
         if not lo < mid < hi or abs(mid - last) <= 4 * math.ulp(abs(mid) + 1.0):
             break

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tarstop.core import MethodParams, Topic
+from tarstop.config import MethodParams
+from tarstop.core import Topic
 from tarstop.errors import ComputationError
 from tarstop.methods import RULES
 from tarstop.metrics import acceptability, reliability

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import doc_ids, serialize_qrels, serialize_run
 from tarstop.cli import main
-from tarstop.core import MethodParams
+from tarstop.config import MethodParams
 from tarstop.ingest import parse_qrels, parse_run
 from tarstop.methods import knee_stop, oracle_stop, poisson_stop, target_stop
 from tarstop.metrics import acceptability, aurc

@@ -6,6 +6,7 @@ import pickle
 import signal
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,7 @@ import tarstop.ratefit
 import tarstop.simulate
 from conftest import doc_ids, serialize_qrels, serialize_run
 from tarstop.cli import main
-from tarstop.config import parse_config, resolve_params
-from tarstop.core import MethodParams
+from tarstop.config import MethodParams, parse_config, resolve_params
 from tarstop.errors import (
     ComputationError,
     FitError,
@@ -502,6 +502,15 @@ _CONTRACT = [
      "Error: Invalid value for '--trials': 0 is not in the range x>=1.", ""),
     ([*_STEP, "--trials", "1", "--p", "2"], 1,
      "Error: Invalid value for '--p': 2.0 is not in the range 0<=x<=1.", ""),
+    ([*_STEP, "--trials", "1", "--p", "nan"], 1,
+     "Error: Invalid value for '--p': nan is not in the range 0<=x<=1.", ""),
+    # A parameter flag's range is MethodParams' range for its field.
+    (["evaluate", "--runs", "{run}", "--qrels", "{qrels}", "--confidence", "1.5"], 1,
+     "Error: Invalid value for '--confidence': 1.5 is not in the range 0<x<1.", ""),
+    ([*_STEP, "--trials", "1", "--gamma", "0"], 1,
+     "Error: Invalid value for '--gamma': 0 is not in the range x>=1.", ""),
+    ([*_STEP, "--trials", "1", "--recall", "nan"], 1,
+     "Error: Invalid value for '--recall': nan is not in the range 0<x<=1.", ""),
     (["simulate", "--family=step", "--n=50", "--trials=1", "--out-dir", "{out}"], 0, "",
      "family=step n=50 trials=1 seed=0"),
     ([*_STEP, "--trials", "1", "--seed", "1", "--seed", "2", "--out-dir", "{out}"], 0, "",
@@ -804,28 +813,22 @@ def test_library_import_loads_no_cli():
     assert _loaded_after_import(imports, ("click", "tarstop.cli")) == "[]"
 
 
-def test_help_and_a_usage_error_load_no_engine(tmp_path):
-    # The group's and every command's --help, and an --out-dir refused while
-    # the arguments are parsed, run no numpy, json, logging or click, and no
-    # tarstop module but the package, the command line and its errors.  json
-    # is loaded to write outputs, and logging to read run files.  Every
-    # other tarstop module is in sys.modules, not yet run, so that code which
-    # wraps the loaded modules after importing the CLI, as perfbench's
-    # tracer does, finds them.
-    afile = tmp_path / "afile"
-    afile.write_text("kept\n")
-    usage = ["evaluate", "--runs", str(afile), "--qrels", str(afile)]
-    argvs = [["--help"], *([command, "--help"] for command in _COMMANDS)]
-    argvs.append(usage + ["--out-dir", str(afile)])
+# json is loaded to write outputs, and logging to read run files.
+_ENGINE_ROOTS = ("numpy", "tarstop", "json", "logging", "click")
+
+
+def _modules_run(argvs, roots):
+    """main's exit codes on argvs in a fresh interpreter, the modules under
+    roots run there, the tarstop modules in its sys.modules, and its stderr."""
     src = str(Path(tarstop.cli.__file__).resolve().parents[1])
     code = f"""
 import importlib.util, sys
 from tarstop.cli import main
 codes = [main(argv) for argv in {argvs!r}]
 run = [n for n, m in sys.modules.items() if type(m) is not importlib.util._LazyModule]
+loaded = sorted(n for n in run if n.split(".")[0] in {roots!r})
 import json
-loaded = [n for n in run if n.split(".")[0] in ("numpy", "tarstop", "json", "logging", "click")]
-print(json.dumps([codes, sorted(loaded)]))
+print(json.dumps([codes, loaded]))
 print(json.dumps(sorted(n for n in sys.modules if n.startswith("tarstop."))))
 """
     result = subprocess.run(
@@ -836,12 +839,38 @@ print(json.dumps(sorted(n for n in sys.modules if n.startswith("tarstop."))))
         check=True,
     )
     run, registered = map(json.loads, result.stdout.splitlines()[-2:])
-    assert run == [[0, 0, 0, 0, 0, 0, 1], ["tarstop", "tarstop.cli", "tarstop.errors"]]
+    return (*run, registered, result.stderr)
+
+
+def test_group_help_runs_only_the_command_line():
+    # The group's --help, which a cold start times, runs no tarstop module
+    # but the package, the command line and its errors, and no dataclasses
+    # or inspect, which the parameters' module loads.  Every other tarstop
+    # module is in sys.modules, not yet run, so that code which wraps the
+    # loaded modules after importing the CLI, as perfbench's tracer does,
+    # finds them.
+    roots = (*_ENGINE_ROOTS, "dataclasses", "inspect")
+    codes, run, registered, _ = _modules_run([["--help"]], roots)
+    assert (codes, run) == ([0], ["tarstop", "tarstop.cli", "tarstop.errors"])
     package = Path(tarstop.cli.__file__).parent
     assert registered == sorted(
         f"tarstop.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"
     )
-    assert result.stderr.splitlines()[-1].startswith("Error: Invalid value for '--out-dir'")
+
+
+def test_help_and_a_usage_error_load_no_engine(tmp_path):
+    # Every command's --help, and an --out-dir refused while the arguments
+    # are parsed, run no numpy, json, logging or click, and no tarstop
+    # module but the group's and the parameters' module, whose fields the
+    # option tables read.
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    usage = ["evaluate", "--runs", str(afile), "--qrels", str(afile)]
+    argvs = [*([command, "--help"] for command in _COMMANDS), usage + ["--out-dir", str(afile)]]
+    codes, run, _, stderr = _modules_run(argvs, _ENGINE_ROOTS)
+    assert codes == [0, 0, 0, 0, 0, 1]
+    assert run == ["tarstop", "tarstop.cli", "tarstop.config", "tarstop.errors"]
+    assert stderr.splitlines()[-1].startswith("Error: Invalid value for '--out-dir'")
 
 
 def test_simulate_loads_no_logging(tmp_path):
@@ -1119,6 +1148,49 @@ def test_config_parses_each_field_as_its_type(tmp_path):
     cfg.write_text("gamma = 2.5\n")
     with pytest.raises(ValidationError, match="params.cfg:1: invalid literal for int"):
         parse_config(cfg)
+
+
+def test_each_parameter_is_one_row(capsys, tmp_path):
+    # Every MethodParams field gives its flag, range and doc to the --help of
+    # each command that takes parameters, and its name and type to the config.
+    params = fields(MethodParams)
+    for command in ("evaluate", "stratify", "plot-data", "simulate"):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        lines = {line.split()[0]: line for line in out if line.startswith("  --")}
+        for f in params:
+            line = lines[f.metadata["flag"]]
+            assert f.metadata["doc"] in line and f"[{f.metadata['bounds']}]" in line, line
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("".join(f"{f.name} = {f.default}\n" for f in params))
+    values = parse_config(cfg)
+    assert {k: type(v) for k, v in values.items()} == {f.name: f.type for f in params}
+    assert MethodParams(**values) == MethodParams()
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_beta_above_alpha_is_a_validation_error_naming_both(source, dataset, tmp_path, capsys):
+    paths, qrels = dataset
+    if source == "flags":
+        extra = ["--alpha", "0.1", "--beta", "0.2"]
+    else:
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text("alpha_frac = 0.1\nbeta_frac = 0.2\n")
+        extra = ["--config", str(cfg)]
+    assert main(_evaluate_args(paths, qrels, tmp_path / "out", extra)) == 2
+    assert capsys.readouterr().err == (
+        "error: beta_frac (--beta) = 0.2 exceeds alpha_frac (--alpha) = 0.1\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_value_outside_its_range_is_a_validation_error(dataset, tmp_path, capsys):
+    paths, qrels = dataset
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("confidence = 1.5\n")
+    extra = ["--config", str(cfg)]
+    assert main(_evaluate_args(paths, qrels, tmp_path / "out", extra)) == 2
+    assert capsys.readouterr().err == "error: confidence = 1.5 is not in the range 0<x<1\n"
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -110,14 +110,15 @@ _SIMULATE_OPTIONS = {
     "--p1": ["0.3", "1"],
     "--p2": ["0.01", "0"],
     "--cutoff": ["100", "0", "1000000000"],
-    "--recall": ["0.7", "1", "1e-9"],
-    "--confidence": ["0.95", "0.9999999999999999", "1e-9"],
-    "--alpha": ["0.3", "1", "1e-6"],
-    "--beta": ["0.05", "1e-6"],
-    "--gamma": ["20", "1", "1000000000"],
-    "--delta": ["0.7", "1", "1e-9"],
-    "--epsilon": ["150", "0", "1000000000"],
-    "--target-count": ["10", "1", "1000000000"],
+    # Each parameter flag also takes NaN and a value just past its range.
+    "--recall": ["0.7", "1", "1e-9", "nan", "1.5"],
+    "--confidence": ["0.95", "0.9999999999999999", "1e-9", "nan", "1"],
+    "--alpha": ["0.3", "1", "1e-6", "nan", "0"],
+    "--beta": ["0.05", "1e-6", "nan", "0"],
+    "--gamma": ["20", "1", "1000000000", "nan", "0"],
+    "--delta": ["0.7", "1", "1e-9", "nan", "0"],
+    "--epsilon": ["150", "0", "1000000000", "nan", "-1"],
+    "--target-count": ["10", "1", "1000000000", "nan", "0"],
 }
 
 

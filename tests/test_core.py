@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_topic
-from tarstop.core import MethodParams, Run, Topic, rel_at
+from tarstop.config import MethodParams
+from tarstop.core import Run, Topic, rel_at
 from tarstop.errors import ValidationError
 
 
@@ -70,6 +73,10 @@ def test_rel_at_monotone_unit_steps(relevant, n):
         {"alpha_frac": 0.01, "beta_frac": 0.05},
         {"gamma": 0},
         {"delta": 0.0},
+        {"target_recall": math.nan},
+        {"confidence": math.nan},
+        {"epsilon": -1},
+        {"target_count": 0},
     ],
 )
 def test_method_params_invariants(kwargs):

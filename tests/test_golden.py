@@ -23,7 +23,7 @@ import pytest
 import tarstop.cli
 from conftest import doc_ids
 from tarstop.cli import main
-from tarstop.core import MethodParams
+from tarstop.config import MethodParams
 from tarstop.ingest import parse_qrels, parse_run
 from tarstop.methods import RULES
 from tarstop.metrics import build_report, build_stratify_report, mean_aurc, topic_records

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topic
-from tarstop.core import MethodParams, StopOutcome, Topic, rel_at
+from tarstop.config import MethodParams
+from tarstop.core import StopOutcome, Topic, rel_at
 from tarstop.methods import (
     RULES,
     _checkpoints,

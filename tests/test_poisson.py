@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tarstop import poisson
-from tarstop.core import MethodParams, StopOutcome, rel_at
+from tarstop.config import MethodParams
+from tarstop.core import StopOutcome, rel_at
 from tarstop.errors import ComputationError, ValidationError
 from tarstop.methods import poisson_stop
 from tarstop.poisson import required_relevant, upper_credible_count

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import tarstop.ratefit
 from conftest import make_topic
-from tarstop.core import MethodParams, rel_at
+from tarstop.config import MethodParams
+from tarstop.core import rel_at
 from tarstop.errors import (
     ComputationError,
     FitError,
@@ -22,6 +23,7 @@ from tarstop.ratefit import (
     _UNDERFLOW,
     _profile,
     _slope,
+    _slope_root,
     bin_prefix,
     delta_gate,
     fit_exponential,
@@ -199,6 +201,17 @@ def test_float_slope_matches_profile(gaps, densities, fraction):
     assert _slope(t, u.tolist(), dens.tolist()) == pytest.approx(
         grad[0], rel=0, abs=1e-13 * scale + 1e-300
     )
+
+
+def test_slope_root_ends_where_halving_rounds_both_slopes_to_zero(monkeypatch):
+    # Far out on the wide grid f' can be subnormal.  Here the second step
+    # leaves g_hi 0.0 and halves g_lo from -5e-324 to -0.0, so a third
+    # secant step would divide by zero.
+    slopes = iter([1e-320, 0.0, 0.0])
+    monkeypatch.setattr(tarstop.ratefit, "_slope", lambda t, u, y: next(slopes))
+    root = _slope_root([0.0], [0.0], np.array([-1.0, 1.0]), np.array([-5e-324, 5e-324]))
+    # The cell's end where |f'| is smaller: the second step's point, which is hi.
+    assert root == -1e-320 / (1e-320 + 5e-324)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tarstop.core import MethodParams
+from tarstop.config import MethodParams
 from tarstop.ratefit import RateModel, lambda_integral
 from tarstop.simulate import (
     FAMILIES,
