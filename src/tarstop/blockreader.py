@@ -66,7 +66,6 @@ class Rows(NamedTuple):
     # A run's ranks (int64) and scores (float64); the qrels' labels (int64).
     values: tuple[np.ndarray, ...]
     run_tag: str | None  # a run's first row's; None for qrels
-    newlines: int  # the line ends in the chunk
 
 
 def _top_bytes(count: np.ndarray) -> np.ndarray:
@@ -140,39 +139,28 @@ def _take_byte(columns: list[np.ndarray], byte: int) -> tuple[np.ndarray, np.nda
 
 
 def _number(
-    words: np.ndarray, ends: np.ndarray, lengths: np.ndarray, point: bool
+    words: np.ndarray, starts: np.ndarray, ends: np.ndarray, point: bool, signs: bool
 ) -> np.ndarray | None:
     """Tokens ``D*.?D*`` with at least one digit (float64), or None.
 
-    Without ``point``, tokens ``D+`` (int64).
+    Without ``point``, tokens ``D+`` (int64).  With ``signs``, a token's
+    first byte, the low one of the word read at its start, may be a minus,
+    its sign; a minus anywhere else is no digit.
     """
+    negative = (words[starts] & np.uint64(0xFF)) == ord("-") if signs else 0
+    lengths = ends - starts - negative
     if lengths.min() < 1:
         return None
     columns = _right_words(words, ends, lengths)
     points, frac = _take_byte(columns, ord(".")) if point else (0, 0)
     if np.max(points) > 1 or np.any(lengths - points < 1):
         return None
-    whole = _digits(columns)
-    if whole is None or not point:
-        return whole
-    # Split the digits around the point.
-    high, low = np.divmod(whole, _POW10[frac + 1])
-    mantissa = np.where(points > 0, high * _POW10[frac] + low, whole)
-    return mantissa / _POW10[frac]
-
-
-def _values(
-    words: np.ndarray, starts: np.ndarray, ends: np.ndarray, point: bool, signs: bool
-) -> np.ndarray | None:
-    """``_number``s, each perhaps led by a minus when ``signs`` is set, or None."""
-    lengths = ends - starts
-    if not signs:
-        return _number(words, ends, lengths, point)
-    # A token's first byte, the low one of the word read at its start, may
-    # be a minus, its sign; a minus anywhere else is no digit.
-    negative = (words[starts] & np.uint64(0xFF)) == ord("-")
-    number = _number(words, ends, lengths - negative, point)
-    if number is not None:
+    number = _digits(columns)
+    if number is not None and point:
+        # Split the digits around the point.
+        high, low = np.divmod(number, _POW10[frac + 1])
+        number = np.where(points > 0, high * _POW10[frac] + low, number) / _POW10[frac]
+    if number is not None and signs:
         np.negative(number, out=number, where=negative)
     return number
 
@@ -210,7 +198,7 @@ def _tokens(chunk: bytes, fields: int):
     if np.any(ends[:, -1] > ends_at[line]) or np.any(starts[1:, 0] <= ends_at[line[:-1]]):
         return None
     words = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
-    return raw, words, starts, ends, len(newlines)
+    return raw, words, starts, ends
 
 
 def read_block(chunk: bytes, fields: int) -> Rows | None:
@@ -218,19 +206,19 @@ def read_block(chunk: bytes, fields: int) -> Rows | None:
     tokens = _tokens(chunk, fields)
     if tokens is None:
         return None
-    raw, words, starts, ends, newlines = tokens
+    raw, words, starts, ends = tokens
     sizes = ends - starts
     if sizes[:, 3:5].max() > _MAX_NUMBER:  # ranks and scores, or labels
         return None
     signs = b"-" in chunk  # else no token is looked at for a minus
     if fields == 6:
-        ranks = _number(words, ends[:, 3], sizes[:, 3], False)
+        ranks = _number(words, starts[:, 3], ends[:, 3], False, False)
         if ranks is None or ranks.min() < 1:
             return None
-        scores = _values(words, starts[:, 4], ends[:, 4], True, signs)
+        scores = _number(words, starts[:, 4], ends[:, 4], True, signs)
         values = None if scores is None else (ranks, scores)
     else:
-        labels = _values(words, starts[:, 3], ends[:, 3], False, signs)
+        labels = _number(words, starts[:, 3], ends[:, 3], False, signs)
         values = None if labels is None else (labels,)
     if values is None:
         return None
@@ -243,5 +231,4 @@ def read_block(chunk: bytes, fields: int) -> Rows | None:
         id_words=_left_words(words, starts[:, 2], sizes[:, 2]),
         values=values,
         run_tag=raw[starts[0, 5] : ends[0, 5]].decode() if fields == 6 else None,
-        newlines=newlines,
     )

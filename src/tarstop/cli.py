@@ -212,26 +212,18 @@ def _map_runs(
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _require_recall(run: Run) -> None:
-    """Refuse a run with a topic that has no relevant document: a task's first step."""
-    for topic in run.topics:
-        if topic.total_relevant < 1:
-            raise ValidationError(
-                f"run {run.run_tag!r} topic {topic.topic_id!r} has no "
-                "relevant documents in the qrels; recall is undefined"
-            )
-
-
 def _evaluate_task(run: Run, methods: list[str], params: MethodParams, seed: int) -> dict:
     """evaluate's task: each method's topic records on the run."""
-    _require_recall(run)
     return {m: metrics.topic_records(run, m, params, seed) for m in methods}
 
 
 def _stratify_task(run: Run, methods: list[str], params: MethodParams, seed: int) -> tuple:
-    """stratify's task: the run's mean AURC, and each method's topic records on it."""
-    _require_recall(run)
-    return metrics.mean_aurc(run), {m: metrics.topic_records(run, m, params, seed) for m in methods}
+    """stratify's task: the run's mean AURC, and each method's topic records on it.
+
+    The records come first, so a topic with no recall is refused before aurc's ValueError.
+    """
+    records = _evaluate_task(run, methods, params, seed)
+    return metrics.mean_aurc(run), records
 
 
 def _plot_data_task(run: Run, topic_id: str, params: MethodParams, seed: int) -> tuple:
@@ -250,22 +242,6 @@ class _UsageError(Exception):
     """A command line that cannot run: main prints it under the usage line, exit 1."""
 
 
-def _parse_methods(spec: str) -> list[str]:
-    """The methods named in spec."""
-    from tarstop.methods import RULES
-
-    methods = [m.strip() for m in spec.split(",") if m.strip()]
-    bad = [m for m in methods if m not in RULES]
-    if bad:
-        raise _UsageError(f"unknown methods {bad}; choose from {','.join(RULES)}")
-    if not methods:
-        raise _UsageError("no methods selected")
-    repeated = sorted({m for m in methods if methods.count(m) > 1})
-    if repeated:
-        raise _UsageError(f"methods {repeated} are given more than once")
-    return methods
-
-
 # Checks run on an option's value once it is converted.  Each returns the
 # value to use, or raises ValueError saying why the value is refused.
 
@@ -275,6 +251,20 @@ def _finite(value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{value} is not a finite number.")
     return value
+
+
+def _methods(spec: str) -> list[str]:
+    """The methods named in spec, a comma-separated list."""
+    methods = [m.strip() for m in spec.split(",") if m.strip()]
+    bad = [m for m in methods if m not in _METHOD_NAMES]
+    if bad:
+        raise ValueError(f"unknown methods {bad}; choose from {','.join(_METHOD_NAMES)}")
+    if not methods:
+        raise ValueError("no methods selected")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"methods {repeated} are given more than once")
+    return methods
 
 
 def _file_name_part(value: str) -> str:
@@ -448,8 +438,7 @@ def _group_help() -> str:
 def evaluate(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags):
     """Evaluate stopping methods over run files, writing report.txt/.jsonl."""
     params = config.resolve_params(config_path, **flags)
-    method_list = _parse_methods(methods)
-    task = partial(_evaluate_task, methods=method_list, params=params, seed=seed)
+    task = partial(_evaluate_task, methods=methods, params=params, seed=seed)
     runs = dict(_map_runs(qrels_path, run_paths, task))
     records = metrics.build_report(runs)
     table = _aggregate_table(records, f"All {len(runs)} runs")
@@ -460,10 +449,9 @@ def evaluate(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags
 def stratify(run_paths, qrels_path, methods, seed, out_dir, config_path, **flags):
     """Rank runs by mean AURC and report top/middle/bottom five groups."""
     params = config.resolve_params(config_path, **flags)
-    method_list = _parse_methods(methods)
     if len(run_paths) < 15:
         raise _UsageError("stratification needs at least 15 runs")
-    task = partial(_stratify_task, methods=method_list, params=params, seed=seed)
+    task = partial(_stratify_task, methods=methods, params=params, seed=seed)
     results = list(_map_runs(qrels_path, run_paths, task))
     records = metrics.build_stratify_report(
         {tag: score for tag, (score, _) in results},
@@ -596,7 +584,7 @@ def _options(name: str) -> tuple[_Option, ...]:
     qrels = _Option("--qrels", dest="qrels_path", check=_input_file, metavar="PATH", required=True)
     out_dir = _Option("--out-dir", check=_out_dir, metavar="DIRECTORY", default=".")
     run_files = (runs, qrels, _Option("--seed", int, default=0), out_dir)
-    methods = _Option("--methods", default=",".join(_METHOD_NAMES))
+    methods = _Option("--methods", check=_methods, default=",".join(_METHOD_NAMES))
     # One override per MethodParams field; None leaves it to the config file or its default.
     params = (
         *(_Option(kind=f.type, dest=f.name, **f.metadata) for f in fields(config.MethodParams)),

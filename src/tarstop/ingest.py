@@ -168,7 +168,6 @@ def _split_block(
                 for column, dtype in zip(zip(*values), (np.int64, np.float64))
             ),
             run_tag=tags[0],
-            newlines=text.count("\n"),
         ),
         error,
     )
@@ -189,7 +188,7 @@ def _blocks(source: IO[bytes], fields: int) -> Iterator[Rows]:
             yield read
         if error is not None:
             raise error
-        first_line += chunk.count(b"\n") if read is None else read.newlines
+        first_line += chunk.count(b"\n")
 
 
 # Doc ids.  An id is stored as its UTF-8 bytes, NUL-padded to a fixed

@@ -12,6 +12,7 @@ import zlib
 
 from tarstop.config import MethodParams
 from tarstop.core import Run, StopOutcome, Topic, rel_at
+from tarstop.errors import ValidationError
 from tarstop.methods import RULES
 
 
@@ -92,9 +93,20 @@ def _topic_seed(base: int, run_tag: str, topic_id: str) -> int:
 def topic_records(
     run: Run, method: str, params: MethodParams, seed: int
 ) -> list[dict]:
-    """One method's topic records on a run, in topic_id order."""
+    """One method's topic records on a run, in topic_id order.
+
+    A topic with no relevant document has no recall: a ValidationError,
+    raised before any rule runs.
+    """
+    topics = sorted(run.topics, key=lambda t: t.topic_id)
+    for topic in topics:
+        if topic.total_relevant < 1:
+            raise ValidationError(
+                f"run {run.run_tag!r} topic {topic.topic_id!r} has no "
+                "relevant documents in the qrels; recall is undefined"
+            )
     records = []
-    for topic in sorted(run.topics, key=lambda t: t.topic_id):
+    for topic in topics:
         outcome = RULES[method](
             topic, params, _topic_seed(seed, run.run_tag, topic.topic_id)
         )

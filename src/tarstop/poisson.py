@@ -28,8 +28,8 @@ def upper_credible_count(mean: float, confidence: float, cap: int | None = None)
     reach the cap.  It returns the cap at once, or raises
     ``ComputationError`` when there is none.
     """
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
+    if not 0 <= mean < math.inf:  # NaN or +inf would make every term NaN
+        raise ValueError("mean must be finite and >= 0")
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
     if cap is not None and cap < 0:
@@ -63,8 +63,8 @@ def _first_term(mean: float, log_mean: float) -> int:
     Up to the mean the log rises with r, so every term before that r is
     below e^-800 and adds 0.0 in floats, where exp underflows below -745.
     """
-    # The log is below -800 at lo and not at hi; a mean that is not finite skips nothing.
-    lo, hi = -1, math.floor(mean) if math.isfinite(mean) else 0
+    # The log is below -800 at lo and not at hi.
+    lo, hi = -1, math.floor(mean)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if mid * log_mean - mean - math.lgamma(mid + 1) < -800:

@@ -66,6 +66,18 @@ def _evaluate_args(paths, qrels, out_dir, extra=()):
     return args + list(extra)
 
 
+def _python(command, env=(), drop=(), start=subprocess.run, **kwargs):
+    """A fresh interpreter, with this package first on its path, started by start.
+
+    command is tarstop's argv (a list) or the code of -c (a str); env adds
+    environment variables and drop removes them; kwargs go to start.
+    """
+    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
+    args = ["-c", command] if isinstance(command, str) else ["-m", "tarstop.cli", *command]
+    environ = {k: v for k, v in os.environ.items() if k not in drop}
+    return start([sys.executable, *args], env={**environ, "PYTHONPATH": src, **dict(env)}, **kwargs)
+
+
 def test_evaluate_writes_reports(dataset, tmp_path):
     paths, qrels = dataset
     out = tmp_path / "out"
@@ -262,15 +274,10 @@ def test_worker_warnings_reach_stderr(dataset, tmp_path, capfd):
     # Each run gets a document the qrels do not judge.
     for tag, path in paths.items():
         path.write_text(path.read_text() + f"T1 NF unjudged-{tag} 401 0.0 {tag}\n")
-    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
     inputs = [a for path in paths.values() for a in ("--runs", str(path))]
     inputs += ["--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
     for command in (["evaluate", "--methods", "or"], ["validate"]):
-        subprocess.run(
-            [sys.executable, "-m", "tarstop.cli", *command, *inputs],
-            env={**os.environ, "PYTHONPATH": src},
-            check=True,
-        )
+        _python([*command, *inputs], check=True)
         warnings = [
             line
             for line in capfd.readouterr().err.splitlines()
@@ -293,17 +300,11 @@ def test_a_failing_files_warnings_print_before_its_error(command, tmp_path):
     )
     qrels = tmp_path / "qrels.txt"
     qrels.write_text("T0 0 d1 1\nT0 0 d2 0\nT1 0 d1 1\n")
-    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
     args = [command, "--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
     args += ["--runs", str(run)] * (15 if command == "stratify" else 1)
     if command == "plot-data":
         args += ["--topic", "T0"]
-    result = subprocess.run(
-        [sys.executable, "-m", "tarstop.cli", *args],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-    )
+    result = _python(args, capture_output=True, text=True)
     assert (result.returncode, result.stderr) == (
         2,
         "run r topic T0: non-contiguous ranks repaired by re-ranking\n"
@@ -520,6 +521,14 @@ _CONTRACT = [
       "--out-dir", "{out}"], 0, "", "All 1 runs"),
     ([*_STEP, "--trials", "1", "--k", "-inf"], 1,
      "Error: Invalid value for '--k': -inf is not a finite number.", ""),
+    (["evaluate", "--runs", "{run}", "--qrels", "{qrels}", "--methods", "xx"], 1,
+     "Error: Invalid value for '--methods': unknown methods ['xx']; choose from pp,tm,km,or",
+     ""),
+    # --methods is refused as the arguments are parsed, before the config
+    # file, which names an unknown parameter, is read.
+    (["evaluate", "--runs", "{run}", "--qrels", "{qrels}", "--methods", "or,or", "--config",
+      "{bad_config}"], 1,
+     "Error: Invalid value for '--methods': methods ['or'] are given more than once", ""),
     (["evaluate", "--runs", "{missing}", "--help"], 0, "", "--runs"),
     ([], 1, "  validate", ""),
 ]
@@ -530,8 +539,10 @@ _CONTRACT = [
 )
 def test_command_line_contract(argv, code, last_err, out, dataset, tmp_path, capsys):
     paths, qrels = dataset
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_text("bogus = 1\n")
     slots = {"run": paths["run-a"], "qrels": qrels, "missing": tmp_path / "missing",
-             "out": tmp_path / "out"}
+             "out": tmp_path / "out", "bad_config": bad_config}
     assert main([arg.format(**slots) for arg in argv]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -623,14 +634,7 @@ def test_simulate_ends_where_the_credible_sum_stalls(tmp_path):
     args = ["simulate", "--family", "exponential", "--k", "1e-12", "--n", "5000"]
     args += ["--trials", "1", "--seed", "73", "--recall", "1e-9"]
     args += ["--confidence", "0.999999999999", "--gamma", "1", "--out-dir", str(tmp_path)]
-    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-m", "tarstop.cli", *args],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = _python(args, capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
     assert "pp reliability: 1.0000 over 1 topics" in result.stdout
 
@@ -649,14 +653,9 @@ def test_evaluate_ends_where_the_credible_sum_stalls(tmp_path):
     args = ["evaluate", "--runs", str(run), "--qrels", str(qrels), "--methods", "pp"]
     args += ["--recall", "1e-9", "--confidence", "0.99999999999999", "--gamma", "1"]
     args += ["--out-dir", str(tmp_path / "out")]
-    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "tarstop.cli", *args],
-        env={**os.environ, "PYTHONPATH": src},
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
+    proc = _python(
+        args, start=subprocess.Popen, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
     )
     try:
         _, stderr = proc.communicate(timeout=60)
@@ -720,19 +719,11 @@ def test_simulate_draws_each_trial_topic_once(tmp_path, monkeypatch, trials):
 
 def _loaded_after_import(imports, modules):
     """Those of modules that a fresh interpreter has loaded after imports."""
-    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
     code = (
         f"import sys, {imports}; print(sorted(m for m in "
         f"{tuple(modules)!r} if m in sys.modules))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return result.stdout.strip()
+    return _python(code, capture_output=True, text=True, check=True).stdout.strip()
 
 
 def test_cli_import_loads_neither_scipy_nor_requests():
@@ -754,20 +745,14 @@ def test_cli_import_starts_no_blas_thread_unless_asked(blas_threads):
     # the test imports it after the CLI, as a command would.
     if blas_threads and (os.cpu_count() or 1) < 2:
         pytest.skip("OpenBLAS starts no second thread on one CPU")
-    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
-    env["PYTHONPATH"] = src
-    if blas_threads:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env = {"OPENBLAS_NUM_THREADS": blas_threads} if blas_threads else {}
     code = (
         "import tarstop.cli\n"
         "import numpy\n"
         "print(next(line.split()[1] for line in open('/proc/self/status')"
         " if line.startswith('Threads:')))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    result = _python(code, env, _BLAS_THREADS, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == (blas_threads or "1")
 
 
@@ -781,9 +766,6 @@ def test_the_pool_forks_from_a_single_threaded_process(dataset, tmp_path):
     # fork records the threads then running, Python's and, where /proc
     # shows them, the process's (a BLAS thread is no Python thread).
     paths, qrels = dataset
-    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
-    env["PYTHONPATH"] = src
     code = f"""
 import os, threading
 import tarstop.cli
@@ -801,9 +783,7 @@ args = {_evaluate_args(paths, qrels, tmp_path / "out")!r}
 assert tarstop.cli.main(args) == 0
 print(counts)
 """
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    result = _python(code, drop=_BLAS_THREADS, capture_output=True, text=True, check=True)
     assert result.stdout.splitlines()[-1] == "[(1, 1), (1, 1)]"
 
 
@@ -820,7 +800,6 @@ _ENGINE_ROOTS = ("numpy", "tarstop", "json", "logging", "click")
 def _modules_run(argvs, roots):
     """main's exit codes on argvs in a fresh interpreter, the modules under
     roots run there, the tarstop modules in its sys.modules, and its stderr."""
-    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
     code = f"""
 import importlib.util, sys
 from tarstop.cli import main
@@ -831,13 +810,7 @@ import json
 print(json.dumps([codes, loaded]))
 print(json.dumps(sorted(n for n in sys.modules if n.startswith("tarstop."))))
 """
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    result = _python(code, capture_output=True, text=True, check=True)
     run, registered = map(json.loads, result.stdout.splitlines()[-2:])
     return (*run, registered, result.stderr)
 
@@ -859,23 +832,24 @@ def test_group_help_runs_only_the_command_line():
 
 
 def test_help_and_a_usage_error_load_no_engine(tmp_path):
-    # Every command's --help, and an --out-dir refused while the arguments
-    # are parsed, run no numpy, json, logging or click, and no tarstop
-    # module but the group's and the parameters' module, whose fields the
-    # option tables read.
+    # Every command's --help, and an --out-dir or --methods refused while
+    # the arguments are parsed, run no numpy, json, logging or click, and no
+    # tarstop module but the group's and the parameters' module, whose
+    # fields the option tables read.
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     usage = ["evaluate", "--runs", str(afile), "--qrels", str(afile)]
     argvs = [*([command, "--help"] for command in _COMMANDS), usage + ["--out-dir", str(afile)]]
+    argvs.append(usage + ["--methods", "xx"])
     codes, run, _, stderr = _modules_run(argvs, _ENGINE_ROOTS)
-    assert codes == [0, 0, 0, 0, 0, 1]
+    assert codes == [0, 0, 0, 0, 0, 1, 1]
     assert run == ["tarstop", "tarstop.cli", "tarstop.config", "tarstop.errors"]
-    assert stderr.splitlines()[-1].startswith("Error: Invalid value for '--out-dir'")
+    errors = [line.split(":")[1] for line in stderr.splitlines() if line.startswith("Error:")]
+    assert errors == [" Invalid value for '--out-dir'", " Invalid value for '--methods'"]
 
 
 def test_simulate_loads_no_logging(tmp_path):
     # logging is loaded to read run files, which simulate does not.
-    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
     args = ["simulate", "--family", "step", "--n", "50", "--trials", "1"]
     code = f"""
 import sys
@@ -883,13 +857,7 @@ from tarstop.cli import main
 code = main({args + ["--out-dir", str(tmp_path)]!r})
 print(code, sorted(n for n in sys.modules if n.split(".")[0] == "logging"))
 """
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    result = _python(code, capture_output=True, text=True, check=True)
     assert result.stdout.splitlines()[-1] == "0 []"
 
 
@@ -934,7 +902,6 @@ def test_pool_workers_import_nothing(command, with_tm, tmp_path):
     args = [*command, "--qrels", str(qrels), "--out-dir", str(tmp_path / "out")]
     args += [a for path in paths for a in ("--runs", str(path))]
     log = tmp_path / "imported"
-    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
     code = f"""
 import importlib.util, json, os, sys
 import tarstop.cli
@@ -960,13 +927,7 @@ before = set(sys.modules)
 import numpy.random
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    result = _python(code, capture_output=True, text=True, check=True)
     numpy_random = json.loads(result.stdout.splitlines()[-1])
     assert "numpy.random" in numpy_random
     expected = numpy_random if with_tm else []
@@ -1106,17 +1067,11 @@ def test_inputs_are_utf8_in_any_locale(tmp_path, command, bad):
     run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
     run.write_bytes(b"\n".join(run_lines) + b"\n")
     qrels.write_bytes(b"\n".join(qrels_lines) + b"\n")
-    src = str(Path(tarstop.cli.__file__).resolve().parents[1])
     args = [command, "--runs", str(run), "--qrels", str(qrels)]
     args += ["--out-dir", str(tmp_path / "out")]
     if command == "evaluate":
         args += ["--methods", "or"]
-    result = subprocess.run(
-        [sys.executable, "-m", "tarstop.cli", *args],
-        env={**os.environ, "PYTHONPATH": src, **_C_LOCALE},
-        capture_output=True,
-        text=True,
-    )
+    result = _python(args, _C_LOCALE, capture_output=True, text=True)
     if bad is None:
         assert (result.returncode, result.stderr) == (0, "")
     else:

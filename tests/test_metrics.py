@@ -3,7 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_topic
+from tarstop.config import MethodParams
 from tarstop.core import Run, StopOutcome
+from tarstop.errors import ValidationError
 from tarstop.metrics import (
     acceptability,
     aurc,
@@ -13,6 +15,7 @@ from tarstop.metrics import (
     recall_of,
     reliability,
     stratify_runs,
+    topic_records,
 )
 
 
@@ -34,6 +37,19 @@ def test_recall_of_rejects_zero_relevant():
     topic = make_topic("t", set(), 5)
     with pytest.raises(ValueError):
         recall_of(outcome(5), topic)
+
+
+@pytest.mark.parametrize("method", ["pp", "or"])
+def test_topic_records_refuse_a_topic_without_relevant(method):
+    # Recall is undefined there; the first such topic in topic-id order is
+    # named, with the message the command line prints.
+    run = Run("r", (make_topic("T2", set(), 5), make_topic("T1", set(), 5),
+                    make_topic("T0", {1}, 5)))
+    with pytest.raises(ValidationError) as error:
+        topic_records(run, method, MethodParams(), 0)
+    assert str(error.value) == (
+        "run 'r' topic 'T1' has no relevant documents in the qrels; recall is undefined"
+    )
 
 
 def test_acceptability_boundary_non_strict():

@@ -89,10 +89,13 @@ def test_pmf_value():
 
 
 def test_pmf_rejects_negative():
-    with pytest.raises(ValueError):
-        upper_credible_count(-1.0, 0.95)
-    with pytest.raises(ValueError):
-        upper_credible_count(-1.0, 0.95, 10)
+    # A NaN or +inf mean makes every term NaN: without the check the scan
+    # never ends, or walks to the cap.
+    for mean in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            upper_credible_count(mean, 0.95)
+        with pytest.raises(ValueError):
+            upper_credible_count(mean, 0.95, 10)
 
 
 def test_pmf_large_r_no_overflow():
